@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -27,68 +28,102 @@ from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, State,
                        compute_metrics, simulate)
 
 SCENARIOS = ("free", "disturbance")
+# AppConfig fields that the command line can override, by flag destination
+OVERRIDES = ("dt", "t_final", "Omega", "n_modes")
 
 
 class ConfigError(Exception):
     pass
 
 
+def _key(key, default):
+    """A config field read from the YAML key `section.name`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class AppConfig:
+    """The resolved run configuration, validated on construction.
+
+    The `beam` and `piezo` YAML sections hold the BeamSpec and PiezoSpec
+    fields under their own names; every other field names its YAML key.  A
+    key that is absent or null keeps its default.  Two defaults follow other
+    fields: piezo.w_p is beam.b, and controller.v_max is piezo.v_max.
+    """
+
     beam: BeamSpec
     piezo: PiezoSpec
-    n_modes: int
-    Omega: float
-    dt: float
-    t_final: float
-    tip_w0: float
-    dist_amplitude: float
-    dist_frequency: float
-    dist_target: int
-    ctrl_omega_cl: float  # None -> first flexural frequency at Omega = 0
-    ctrl_zeta_cl: float
-    ctrl_v_max: float
+    n_modes: int = _key("sim.n_modes", 2)
+    Omega: float = _key("sim.Omega", 20.0)
+    dt: float = _key("sim.dt", 2e-5)
+    t_final: float = _key("sim.t_final", 2.0)
+    tip_w0: float = _key("sim.tip_w0", 5e-3)
+    dist_amplitude: float = _key("disturbance.amplitude", 0.001)
+    dist_frequency: float = _key("disturbance.frequency", 24.0)
+    dist_target: int = _key("disturbance.target", 1)
+    # None -> first flexural frequency at Omega = 0
+    ctrl_omega_cl: float = _key("controller.omega_cl", None)
+    ctrl_zeta_cl: float = _key("controller.zeta_cl", 0.8)
+    ctrl_v_max: float = _key("controller.v_max", None)
+
+    def __post_init__(self):
+        if self.ctrl_v_max is None:
+            self.ctrl_v_max = self.piezo.v_max
+        n = self.n_modes
+        for key, ok, rule in (
+                ("piezo.l2", self.piezo.l2 <= self.beam.L, "patch end beyond beam length"),
+                ("sim.n_modes", n >= 1, "must be >= 1"),
+                ("sim.dt", self.dt > 0, "must be > 0"),
+                ("sim.t_final", self.t_final >= 0, "must be >= 0"),
+                ("disturbance.amplitude", self.dist_amplitude >= 0, "must be >= 0"),
+                ("disturbance.frequency", self.dist_frequency > 0, "must be > 0"),
+                ("disturbance.target", 1 <= self.dist_target <= n, "outside 1..n_modes"),
+                ("beam.zeta_flex", len(self.beam.zeta_flex) >= n,
+                 "need one damping ratio per mode"),
+                ("beam.zeta_tors", len(self.beam.zeta_tors) >= n,
+                 "need one damping ratio per mode"),
+                ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0")):
+            if not ok:
+                raise ConfigError(f"{key}: {rule}")
 
     def as_dict(self):
-        d = {
-            "beam": {k: getattr(self.beam, k) for k in
-                     ("L", "t_b", "b", "rho_b", "E_b", "G_b")},
-            "piezo": {k: getattr(self.piezo, k) for k in
-                      ("l1", "l2", "t_p", "w_p", "E_p", "G_p", "rho_p", "d31", "v_max")},
-            "sim": {"n_modes": self.n_modes, "Omega": self.Omega, "dt": self.dt,
-                    "t_final": self.t_final, "tip_w0": self.tip_w0},
-            "disturbance": {"amplitude": self.dist_amplitude,
-                            "frequency": self.dist_frequency,
-                            "target": self.dist_target},
-            "controller": {"omega_cl": self.ctrl_omega_cl,
-                           "zeta_cl": self.ctrl_zeta_cl, "v_max": self.ctrl_v_max},
-        }
-        d["beam"]["zeta_flex"] = list(self.beam.zeta_flex)
-        d["beam"]["zeta_tors"] = list(self.beam.zeta_tors)
-        return d
+        """Every value under its YAML key: the config block of the manifest,
+        itself a valid config file."""
+        out = {}
+        for key, (owner, f) in SCHEMA.items():
+            section, name = key.split(".")
+            holder = getattr(self, owner) if owner else self
+            out.setdefault(section, {})[name] = getattr(holder, f.name)
+        return out
 
 
-def _section(raw, name):
-    sec = raw.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be a mapping")
-    return sec
+def _schema():
+    """(YAML key, (AppConfig attribute holding the value or None, field))."""
+    for f in fields(AppConfig):
+        if is_dataclass(f.type):
+            for g in fields(f.type):
+                yield f"{f.name}.{g.name}", (f.name, g)
+        else:
+            yield f.metadata["key"], (None, f)
 
 
-def _get(sec, secname, key, default, kind=float):
-    if key not in sec or sec[key] is None:
-        return default
+SCHEMA = dict(_schema())
+SECTIONS = {key.split(".")[0] for key in SCHEMA}
+
+
+def _parse(key, value, kind):
     try:
-        return kind(sec[key])
+        return tuple(float(v) for v in value) if kind is tuple else kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{secname}.{key}: cannot parse {sec[key]!r}")
+        raise ConfigError(f"{key}: cannot parse {value!r}") from None
 
 
 def load_config(path=None):
-    """Build the fully resolved configuration; every field has a documented
-    default (beam values from the reference parameter set)."""
+    """The resolved configuration of a YAML file; None gives every default.
+
+    An unknown section or key, a value that does not parse and a broken rule
+    each raise ConfigError naming the key.
+    """
     raw = {}
     if path is not None:
         try:
@@ -101,80 +136,26 @@ def load_config(path=None):
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a mapping")
 
-    b = _section(raw, "beam")
-    p = _section(raw, "piezo")
-    s = _section(raw, "sim")
-    d = _section(raw, "disturbance")
-    c = _section(raw, "controller")
-
-    def listf(sec, secname, key, default):
-        val = sec.get(key, default)
-        try:
-            return tuple(float(v) for v in val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{secname}.{key}: must be a list of numbers")
-
+    given = {"beam": {}, "piezo": {}, None: {}}  # by SCHEMA owner
+    for section, entries in raw.items():
+        if section not in SECTIONS:
+            raise ConfigError(f"{section}: unknown config section")
+        entries = {} if entries is None else entries
+        if not isinstance(entries, dict):
+            raise ConfigError(f"config section '{section}' must be a mapping")
+        for name, value in entries.items():
+            key = f"{section}.{name}"
+            if key not in SCHEMA:
+                raise ConfigError(f"{key}: unknown config key")
+            if value is not None:
+                owner, f = SCHEMA[key]
+                given[owner][f.name] = _parse(key, value, f.type)
     try:
-        beam = BeamSpec(
-            L=_get(b, "beam", "L", 0.15),
-            t_b=_get(b, "beam", "t_b", 0.8e-3),
-            b=_get(b, "beam", "b", 1.5e-2),
-            rho_b=_get(b, "beam", "rho_b", 3960.0),
-            E_b=_get(b, "beam", "E_b", 70e9),
-            G_b=_get(b, "beam", "G_b", 30e9),
-            zeta_flex=listf(b, "beam", "zeta_flex", (0.01, 0.0016)),
-            zeta_tors=listf(b, "beam", "zeta_tors", (0.01, 0.0033)),
-        )
-        width = beam.b
-        piezo = PiezoSpec(
-            l1=_get(p, "piezo", "l1", 0.01),
-            l2=_get(p, "piezo", "l2", 0.06),
-            t_p=_get(p, "piezo", "t_p", 0.4e-3),
-            w_p=_get(p, "piezo", "w_p", width),
-            E_p=_get(p, "piezo", "E_p", 62e9),
-            G_p=_get(p, "piezo", "G_p", 23e9),
-            rho_p=_get(p, "piezo", "rho_p", 7500.0),
-            d31=_get(p, "piezo", "d31", -320e-12),
-            v_max=_get(p, "piezo", "v_max", 200.0),
-        )
+        beam = BeamSpec(**given["beam"])
+        piezo = PiezoSpec(**{"w_p": beam.b, **given["piezo"]})
     except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    if piezo.l2 > beam.L:
-        raise ConfigError("piezo.l2: patch end beyond beam length")
-
-    cfg = AppConfig(
-        beam=beam,
-        piezo=piezo,
-        n_modes=_get(s, "sim", "n_modes", 2, int),
-        Omega=_get(s, "sim", "Omega", 20.0),
-        dt=_get(s, "sim", "dt", 2e-5),
-        t_final=_get(s, "sim", "t_final", 2.0),
-        tip_w0=_get(s, "sim", "tip_w0", 5e-3),
-        dist_amplitude=_get(d, "disturbance", "amplitude", 0.001),
-        dist_frequency=_get(d, "disturbance", "frequency", 24.0),
-        dist_target=_get(d, "disturbance", "target", 1, int),
-        ctrl_omega_cl=_get(c, "controller", "omega_cl", None),
-        ctrl_zeta_cl=_get(c, "controller", "zeta_cl", 0.8),
-        ctrl_v_max=_get(c, "controller", "v_max", piezo.v_max),
-    )
-    if cfg.n_modes < 1:
-        raise ConfigError("sim.n_modes: must be >= 1")
-    if cfg.dt <= 0:
-        raise ConfigError("sim.dt: must be > 0")
-    if cfg.t_final < 0:
-        raise ConfigError("sim.t_final: must be >= 0")
-    if cfg.dist_amplitude < 0:
-        raise ConfigError("disturbance.amplitude: must be >= 0")
-    if cfg.dist_frequency <= 0:
-        raise ConfigError("disturbance.frequency: must be > 0")
-    if not 1 <= cfg.dist_target <= cfg.n_modes:
-        raise ConfigError("disturbance.target: outside 1..n_modes")
-    if len(beam.zeta_flex) < cfg.n_modes or len(beam.zeta_tors) < cfg.n_modes:
-        raise ConfigError("beam.zeta_flex/zeta_tors: need one damping ratio per mode")
-    if cfg.ctrl_zeta_cl <= 0:
-        raise ConfigError("controller.zeta_cl: must be > 0")
-    return cfg
+        raise ConfigError(str(exc)) from None
+    return AppConfig(beam=beam, piezo=piezo, **given[None])
 
 
 def build_model(cfg):
@@ -192,12 +173,11 @@ def _build_controller(cfg, mats, basis):
                             v_max=cfg.ctrl_v_max)
 
 
-def _sim_config(cfg, scenario, controller_on):
+def _sim_config(cfg, basis, scenario, controller_on):
     n = cfg.n_modes
     ic = State.zero(n)
     dist = None
     if scenario == "free":
-        basis = ModalBasis.build(n, cfg.beam.L)
         ic.p[0] = cfg.tip_w0 / basis.flexural_tip_values()[0]
     else:
         dist = Disturbance(amplitude=cfg.dist_amplitude,
@@ -220,48 +200,48 @@ def write_csv(path, traj, n):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def run_scenario(name, cfg, out_dir, controller_on=True):
-    """Run one scenario, writing manifest, CSV trajectory and metrics JSON.
+def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
+    """Run one scenario on the model build_model(cfg) returned, then write
+    its CSV trajectory, metrics JSON and manifest.
 
+    Nothing is written unless every simulation of the scenario succeeds.
     For the disturbance scenario with the controller on, an uncontrolled
-    companion run is performed and exported alongside so the attenuation
-    figure is reproducible from the written files.
+    companion run is performed and exported alongside, and the manifest
+    lists it, so the attenuation figure is reproducible from the written
+    files.
     """
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    basis, mats = build_model(cfg)
+    controller = make_policy(mats, _build_controller(cfg, mats, basis), cfg.Omega) \
+        if controller_on else None
     tag = f"{name}_{'on' if controller_on else 'off'}"
-    csv_path = out_dir / f"{tag}.csv"
-    metrics_path = out_dir / f"{tag}_metrics.json"
-    manifest_path = out_dir / f"{tag}_manifest.json"
+    runs = {tag: simulate(_sim_config(cfg, basis, name, controller_on), mats, basis,
+                          controller=controller)}
+    outputs = {"csv": f"{tag}.csv", "metrics": f"{tag}_metrics.json"}
+
+    metrics = dict(runs[tag].metrics)
+    if name == "disturbance" and controller_on:
+        companion = runs[f"{name}_off"] = simulate(_sim_config(cfg, basis, name, False),
+                                                   mats, basis)
+        outputs["companion_csv"] = f"{name}_off.csv"
+        rms_off = companion.metrics["rms_tip_after_transient_m"]
+        rms_on = metrics["rms_tip_after_transient_m"]
+        metrics["attenuation_db"] = (20.0 * math.log10(rms_off / rms_on)
+                                     if rms_on > 0 else float("inf"))
 
     manifest = {
         "scenario": name,
         "controller": "on" if controller_on else "off",
         "config": cfg.as_dict(),
         "matrices_sha256": hashlib.sha256(mats.tobytes()).hexdigest(),
-        "outputs": {"csv": csv_path.name, "metrics": metrics_path.name},
+        "outputs": outputs,
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-    controller = make_policy(mats, _build_controller(cfg, mats, basis), cfg.Omega) \
-        if controller_on else None
-    traj = simulate(_sim_config(cfg, name, controller_on), mats, basis,
-                    controller=controller)
-    write_csv(csv_path, traj, cfg.n_modes)
-
-    metrics = dict(traj.metrics)
-    if name == "disturbance" and controller_on:
-        companion = simulate(_sim_config(cfg, name, False), mats, basis)
-        write_csv(out_dir / f"{name}_off.csv", companion, cfg.n_modes)
-        rms_off = companion.metrics["rms_tip_after_transient_m"]
-        rms_on = metrics["rms_tip_after_transient_m"]
-        metrics["attenuation_db"] = (20.0 * math.log10(rms_off / rms_on)
-                                     if rms_on > 0 else float("inf"))
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for run_tag, traj in runs.items():
+        write_csv(out_dir / f"{run_tag}.csv", traj, cfg.n_modes)
+    for path, record in ((outputs["metrics"], metrics), (f"{tag}_manifest.json", manifest)):
+        with open(out_dir / path, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
     return metrics
 
 
@@ -281,44 +261,28 @@ def make_parser():
     ap.add_argument("--scenario", choices=list(SCENARIOS) + ["all"], default="free")
     ap.add_argument("--controller", choices=["on", "off"], default="on")
     ap.add_argument("--out", type=str, default="out", help="output directory")
-    ap.add_argument("--dt", type=float, default=None, help="time step override [s]")
-    ap.add_argument("--tfinal", type=float, default=None, help="duration override [s]")
-    ap.add_argument("--omega", type=float, default=None, help="base rotation override [rad/s]")
-    ap.add_argument("--modes", type=int, default=None, help="mode count per field")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; runs are deterministic")
+    ap.add_argument("--dt", type=float, help="time step override [s]")
+    ap.add_argument("--tfinal", dest="t_final", type=float, help="duration override [s]")
+    ap.add_argument("--omega", dest="Omega", type=float, help="base rotation override [rad/s]")
+    ap.add_argument("--modes", dest="n_modes", type=int, help="mode count per field")
     ap.add_argument("--export-matrices", type=str, default=None,
                     help="write assembled matrices to a plain-text file and exit")
     return ap
 
 
 def main(argv=None):
-    from pathlib import Path
-
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.dt is not None:
-            cfg.dt = args.dt
-        if args.tfinal is not None:
-            cfg.t_final = args.tfinal
-        if args.omega is not None:
-            cfg.Omega = args.omega
-        if args.modes is not None:
-            cfg.n_modes = args.modes
-            if len(cfg.beam.zeta_flex) < cfg.n_modes:
-                raise ConfigError("beam.zeta_flex: need one damping ratio per mode")
-        if cfg.dt <= 0:
-            raise ConfigError("sim.dt: must be > 0")
-
+        cfg = replace(load_config(args.config),
+                      **{k: getattr(args, k) for k in OVERRIDES if getattr(args, k) is not None})
+        basis, mats = build_model(cfg)
         if args.export_matrices:
-            _, mats = build_model(cfg)
             export_matrices(mats, args.export_matrices)
             return 0
 
         names = SCENARIOS if args.scenario == "all" else (args.scenario,)
         for name in names:
-            metrics = run_scenario(name, cfg, Path(args.out),
+            metrics = run_scenario(name, cfg, basis, mats, Path(args.out),
                                    controller_on=args.controller == "on")
             print(f"{name} [controller {args.controller}]: "
                   + json.dumps(metrics, sort_keys=True))

@@ -22,7 +22,8 @@ import pytest
 from piezobeam import (ControllerConfig, SimConfig, State, assemble,
                        design_gains, energy, linear_frequencies, make_policy,
                        section_properties, simulate, step)
-from piezobeam.cli import load_config, recompute_metrics_from_csv, run_scenario
+from piezobeam.cli import (build_model, load_config, recompute_metrics_from_csv,
+                           run_scenario)
 
 from test_assembly import oracle_matrices
 
@@ -144,7 +145,8 @@ def test_criterion_6_disturbance_rejection(tmp_path):
     # frequency, so the default gains barely attenuate; 20 dB needs the
     # closed-loop stiffness well above the drive
     cfg.ctrl_omega_cl = 700.0
-    metrics = run_scenario("disturbance", cfg, tmp_path, controller_on=True)
+    metrics = run_scenario("disturbance", cfg, *build_model(cfg), tmp_path,
+                           controller_on=True)
     elapsed = time.time() - t0
     att = metrics["attenuation_db"]
     ok = att >= 20.0 and elapsed < 120.0
@@ -175,13 +177,13 @@ def test_criterion_7_convergence_order(mats, basis2):
 def test_criterion_8_determinism_and_format(tmp_path):
     cfg = load_config(None)
     cfg.t_final = 0.05
-    m1 = run_scenario("free", cfg, tmp_path / "r1", controller_on=True)
-    m2 = run_scenario("free", cfg, tmp_path / "r2", controller_on=True)
+    # each run on its own model, so a rebuild must reproduce it too
+    m1 = run_scenario("free", cfg, *build_model(cfg), tmp_path / "r1", controller_on=True)
+    m2 = run_scenario("free", cfg, *build_model(cfg), tmp_path / "r2", controller_on=True)
     csv1 = (tmp_path / "r1" / "free_on.csv").read_bytes()
     csv2 = (tmp_path / "r2" / "free_on.csv").read_bytes()
     identical = csv1 == csv2
 
-    from piezobeam.cli import build_model
     _, mats = build_model(cfg)
     om_f, _ = linear_frequencies(mats, 0.0)
     redo = recompute_metrics_from_csv(tmp_path / "r1" / "free_on.csv",

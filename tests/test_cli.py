@@ -1,11 +1,16 @@
 import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from piezobeam.cli import (ConfigError, load_config, main,
+from piezobeam.cli import (ConfigError, build_model, load_config, main,
                            recompute_metrics_from_csv, run_scenario)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, text, name="config.yaml"):
@@ -56,12 +61,40 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/nope.yaml")
 
+    @pytest.mark.parametrize("text, key", [
+        ("beam:\n  E: 1.0e9\n", "beam.E"),
+        ("rotation:\n  Omega: 900\n", "rotation"),
+        ("sim:\n  omega: 900\n", "sim.omega"),
+    ])
+    def test_unknown_key_named(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=re.escape(key) + ": unknown"):
+            load_config(write(tmp_path, text))
+
+    def test_null_keeps_default(self, tmp_path):
+        text = "beam:\n  zeta_flex: null\nsim:\n  dt: null\ncontroller:\n  v_max: null\n"
+        assert load_config(write(tmp_path, text)) == load_config(None)
+
+    def test_derived_defaults_follow(self, tmp_path):
+        cfg = load_config(write(tmp_path, "beam:\n  b: 2.0e-2\n"))
+        assert cfg.piezo.w_p == 2.0e-2
+        cfg = load_config(write(tmp_path, "piezo:\n  v_max: 150\n"))
+        assert cfg.ctrl_v_max == 150.0
+        # set explicitly, neither follows
+        cfg = load_config(write(tmp_path, "beam: {b: 2.0e-2}\npiezo: {w_p: 1.0e-2, v_max: 150}\n"
+                                          "controller: {v_max: 90}\n"))
+        assert (cfg.piezo.w_p, cfg.ctrl_v_max) == (1.0e-2, 90.0)
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        assert load_config(write(tmp_path, blocks[0])) == load_config(None)
+
     def test_zero_spin_propagates_to_decoupling(self, tmp_path):
-        from piezobeam.cli import _sim_config, build_model
+        from piezobeam.cli import _sim_config
         from piezobeam.dynamics import simulate
         cfg = load_config(write(tmp_path, "sim:\n  Omega: 0\n  t_final: 0.05\n"))
         basis, mats = build_model(cfg)
-        tr = simulate(_sim_config(cfg, "free", False), mats, basis)
+        tr = simulate(_sim_config(cfg, basis, "free", False), mats, basis)
         assert np.max(np.abs(tr.tip_theta)) < 1e-14
 
 
@@ -73,16 +106,23 @@ def short_cfg(tmp_path_factory):
     return load_config(str(path))
 
 
+@pytest.fixture(scope="module")
+def short_model(short_cfg):
+    return build_model(short_cfg)
+
+
 class TestRunScenario:
-    def test_free_controller_shrinks_settling(self, short_cfg, tmp_path):
-        m_off = run_scenario("free", short_cfg, tmp_path / "off", controller_on=False)
-        m_on = run_scenario("free", short_cfg, tmp_path / "on", controller_on=True)
+    def test_free_controller_shrinks_settling(self, short_cfg, short_model, tmp_path):
+        m_off = run_scenario("free", short_cfg, *short_model, tmp_path / "off",
+                             controller_on=False)
+        m_on = run_scenario("free", short_cfg, *short_model, tmp_path / "on",
+                            controller_on=True)
         t_off = m_off["settling_time_s"] or math.inf
         t_on = m_on["settling_time_s"] or math.inf
         assert t_on < t_off
 
-    def test_csv_format_and_row_count(self, short_cfg, tmp_path):
-        run_scenario("free", short_cfg, tmp_path, controller_on=False)
+    def test_csv_format_and_row_count(self, short_cfg, short_model, tmp_path):
+        run_scenario("free", short_cfg, *short_model, tmp_path, controller_on=False)
         lines = (tmp_path / "free_off.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header == ["t", "p1", "p2", "q1", "q2", "dp1", "dp2",
@@ -95,8 +135,11 @@ class TestRunScenario:
         assert np.max(np.abs(dt - short_cfg.dt)) < 1e-12
 
     def test_manifest_written_and_determinism(self, short_cfg, tmp_path):
-        run_scenario("free", short_cfg, tmp_path / "a", controller_on=True)
-        run_scenario("free", short_cfg, tmp_path / "b", controller_on=True)
+        # each run on its own model, so a rebuild must reproduce it too
+        run_scenario("free", short_cfg, *build_model(short_cfg), tmp_path / "a",
+                     controller_on=True)
+        run_scenario("free", short_cfg, *build_model(short_cfg), tmp_path / "b",
+                     controller_on=True)
         csv_a = (tmp_path / "a" / "free_on.csv").read_bytes()
         csv_b = (tmp_path / "b" / "free_on.csv").read_bytes()
         assert csv_a == csv_b
@@ -105,20 +148,23 @@ class TestRunScenario:
         assert man_a == man_b
         assert man_a["matrices_sha256"]
         assert man_a["config"]["beam"]["L"] == 0.15
+        # the config block is itself a config file for the same run
+        config = write(tmp_path, json.dumps(man_a["config"]), "manifest_config.yaml")
+        assert load_config(config) == short_cfg
 
-    def test_metrics_recomputable_from_csv(self, short_cfg, tmp_path):
+    def test_metrics_recomputable_from_csv(self, short_cfg, short_model, tmp_path):
         from piezobeam.assembly import linear_frequencies
-        from piezobeam.cli import build_model
-        metrics = run_scenario("free", short_cfg, tmp_path, controller_on=True)
-        _, mats = build_model(short_cfg)
+        metrics = run_scenario("free", short_cfg, *short_model, tmp_path, controller_on=True)
+        _, mats = short_model
         om_f, _ = linear_frequencies(mats, 0.0)
         redo = recompute_metrics_from_csv(tmp_path / "free_on.csv",
                                           2 * math.pi / om_f[0])
         for key, val in redo.items():
             assert metrics[key] == val
 
-    def test_disturbance_attenuation_and_fft_peak(self, short_cfg, tmp_path):
-        metrics = run_scenario("disturbance", short_cfg, tmp_path, controller_on=True)
+    def test_disturbance_attenuation_and_fft_peak(self, short_cfg, short_model, tmp_path):
+        metrics = run_scenario("disturbance", short_cfg, *short_model, tmp_path,
+                               controller_on=True)
         assert metrics["attenuation_db"] > 0
         # dominant FFT peak of the uncontrolled companion sits at 24 Hz
         data = np.genfromtxt(tmp_path / "disturbance_off.csv",
@@ -129,9 +175,17 @@ class TestRunScenario:
         f_peak = freqs[np.argmax(spec[1:]) + 1]
         assert abs(f_peak - 24.0) < 1.5 * freqs[1] + 0.5
 
-    def test_unknown_scenario(self, short_cfg, tmp_path):
+    def test_disturbance_manifest_lists_companion(self, short_cfg, short_model, tmp_path):
+        cfg = replace(short_cfg, t_final=0.01)
+        run_scenario("disturbance", cfg, *short_model, tmp_path, controller_on=True)
+        outputs = json.loads((tmp_path / "disturbance_on_manifest.json").read_text())["outputs"]
+        assert outputs["companion_csv"] == "disturbance_off.csv"
+        assert sorted(outputs.values()) == sorted(
+            p.name for p in tmp_path.iterdir() if not p.name.endswith("_manifest.json"))
+
+    def test_unknown_scenario(self, short_cfg, short_model, tmp_path):
         with pytest.raises(ConfigError):
-            run_scenario("bogus", short_cfg, tmp_path)
+            run_scenario("bogus", short_cfg, *short_model, tmp_path)
 
 
 class TestMainExitCodes:
@@ -177,3 +231,20 @@ class TestMainExitCodes:
         data = np.genfromtxt(tmp_path / "o" / "free_off.csv",
                              delimiter=",", names=True)
         assert np.max(np.abs(data["theta_tip"])) < 1e-14
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("beam: {E: 1.0e9, rho: 10}\nrotation: {Omega: 900}\nbogus: 3\n", [], "beam.E"),
+        ("", ["--tfinal", "-1"], "sim.t_final"),
+        ("", ["--dt", "1e-3"], "too coarse"),
+        ("disturbance: {target: 2}\n", ["--modes", "1", "--scenario", "disturbance"],
+         "disturbance.target"),
+    ], ids=["unknown_keys", "negative_tfinal", "coarse_dt", "target_beyond_modes"])
+    def test_config_error_writes_nothing(self, tmp_path, capsys, text, flags, message):
+        out = tmp_path / "o"
+        out.mkdir()
+        # the leading --tfinal keeps a wrongly accepted run short; a later one wins
+        rc = main(["--config", write(tmp_path, text), "--tfinal", "0.01",
+                   "--out", str(out)] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
