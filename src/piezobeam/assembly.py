@@ -168,20 +168,23 @@ class SystemMatrices:
     G1: np.ndarray
     F1: np.ndarray
     Mp0: float
-    _operators: dict = field(default=None, repr=False, compare=False)
+    # Derived from the fields above by __post_init__, which replaces any value
+    # passed in, so a copy built from another instance's fields is consistent.
+    # The matrices are read-only once assembled.
+    M1inv: np.ndarray = field(default=None, repr=False, compare=False)
+    M2inv: np.ndarray = field(default=None, repr=False, compare=False)
+    b: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 F1
+    N: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
+    # (flexural, torsional) linear frequencies at Omega = 0 in rad/s
+    natural_frequencies: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # always a fresh cache, so a copy built from another instance's
-        # fields never reuses operators of the matrices it replaced
-        self._operators = {}
-
-    def state_operator(self, omega):
-        """The mass-scaled modal equations at base rotation omega, built once
-        per omega and cached; the matrices are read-only once assembled."""
-        op = self._operators.get(omega)
-        if op is None:
-            op = self._operators[omega] = StateOperator.build(self, omega)
-        return op
+        n = self.n
+        self.M1inv = cho_solve(cho_factor(self.M1), np.eye(n))
+        self.M2inv = cho_solve(cho_factor(self.M2), np.eye(n))
+        self.b = self.M1inv @ self.F1
+        self.N = (self.M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
+        self.natural_frequencies = linear_frequencies(self, 0.0)
 
     def tobytes(self):
         parts = [np.ascontiguousarray(a).tobytes() for a in
@@ -201,6 +204,7 @@ class StateOperator:
     for piezo voltage v and generalized flexural force f.  A carries the
     kinematic identities and every linear term (stiffness, centrifugal,
     damping, gyroscopic), already multiplied through by M1^-1 or M2^-1.
+    Only A depends on Omega; the other fields are those of the matrices.
     """
 
     A: np.ndarray        # (4n, 4n)
@@ -211,8 +215,7 @@ class StateOperator:
     @classmethod
     def build(cls, mats, omega):
         n = mats.n
-        M1inv = cho_solve(cho_factor(mats.M1), np.eye(n))
-        M2inv = cho_solve(cho_factor(mats.M2), np.eye(n))
+        M1inv, M2inv = mats.M1inv, mats.M2inv
         A = np.zeros((4 * n, 4 * n))
         A[:2 * n, 2 * n:] = np.eye(2 * n)
         A[2 * n:3 * n, :n] = -M1inv @ (mats.K1 + omega ** 2 * mats.D1)
@@ -221,8 +224,7 @@ class StateOperator:
         A[3 * n:, n:2 * n] = -M2inv @ mats.K2
         A[3 * n:, 2 * n:3 * n] = -omega * (M2inv @ mats.C2)
         A[3 * n:, 3 * n:] = -M2inv @ mats.CT
-        return cls(A=A, M1inv=M1inv, b=M1inv @ mats.F1,
-                   N=(M1inv @ mats.G1.reshape(n, -1)).reshape(-1, n))
+        return cls(A=A, M1inv=M1inv, b=mats.b, N=mats.N)
 
 
 def gauss_panels(breakpoints, points_per_panel):
@@ -323,7 +325,7 @@ def damping_matrices(mats, beam):
     n = mats.n
     if len(beam.zeta_flex) < n or len(beam.zeta_tors) < n:
         raise ValueError(f"need at least {n} damping ratios per field")
-    om_f, om_t = linear_frequencies(mats, 0.0)
+    om_f, om_t = mats.natural_frequencies
     CB = np.diag([2.0 * beam.zeta_flex[i] * om_f[i] * mats.M1[i, i] for i in range(n)])
     CT = np.diag([2.0 * beam.zeta_tors[i] * om_t[i] * mats.M2[i, i] for i in range(n)])
     return CB, CT

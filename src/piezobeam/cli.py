@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .assembly import (BeamSpec, PiezoSpec, assemble, export_matrices,
-                       linear_frequencies, SpinDestabilizedError)
+                       SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
 from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, State,
@@ -82,7 +82,11 @@ class AppConfig:
                  "need one damping ratio per mode"),
                 ("beam.zeta_tors", len(self.beam.zeta_tors) >= n,
                  "need one damping ratio per mode"),
-                ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0")):
+                ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
+                ("piezo.v_max", self.piezo.v_max is None or self.piezo.v_max > 0,
+                 "must be null or > 0"),
+                ("controller.v_max", self.ctrl_v_max is None or self.ctrl_v_max > 0,
+                 "must be null or > 0")):
             if not ok:
                 raise ConfigError(f"{key}: {rule}")
 
@@ -112,10 +116,19 @@ SECTIONS = {key.split(".")[0] for key in SCHEMA}
 
 
 def _parse(key, value, kind):
+    """value as the field type; a bool, or an int key's fractional value,
+    does not parse."""
     try:
-        return tuple(float(v) for v in value) if kind is tuple else kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: cannot parse {value!r}") from None
+        if isinstance(value, bool):
+            raise TypeError
+        if kind is tuple:
+            return tuple(_parse(key, v, float) for v in value)
+        out = kind(value)
+        if kind is int and out != float(value):
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from None
 
 
 def load_config(path=None):
@@ -166,7 +179,7 @@ def build_model(cfg):
 
 
 def _build_controller(cfg, mats, basis):
-    om_f, _ = linear_frequencies(mats, 0.0)
+    om_f, _ = mats.natural_frequencies
     omega_cl = cfg.ctrl_omega_cl if cfg.ctrl_omega_cl else om_f[0]
     k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)
     return ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rhs
+from .dynamics import closed_loop
 
 
 class ControlAuthorityError(RuntimeError):
@@ -40,6 +40,8 @@ class ControllerConfig:
         self.output_weights = np.asarray(self.output_weights, dtype=float)
         if not np.any(self.output_weights):
             raise ValueError("output weights must not all be zero")
+        if self.v_max is not None and not self.v_max > 0:
+            raise ValueError("v_max must be > 0, or None for no saturation")
 
 
 def output(x, weights):
@@ -49,24 +51,30 @@ def output(x, weights):
     return float(c @ x[:n]), float(c @ x[2 * n:3 * n])
 
 
-def control_voltage(x, t, mats, ctrl, omega):
-    """Linearizing voltage; the measured disturbance is not fed forward."""
-    n = mats.n
+def make_policy(mats, ctrl, omega):
+    """Linearizing voltage policy (x, t, a0) -> volts for closed_loop, where
+    a0 is the flexural acceleration at zero voltage; the measured
+    disturbance is not fed forward.
+
+    The output's acceleration per volt, beta = c M1^-1 F1, does not depend
+    on omega; ControlAuthorityError is raised here if |beta| is below the
+    authority tolerance.
+    """
     c = ctrl.output_weights
-    # output acceleration at zero voltage, and its gain per volt
-    a = float(c @ rhs(x, t, 0.0, mats, omega)[2 * n:3 * n])
-    beta = float(c @ mats.state_operator(omega).b)
+    beta = float(c @ mats.b)
     if abs(beta) < ctrl.authority_tolerance:
         raise ControlAuthorityError(beta)
-    y, yd = output(x, c)
-    v = (-ctrl.k0 * y - ctrl.k1 * yd - a) / beta
-    if ctrl.v_max is not None:
-        v = float(np.clip(v, -ctrl.v_max, ctrl.v_max))
-    return v
+    k0, k1, v_max = ctrl.k0, ctrl.k1, ctrl.v_max
 
-
-def make_policy(mats, ctrl, omega):
-    """Voltage policy closure for the simulator (state, t) -> volts."""
-    def policy(x, t):
-        return control_voltage(x, t, mats, ctrl, omega)
+    def policy(x, t, a0):
+        y, yd = output(x, c)
+        v = (-k0 * y - k1 * yd - float(c @ a0)) / beta
+        if v_max is not None:
+            v = min(max(v, -v_max), v_max)
+        return v
     return policy
+
+
+def control_voltage(x, t, mats, ctrl, omega):
+    """The voltage make_policy's law applies at state x and time t."""
+    return closed_loop(mats, omega, make_policy(mats, ctrl, omega))(x, t)[1]

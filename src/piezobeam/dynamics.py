@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import linear_frequencies
+from .assembly import StateOperator
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -102,29 +102,54 @@ def cubic_force(G1, p):
     return _contract3(G1.reshape(-1, p.size), p)
 
 
+def closed_loop(mats, omega, policy=None, disturbance=None):
+    """The modal equations at base rotation omega under a voltage policy, as
+    f(x, t) -> (x', v); the Omega-dependent operator is built once, here.
+
+    Each call evaluates the equations once.  The policy is called as
+    policy(x, t, a0), where a0 is the flexural acceleration at zero voltage
+    without the disturbance (the drift a linearizing law cancels); a0 is a
+    view that the call then completes in place, so the policy reads it and
+    neither keeps nor writes it.  Its voltage v (0 without a policy) and the
+    disturbance force are then added.  No finiteness check is made.
+    """
+    op = StateOperator.build(mats, omega)
+    A, N, b = op.A, op.N, op.b
+    n = mats.n
+    flex = slice(2 * n, 3 * n)
+    if disturbance is not None:
+        column, force = op.M1inv[:, disturbance.target - 1], disturbance.force
+
+    def f(x, t):
+        out = A.dot(x)
+        acc = out[flex]
+        acc -= _contract3(N, x[:n])
+        v = policy(x, t, acc) if policy is not None else 0.0
+        if v:
+            acc += b * v
+        if disturbance is not None:
+            acc += column * force(t)
+        return out, v
+    return f
+
+
 def rhs(x, t, v_p, mats, omega, disturbance=None):
     """Time derivative of the stacked state under piezo voltage v_p.
 
     Raises IntegrationBlowupError if the state or its derivative is not
     finite: a non-finite entry of x reaches every entry of A @ x.
     """
-    op = mats.state_operator(omega)
-    n = mats.n
-    out = op.A.dot(x)
-    acc = out[2 * n:3 * n]
-    acc -= _contract3(op.N, x[:n])
-    if v_p:
-        acc += op.b * v_p
-    if disturbance is not None:
-        acc += op.M1inv[:, disturbance.target - 1] * disturbance.force(t)
+    out, _ = closed_loop(mats, omega, lambda xs, ts, a0: v_p, disturbance)(x, t)
     if not np.isfinite(out).all():
         raise IntegrationBlowupError(t)
     return out
 
 
-def rk4_step(f, x, t, dt):
-    """One classical Runge-Kutta step of x' = f(x, t)."""
-    k1 = f(x, t)
+def rk4_step(f, x, t, dt, k1=None):
+    """One classical Runge-Kutta step of x' = f(x, t); k1 = f(x, t) when the
+    caller has it already."""
+    if k1 is None:
+        k1 = f(x, t)
     k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = f(x + dt * k3, t + dt)
@@ -136,8 +161,9 @@ AVF_MAX_ITER = 30
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
-def avf_step(f, x, t, dt):
-    """One average-vector-field step of x = [y; y'], x' = f(x, t) = [y'; a].
+def avf_step(f, x, t, dt, k1=None):
+    """One average-vector-field step of x = [y; y'], x' = f(x, t) = [y'; a];
+    k1 = f(x, t) when the caller has it already.
 
     The velocity increment is dt times the 2-point Gauss average of a along
     the segment from x to the new state, and the positions follow as the
@@ -156,7 +182,7 @@ def avf_step(f, x, t, dt):
     m = x.size // 2
     hdt = 0.5 * dt
     sa, sb = _GAUSS_NODES
-    d = dt * f(x, t)
+    d = dt * (f(x, t) if k1 is None else k1)
     d[:m] += hdt * d[m:]
     dy = dt * x[m:]
     tol = AVF_RTOL * np.abs(x)
@@ -173,13 +199,10 @@ INTEGRATORS = {"rk4": rk4_step, "avf": avf_step}
 
 def step(x, t, dt, mats, omega, policy=None, disturbance=None,
          integrator="rk4"):
-    """One step of the named integrator; the voltage policy is re-evaluated
-    at every right-hand-side evaluation."""
-    def f(xs, ts):
-        v = policy(xs, ts) if policy is not None else 0.0
-        return rhs(xs, ts, v, mats, omega, disturbance)
-
-    out = INTEGRATORS[integrator](f, x, t, dt)
+    """One step of the named integrator; the voltage policy (x, t, a0) -> v
+    is evaluated at every right-hand-side evaluation (see closed_loop)."""
+    f = closed_loop(mats, omega, policy, disturbance)
+    out = INTEGRATORS[integrator](lambda xs, ts: f(xs, ts)[0], x, t, dt)
     if not np.all(np.isfinite(out)):
         raise IntegrationBlowupError(t + dt)
     return out
@@ -229,9 +252,14 @@ def compute_metrics(times, tip_w, voltage, period1):
 
 def simulate(config, mats, basis, controller=None):
     """Fixed-step run with config.integrator; returns the sampled Trajectory
-    with metrics."""
+    with metrics.
+
+    The controller is a voltage policy (x, t, a0) -> volts (see
+    closed_loop).  The voltage logged at each sample is the one the first
+    stage of the step from that sample used.
+    """
     n = mats.n
-    om_f, om_t = linear_frequencies(mats, 0.0)
+    om_f, om_t = mats.natural_frequencies
     f_max = max(om_f[-1], om_t[-1]) / (2.0 * math.pi)
     if config.dt > 1.0 / (20.0 * f_max):
         raise ValueError(f"SimConfig.dt = {config.dt} too coarse for highest "
@@ -243,21 +271,27 @@ def simulate(config, mats, basis, controller=None):
             raise ValueError("controller_on set but no control policy supplied")
         policy = controller
 
+    f = closed_loop(mats, config.Omega, policy, config.disturbance)
+    advance = INTEGRATORS[config.integrator]
+
+    def deriv(xs, ts):
+        return f(xs, ts)[0]
+
     x0 = (config.initial_state or State.zero(n)).to_vector()
     nsteps = int(math.floor(config.t_final / config.dt + 1e-9))
     times = np.arange(nsteps + 1) * config.dt
     states = np.empty((nsteps + 1, 4 * n))
-    voltage = np.zeros(nsteps + 1)
+    voltage = np.empty(nsteps + 1)
     x = x0
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):
             states[i] = x
-            voltage[i] = policy(x, times[i]) if policy is not None else 0.0
+            k1, voltage[i] = f(x, times[i])
+            if not np.isfinite(k1).all():
+                raise IntegrationBlowupError(times[i])
             if i < nsteps:
-                x = step(x, times[i], config.dt, mats, config.Omega,
-                         policy=policy, disturbance=config.disturbance,
-                         integrator=config.integrator)
+                x = advance(deriv, x, times[i], config.dt, k1=k1)
     phiL = basis.flexural_tip_values()
     psiL = basis.torsional_tip_values()
     tip_w = states[:, :n] @ phiL

@@ -84,6 +84,10 @@ class TestLoadConfig:
                                           "controller: {v_max: 90}\n"))
         assert (cfg.piezo.w_p, cfg.ctrl_v_max) == (1.0e-2, 90.0)
 
+    def test_integral_float_is_an_int(self, tmp_path):
+        cfg = load_config(write(tmp_path, "sim: {n_modes: 2.0}\n"))
+        assert cfg.n_modes == 2 and type(cfg.n_modes) is int
+
     def test_readme_block_is_the_defaults(self, tmp_path):
         blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
         assert len(blocks) == 1
@@ -245,6 +249,24 @@ class TestMainExitCodes:
         # the leading --tfinal keeps a wrongly accepted run short; a later one wins
         rc = main(["--config", write(tmp_path, text), "--tfinal", "0.01",
                    "--out", str(out)] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("controller: {v_max: -5}\n", "controller.v_max"),
+        ("controller: {v_max: 0}\n", "controller.v_max"),
+        ("piezo: {v_max: -5}\n", "piezo.v_max"),
+        ("sim: {n_modes: 1.9}\n", "sim.n_modes"),
+        ("sim: {n_modes: true}\n", "sim.n_modes"),
+        ("disturbance: {target: 1.5}\n", "disturbance.target"),
+    ], ids=["negative_controller_vmax", "zero_controller_vmax", "negative_piezo_vmax",
+            "fractional_modes", "bool_modes", "fractional_target"])
+    def test_bad_value_writes_nothing(self, tmp_path, capsys, text, message):
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = main(["--config", write(tmp_path, text), "--tfinal", "0.01",
+                   "--scenario", "all", "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []

@@ -133,8 +133,8 @@ class TestControlVoltage:
         seen = []
         pol = make_policy(mats, ctrl, 20.0)
 
-        def recording(x, t):
-            v = pol(x, t)
+        def recording(x, t, a0):
+            v = pol(x, t, a0)
             seen.append(v)
             return v
 
@@ -159,6 +159,45 @@ class TestControlVoltage:
             control_voltage(x, 0.0, mats, ctrl, 20.0)
 
 
+class TestPolicy:
+    def test_logged_voltage_is_the_law_at_each_sample(self, mats, basis2):
+        ctrl = build_controller(mats, basis2, v_max=50.0)
+        ic = State.zero(2)
+        ic.p[0] = 5e-3 / basis2.flexural_tip_values()[0]
+        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
+                                initial_state=ic, controller_on=True),
+                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        for i in range(tr.times.size):
+            assert tr.voltage[i] == control_voltage(tr.states[i], tr.times[i],
+                                                    mats, ctrl, 20.0)
+
+    def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
+        # four stages per step, the first one shared with the voltage sample,
+        # plus the sample at the last time
+        pol = make_policy(mats, build_controller(mats, basis2), 20.0)
+        calls = []
+
+        def counting(x, t, a0):
+            calls.append(t)
+            return pol(x, t, a0)
+
+        ic = State.zero(2)
+        ic.p[0] = 1e-4 / basis2.flexural_tip_values()[0]
+        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.002,
+                                initial_state=ic, controller_on=True),
+                      mats, basis2, controller=counting)
+        nsteps = tr.times.size - 1
+        assert nsteps == 100
+        assert len(calls) == 4 * nsteps + 1
+
+    def test_authority_checked_when_built(self, mats):
+        w = np.linalg.solve(mats.M1, mats.F1)
+        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=np.array([-w[1], w[0]]),
+                                authority_tolerance=1e-9)
+        with pytest.raises(ControlAuthorityError):
+            make_policy(mats, ctrl, 20.0)
+
+
 class TestControllerConfig:
     def test_rejects_non_hurwitz(self):
         with pytest.raises(ValueError):
@@ -169,3 +208,8 @@ class TestControllerConfig:
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError):
             ControllerConfig(k0=1.0, k1=1.0, output_weights=[0.0, 0.0])
+
+    @pytest.mark.parametrize("v_max", [0.0, -5.0, float("nan")])
+    def test_rejects_nonpositive_v_max(self, v_max):
+        with pytest.raises(ValueError, match="v_max"):
+            ControllerConfig(k0=1.0, k1=1.0, output_weights=[1.0], v_max=v_max)

@@ -1,13 +1,16 @@
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (BeamSpec, Disturbance, IntegrationBlowupError,
-                       ModalBasis, PiezoSpec, SimConfig, State, assemble,
-                       avf_step, cubic_force, energy, linear_frequencies, rhs,
-                       rk4_step, simulate, step)
+from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
+                       IntegrationBlowupError, ModalBasis, PiezoSpec, SimConfig,
+                       State, assemble, avf_step, control_voltage, cubic_force,
+                       design_gains, energy, linear_frequencies, make_policy,
+                       rhs, rk4_step, simulate, step)
 
 
 def tip_release_state(basis, tip_w0=5e-3):
@@ -313,6 +316,60 @@ class TestSimulate:
             simulate(SimConfig(Omega=0.0, dt=3e-5, t_final=0.5,
                                initial_state=ic), m, basis2)
         assert info.value.t > 0
+
+
+def reference_run(cfg, mats, ctrl):
+    """The controlled RK4 loop composed from the public pieces: the law is
+    evaluated afresh at every stage, and once more for each voltage sample."""
+    omega, dist = cfg.Omega, cfg.disturbance
+
+    def f(x, t):
+        return rhs(x, t, control_voltage(x, t, mats, ctrl, omega), mats, omega, dist)
+
+    nsteps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
+    x = (cfg.initial_state or State.zero(mats.n)).to_vector()
+    states, voltage = [], []
+    for i in range(nsteps + 1):
+        t = i * cfg.dt
+        states.append(x)
+        voltage.append(control_voltage(x, t, mats, ctrl, omega))
+        if i < nsteps:
+            x = rk4_step(f, x, t, cfg.dt)
+    return np.array(states), np.array(voltage)
+
+
+class TestClosedLoopKernel:
+    @pytest.mark.parametrize("v_max, tip_w0, dist", [
+        (50.0, 5e-3, None),
+        (None, 0.0, Disturbance(amplitude=0.002, frequency=40.0, target=2)),
+    ], ids=["saturated_release", "unsaturated_disturbance"])
+    def test_matches_reference_loop(self, mats, basis2, v_max, tip_w0, dist):
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
+                                v_max=v_max)
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
+                        initial_state=tip_release_state(basis2, tip_w0), disturbance=dist)
+        tr = simulate(cfg, mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        states, voltage = reference_run(cfg, mats, ctrl)
+        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.voltage, voltage)
+        assert np.any(voltage != 0.0)
+        if v_max is not None:
+            assert np.any(np.abs(voltage) == v_max)  # the release saturates
+
+    def test_no_per_omega_state(self, mats, basis2):
+        def run(omega):
+            simulate(SimConfig(Omega=omega, dt=2e-5, t_final=4e-5,
+                               initial_state=tip_release_state(basis2)), mats, basis2)
+
+        run(20.0)
+        held, size = dict(vars(mats)), len(pickle.dumps(mats))
+        for omega in np.linspace(1.0, 500.0, 50):
+            run(omega)
+        assert vars(mats).keys() == held.keys()
+        assert all(vars(mats)[k] is v for k, v in held.items())
+        assert len(pickle.dumps(mats)) == size
 
 
 class TestStateLayout:
