@@ -6,9 +6,9 @@ from .assembly import (AssemblyError, BeamSpec, PiezoSpec, SectionProperties,
                        SpinDestabilizedError, SystemMatrices, assemble,
                        damping_matrices, export_matrices, linear_frequencies,
                        section_properties)
-from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, State,
-                       Trajectory, avf_step, cubic_force, energy, rhs,
-                       rk4_step, simulate, step)
+from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, Trajectory,
+                       avf_step, cubic_force, energy, rhs, rk4_step, simulate,
+                       step)
 from .control import (ControlAuthorityError, ControllerConfig, control_voltage,
                       design_gains, make_policy, output)
 

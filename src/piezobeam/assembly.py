@@ -28,8 +28,8 @@ class SpinDestabilizedError(RuntimeError):
 
 def _positive(obj, names):
     for name in names:
-        if getattr(obj, name) <= 0:
-            raise ValueError(f"{type(obj).__name__}.{name} must be > 0")
+        if not 0 < getattr(obj, name) < np.inf:
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,11 @@ class StateOperator:
     for piezo voltage v and generalized flexural force f.  A carries the
     kinematic identities and every linear term (stiffness, centrifugal,
     damping, gyroscopic), already multiplied through by M1^-1 or M2^-1.
-    Only A depends on Omega; the other fields are those of the matrices.
+    Only A depends on Omega; M1^-1, M1^-1 F1 and M1^-1 G1 are the fields
+    M1inv, b and N of SystemMatrices.
     """
 
     A: np.ndarray        # (4n, 4n)
-    M1inv: np.ndarray    # (n, n): generalized flexural force -> acceleration
-    b: np.ndarray        # (n,): M1^-1 F1, flexural acceleration per volt
-    N: np.ndarray        # (n^3, n): M1^-1 G1 with the first three indices flattened
 
     @classmethod
     def build(cls, mats, omega):
@@ -224,7 +222,7 @@ class StateOperator:
         A[3 * n:, n:2 * n] = -M2inv @ mats.K2
         A[3 * n:, 2 * n:3 * n] = -omega * (M2inv @ mats.C2)
         A[3 * n:, 3 * n:] = -M2inv @ mats.CT
-        return cls(A=A, M1inv=M1inv, b=mats.b, N=mats.N)
+        return cls(A=A)
 
 
 def gauss_panels(breakpoints, points_per_panel):

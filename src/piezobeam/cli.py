@@ -2,8 +2,8 @@
 
 Scenarios:
   free         release from an initial tip deflection, no external forcing
-  disturbance  zero initial state, harmonic force on the first flexural
-               modal equation (default 0.001 amplitude at 24 Hz)
+  disturbance  zero initial state, harmonic force on one flexural modal
+               equation
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 loss of
 control authority.
@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,10 @@ from .assembly import (BeamSpec, PiezoSpec, assemble, export_matrices,
                        SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
-from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, State,
+from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig,
                        compute_metrics, simulate)
 
 SCENARIOS = ("free", "disturbance")
-# AppConfig fields that the command line can override, by flag destination
-OVERRIDES = ("dt", "t_final", "Omega", "n_modes")
 
 
 class ConfigError(Exception):
@@ -43,7 +42,8 @@ def _key(key, default):
 
 @dataclass
 class AppConfig:
-    """The resolved run configuration, validated on construction.
+    """The resolved run configuration, validated on construction; every run
+    default is written here or in BeamSpec/PiezoSpec, and nowhere else.
 
     The `beam` and `piezo` YAML sections hold the BeamSpec and PiezoSpec
     fields under their own names; every other field names its YAML key.  A
@@ -82,6 +82,8 @@ class AppConfig:
                  "need one damping ratio per mode"),
                 ("beam.zeta_tors", len(self.beam.zeta_tors) >= n,
                  "need one damping ratio per mode"),
+                ("controller.omega_cl", self.ctrl_omega_cl is None or self.ctrl_omega_cl > 0,
+                 "must be null or > 0"),
                 ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
                 ("piezo.v_max", self.piezo.v_max is None or self.piezo.v_max > 0,
                  "must be null or > 0"),
@@ -116,26 +118,40 @@ SECTIONS = {key.split(".")[0] for key in SCHEMA}
 
 
 def _parse(key, value, kind):
-    """value as the field type; a bool, or an int key's fractional value,
-    does not parse."""
+    """value as the field type; a bool, a NaN or infinity, and an int key's
+    fractional value do not parse."""
     try:
         if isinstance(value, bool):
             raise TypeError
         if kind is tuple:
             return tuple(_parse(key, v, float) for v in value)
         out = kind(value)
-        if kind is int and out != float(value):
+        if not math.isfinite(out) or (kind is int and out != float(value)):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from None
+        raise ConfigError(f"{key}: cannot parse {value!r} as a finite "
+                          f"{kind.__name__}") from None
 
 
-def load_config(path=None):
-    """The resolved configuration of a YAML file; None gives every default.
+def _entries(raw):
+    """(YAML key, value) for each entry of a config mapping, in file order."""
+    for section, entries in raw.items():
+        if section not in SECTIONS:
+            raise ConfigError(f"{section}: unknown config section")
+        entries = {} if entries is None else entries
+        if not isinstance(entries, dict):
+            raise ConfigError(f"config section '{section}' must be a mapping")
+        for name, value in entries.items():
+            yield f"{section}.{name}", value
+
+
+def load_config(path=None, overrides=None):
+    """The resolved configuration of a YAML file (None gives every default)
+    with overrides, a {YAML key: value} mapping, applied on top.
 
     An unknown section or key, a value that does not parse and a broken rule
-    each raise ConfigError naming the key.
+    each raise ConfigError naming the key; an override of None is ignored.
     """
     raw = {}
     if path is not None:
@@ -150,19 +166,12 @@ def load_config(path=None):
         raise ConfigError("top-level config must be a mapping")
 
     given = {"beam": {}, "piezo": {}, None: {}}  # by SCHEMA owner
-    for section, entries in raw.items():
-        if section not in SECTIONS:
-            raise ConfigError(f"{section}: unknown config section")
-        entries = {} if entries is None else entries
-        if not isinstance(entries, dict):
-            raise ConfigError(f"config section '{section}' must be a mapping")
-        for name, value in entries.items():
-            key = f"{section}.{name}"
-            if key not in SCHEMA:
-                raise ConfigError(f"{key}: unknown config key")
-            if value is not None:
-                owner, f = SCHEMA[key]
-                given[owner][f.name] = _parse(key, value, f.type)
+    for key, value in chain(_entries(raw), (overrides or {}).items()):
+        if key not in SCHEMA:
+            raise ConfigError(f"{key}: unknown config key")
+        if value is not None:
+            owner, f = SCHEMA[key]
+            given[owner][f.name] = _parse(key, value, f.type)
     try:
         beam = BeamSpec(**given["beam"])
         piezo = PiezoSpec(**{"w_p": beam.b, **given["piezo"]})
@@ -180,23 +189,22 @@ def build_model(cfg):
 
 def _build_controller(cfg, mats, basis):
     om_f, _ = mats.natural_frequencies
-    omega_cl = cfg.ctrl_omega_cl if cfg.ctrl_omega_cl else om_f[0]
+    omega_cl = om_f[0] if cfg.ctrl_omega_cl is None else cfg.ctrl_omega_cl
     k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)
     return ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
                             v_max=cfg.ctrl_v_max)
 
 
 def _sim_config(cfg, basis, scenario, controller_on):
-    n = cfg.n_modes
-    ic = State.zero(n)
+    x0 = np.zeros(4 * cfg.n_modes)
     dist = None
     if scenario == "free":
-        ic.p[0] = cfg.tip_w0 / basis.flexural_tip_values()[0]
+        x0[0] = cfg.tip_w0 / basis.flexural_tip_values()[0]
     else:
         dist = Disturbance(amplitude=cfg.dist_amplitude,
                            frequency=cfg.dist_frequency, target=cfg.dist_target)
     return SimConfig(Omega=cfg.Omega, dt=cfg.dt, t_final=cfg.t_final,
-                     initial_state=ic, disturbance=dist, controller_on=controller_on)
+                     initial_state=x0, disturbance=dist, controller_on=controller_on)
 
 
 def write_csv(path, traj, n):
@@ -274,10 +282,12 @@ def make_parser():
     ap.add_argument("--scenario", choices=list(SCENARIOS) + ["all"], default="free")
     ap.add_argument("--controller", choices=["on", "off"], default="on")
     ap.add_argument("--out", type=str, default="out", help="output directory")
-    ap.add_argument("--dt", type=float, help="time step override [s]")
-    ap.add_argument("--tfinal", dest="t_final", type=float, help="duration override [s]")
-    ap.add_argument("--omega", dest="Omega", type=float, help="base rotation override [rad/s]")
-    ap.add_argument("--modes", dest="n_modes", type=int, help="mode count per field")
+    # an override's destination is the config key it replaces
+    ap.add_argument("--dt", dest="sim.dt", type=float, help="time step override [s]")
+    ap.add_argument("--tfinal", dest="sim.t_final", type=float, help="duration override [s]")
+    ap.add_argument("--omega", dest="sim.Omega", type=float,
+                    help="base rotation override [rad/s]")
+    ap.add_argument("--modes", dest="sim.n_modes", type=int, help="mode count per field")
     ap.add_argument("--export-matrices", type=str, default=None,
                     help="write assembled matrices to a plain-text file and exit")
     return ap
@@ -286,8 +296,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        cfg = replace(load_config(args.config),
-                      **{k: getattr(args, k) for k in OVERRIDES if getattr(args, k) is not None})
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in SCHEMA})
         basis, mats = build_model(cfg)
         if args.export_matrices:
             export_matrices(mats, args.export_matrices)

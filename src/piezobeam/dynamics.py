@@ -1,7 +1,8 @@
 """Right-hand side, time stepping and energy oracle for the modal equations.
 
-State layout is fixed: x = [p; q; pdot; qdot], length 4n, with p the flexural
-and q the torsional modal coordinates.
+The state is one flat vector x = [p; q; pdot; qdot] of length 4n, with p the
+flexural and q the torsional modal coordinates; this is the layout of every
+x below, of SimConfig.initial_state and of each row of Trajectory.states.
 """
 
 import math
@@ -18,44 +19,25 @@ class IntegrationBlowupError(RuntimeError):
         self.t = t
 
 
-@dataclass
-class State:
-    p: np.ndarray
-    q: np.ndarray
-    pdot: np.ndarray
-    qdot: np.ndarray
-
-    def to_vector(self):
-        return np.concatenate([self.p, self.q, self.pdot, self.qdot])
-
-    @classmethod
-    def from_vector(cls, x, n):
-        x = np.asarray(x, dtype=float)
-        if x.size != 4 * n:
-            raise ValueError(f"state vector length {x.size} != 4n = {4 * n}")
-        return cls(p=x[:n].copy(), q=x[n:2 * n].copy(),
-                   pdot=x[2 * n:3 * n].copy(), qdot=x[3 * n:].copy())
-
-    @classmethod
-    def zero(cls, n):
-        return cls(*(np.zeros(n) for _ in range(4)))
+def _check(obj, rules):
+    """Raise ValueError for the first (field, holds, rule) that does not hold."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{type(obj).__name__}.{name} must be {rule}")
 
 
 @dataclass(frozen=True)
 class Disturbance:
     """Additive harmonic generalized force on one flexural modal equation."""
 
-    amplitude: float = 0.001
-    frequency: float = 24.0  # Hz
-    target: int = 1          # 1-based flexural equation index
+    amplitude: float
+    frequency: float  # Hz
+    target: int       # 1-based flexural equation index
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("Disturbance.amplitude must be >= 0")
-        if self.frequency <= 0:
-            raise ValueError("Disturbance.frequency must be > 0")
-        if self.target < 1:
-            raise ValueError("Disturbance.target must be >= 1")
+        _check(self, (("amplitude", 0 <= self.amplitude < math.inf, "finite and >= 0"),
+                      ("frequency", 0 < self.frequency < math.inf, "finite and > 0"),
+                      ("target", 1 <= self.target, ">= 1")))
 
     def force(self, t):
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
@@ -63,22 +45,22 @@ class Disturbance:
 
 @dataclass
 class SimConfig:
-    Omega: float = 20.0
-    dt: float = 2e-5
-    t_final: float = 2.0
-    initial_state: State = None
+    """One run; the run defaults live in the CLI config, not here."""
+
+    Omega: float
+    dt: float
+    t_final: float
+    initial_state: np.ndarray = None  # length 4n; None starts at rest
     disturbance: Disturbance = None
     controller_on: bool = False
     integrator: str = "rk4"  # key of INTEGRATORS
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("SimConfig.dt must be > 0")
-        if self.t_final < 0:
-            raise ValueError("SimConfig.t_final must be >= 0")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"SimConfig.integrator must be one of "
-                             f"{sorted(INTEGRATORS)}, got {self.integrator!r}")
+        _check(self, (("Omega", math.isfinite(self.Omega), "finite"),
+                      ("dt", 0 < self.dt < math.inf, "finite and > 0"),
+                      ("t_final", 0 <= self.t_final < math.inf, "finite and >= 0"),
+                      ("integrator", self.integrator in INTEGRATORS,
+                       f"one of {sorted(INTEGRATORS)}, got {self.integrator!r}")))
 
 
 @dataclass
@@ -111,14 +93,17 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
     without the disturbance (the drift a linearizing law cancels); a0 is a
     view that the call then completes in place, so the policy reads it and
     neither keeps nor writes it.  Its voltage v (0 without a policy) and the
-    disturbance force are then added.  No finiteness check is made.
+    disturbance force are then added.  No finiteness check is made; a
+    disturbance target outside 1..n raises ValueError here.
     """
-    op = StateOperator.build(mats, omega)
-    A, N, b = op.A, op.N, op.b
+    A, N, b = StateOperator.build(mats, omega).A, mats.N, mats.b
     n = mats.n
     flex = slice(2 * n, 3 * n)
     if disturbance is not None:
-        column, force = op.M1inv[:, disturbance.target - 1], disturbance.force
+        if not 1 <= disturbance.target <= n:
+            raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
+                             f"the model's flexural equations 1..{n}")
+        column, force = mats.M1inv[:, disturbance.target - 1], disturbance.force
 
     def f(x, t):
         out = A.dot(x)
@@ -277,12 +262,15 @@ def simulate(config, mats, basis, controller=None):
     def deriv(xs, ts):
         return f(xs, ts)[0]
 
-    x0 = (config.initial_state or State.zero(n)).to_vector()
+    x = np.zeros(4 * n) if config.initial_state is None else \
+        np.array(config.initial_state, dtype=float)
+    if x.shape != (4 * n,):
+        raise ValueError(f"SimConfig.initial_state has shape {x.shape}, "
+                         f"need ({4 * n},) for [p; q; pdot; qdot]")
     nsteps = int(math.floor(config.t_final / config.dt + 1e-9))
     times = np.arange(nsteps + 1) * config.dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
-    x = x0
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):

@@ -19,23 +19,18 @@ import time
 import numpy as np
 import pytest
 
-from piezobeam import (ControllerConfig, SimConfig, State, assemble,
+from piezobeam import (ControllerConfig, SimConfig, assemble,
                        design_gains, energy, linear_frequencies, make_policy,
                        section_properties, simulate, step)
 from piezobeam.cli import (build_model, load_config, recompute_metrics_from_csv,
                            run_scenario)
 
 from test_assembly import oracle_matrices
+from test_dynamics import tip_release_state
 
 
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def release_state(basis, tip_w0=5e-3):
-    ic = State.zero(basis.n)
-    ic.p[0] = tip_w0 / basis.flexural_tip_values()[0]
-    return ic
 
 
 def unsaturated_controller(mats, basis):
@@ -82,7 +77,7 @@ def test_criterion_2_quadrature_oracle(beam, piezo, basis2, mats):
 
 def test_criterion_3_energy_conservation(beam_undamped, piezo, basis2, mats_undamped):
     t0 = time.time()
-    ic = release_state(basis2, tip_w0=5e-3)
+    ic = tip_release_state(basis2, tip_w0=5e-3)
     cfg = SimConfig(Omega=0.0, dt=1e-5, t_final=1.0, initial_state=ic,
                     integrator="avf")
     tr = simulate(cfg, mats_undamped, basis2)
@@ -99,7 +94,7 @@ def test_criterion_3_energy_conservation(beam_undamped, piezo, basis2, mats_unda
 
 
 def test_criterion_4_gyroscopic_coupling(mats, basis2):
-    ic = release_state(basis2)
+    ic = tip_release_state(basis2)
     tr20 = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.3,
                               initial_state=ic), mats, basis2)
     tr0 = simulate(SimConfig(Omega=0.0, dt=2e-5, t_final=0.3,
@@ -119,7 +114,7 @@ def test_criterion_5_feedback_linearization(mats, basis2):
     # horizon chosen so the lightly damped internal flexural combination
     # (decay rate ~1.7/s) drops below 1% of its peak
     cfg = SimConfig(Omega=20.0, dt=dt, t_final=3.5,
-                    initial_state=release_state(basis2), controller_on=True)
+                    initial_state=tip_release_state(basis2), controller_on=True)
     tr = simulate(cfg, mats, basis2, controller=pol)
     y = tr.tip_w
     ydd = (y[2:] - 2 * y[1:-1] + y[:-2]) / dt ** 2
@@ -157,7 +152,7 @@ def test_criterion_6_disturbance_rejection(tmp_path):
 def test_criterion_7_convergence_order(mats, basis2):
     ctrl = unsaturated_controller(mats, basis2)
     pol = make_policy(mats, ctrl, 20.0)
-    x0 = release_state(basis2).to_vector()
+    x0 = tip_release_state(basis2)
 
     def run(dt, t_end=4e-3):
         x = x0.copy()

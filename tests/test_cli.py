@@ -242,7 +242,10 @@ class TestMainExitCodes:
         ("", ["--dt", "1e-3"], "too coarse"),
         ("disturbance: {target: 2}\n", ["--modes", "1", "--scenario", "disturbance"],
          "disturbance.target"),
-    ], ids=["unknown_keys", "negative_tfinal", "coarse_dt", "target_beyond_modes"])
+        ("", ["--tfinal", "inf"], "sim.t_final"),
+        ("", ["--omega", "nan"], "sim.Omega"),
+    ], ids=["unknown_keys", "negative_tfinal", "coarse_dt", "target_beyond_modes",
+            "infinite_tfinal_flag", "nan_omega_flag"])
     def test_config_error_writes_nothing(self, tmp_path, capsys, text, flags, message):
         out = tmp_path / "o"
         out.mkdir()
@@ -260,8 +263,18 @@ class TestMainExitCodes:
         ("sim: {n_modes: 1.9}\n", "sim.n_modes"),
         ("sim: {n_modes: true}\n", "sim.n_modes"),
         ("disturbance: {target: 1.5}\n", "disturbance.target"),
+        ("controller: {omega_cl: 0}\n", "controller.omega_cl"),
+        ("controller: {omega_cl: -5}\n", "controller.omega_cl"),
+        ("controller: {omega_cl: .nan}\n", "controller.omega_cl"),
+        ("sim: {t_final: .inf}\n", "sim.t_final"),
+        ("sim: {Omega: .nan}\n", "sim.Omega"),
+        ("sim: {tip_w0: .nan}\n", "sim.tip_w0"),
+        ("piezo: {d31: .nan}\n", "piezo.d31"),
+        ("beam: {L: .nan}\n", "beam.L"),
     ], ids=["negative_controller_vmax", "zero_controller_vmax", "negative_piezo_vmax",
-            "fractional_modes", "bool_modes", "fractional_target"])
+            "fractional_modes", "bool_modes", "fractional_target", "zero_omega_cl",
+            "negative_omega_cl", "nan_omega_cl", "infinite_tfinal", "nan_omega",
+            "nan_tip_w0", "nan_d31", "nan_beam_length"])
     def test_bad_value_writes_nothing(self, tmp_path, capsys, text, message):
         out = tmp_path / "o"
         out.mkdir()

@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from piezobeam import (ControlAuthorityError, ControllerConfig, ModalBasis,
-                       SimConfig, State, assemble, control_voltage,
+                       SimConfig, assemble, control_voltage,
                        design_gains, linear_frequencies, make_policy, output,
                        simulate)
+
+from test_dynamics import tip_release_state
 
 
 def build_controller(mats, basis, zeta_cl=0.8, v_max=None):
@@ -48,8 +50,7 @@ class TestOutput:
         assert abs(y - 2 * a) < 1e-9  # phi_1(L) ~ 2
 
     def test_ydot_consistency_with_trajectory(self, mats, basis2):
-        ic = State.zero(2)
-        ic.p[0] = 1e-4 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 1e-4)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.02,
                                 initial_state=ic), mats, basis2)
         c = basis2.flexural_tip_values()
@@ -87,8 +88,7 @@ class TestControlVoltage:
         # disturbance-free, unsaturated: ydd + k1 yd + k0 y -> 0 to O(dt^2)
         ctrl = build_controller(mats, basis2)
         pol = make_policy(mats, ctrl, 20.0)
-        ic = State.zero(2)
-        ic.p[0] = 1e-3 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 1e-3)
         dt = 2e-5
         tr = simulate(SimConfig(Omega=20.0, dt=dt, t_final=0.2,
                                 initial_state=ic, controller_on=True),
@@ -102,8 +102,7 @@ class TestControlVoltage:
     def test_exponential_output_decay(self, mats, basis2):
         ctrl = build_controller(mats, basis2)
         pol = make_policy(mats, ctrl, 20.0)
-        ic = State.zero(2)
-        ic.p[0] = 1e-4 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 1e-4)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.15,
                                 initial_state=ic, controller_on=True),
                       mats, basis2, controller=pol)
@@ -117,8 +116,7 @@ class TestControlVoltage:
     def test_internal_dynamics_bounded_and_decaying(self, mats, basis2):
         ctrl = build_controller(mats, basis2)
         pol = make_policy(mats, ctrl, 20.0)
-        ic = State.zero(2)
-        ic.p[0] = 1e-3 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 1e-3)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=1.5,
                                 initial_state=ic, controller_on=True),
                       mats, basis2, controller=pol)
@@ -138,8 +136,7 @@ class TestControlVoltage:
             seen.append(v)
             return v
 
-        ic = State.zero(2)
-        ic.p[0] = 5e-3 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 5e-3)
         simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.01,
                            initial_state=ic, controller_on=True),
                  mats, basis2, controller=recording)
@@ -162,8 +159,7 @@ class TestControlVoltage:
 class TestPolicy:
     def test_logged_voltage_is_the_law_at_each_sample(self, mats, basis2):
         ctrl = build_controller(mats, basis2, v_max=50.0)
-        ic = State.zero(2)
-        ic.p[0] = 5e-3 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 5e-3)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
                                 initial_state=ic, controller_on=True),
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
@@ -181,8 +177,7 @@ class TestPolicy:
             calls.append(t)
             return pol(x, t, a0)
 
-        ic = State.zero(2)
-        ic.p[0] = 1e-4 / basis2.flexural_tip_values()[0]
+        ic = tip_release_state(basis2, 1e-4)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.002,
                                 initial_state=ic, controller_on=True),
                       mats, basis2, controller=counting)

@@ -8,15 +8,16 @@ from numpy.testing import assert_allclose
 
 from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
                        IntegrationBlowupError, ModalBasis, PiezoSpec, SimConfig,
-                       State, assemble, avf_step, control_voltage, cubic_force,
+                       assemble, avf_step, control_voltage, cubic_force,
                        design_gains, energy, linear_frequencies, make_policy,
                        rhs, rk4_step, simulate, step)
 
 
 def tip_release_state(basis, tip_w0=5e-3):
-    ic = State.zero(basis.n)
-    ic.p[0] = tip_w0 / basis.flexural_tip_values()[0]
-    return ic
+    """[p; q; pdot; qdot] at rest with the tip deflected by tip_w0 in mode 1."""
+    x = np.zeros(4 * basis.n)
+    x[0] = tip_w0 / basis.flexural_tip_values()[0]
+    return x
 
 
 class TestCubicForce:
@@ -128,7 +129,7 @@ class TestStep:
         assert abs(E - 0.5) / 0.5 < 1e-8
 
     def test_global_order_on_full_system(self, mats, basis2):
-        ic = tip_release_state(basis2).to_vector()
+        ic = tip_release_state(basis2)
 
         def run(dt, t_end=4e-3):
             x = ic.copy()
@@ -146,7 +147,7 @@ class TestStep:
 class TestAvfStep:
     def test_global_order_on_full_system(self, mats, basis2):
         # damped, spinning n = 2 system against a fine RK4 reference
-        ic = tip_release_state(basis2).to_vector()
+        ic = tip_release_state(basis2)
 
         def run(dt, integrator, t_end=4e-3):
             x = ic.copy()
@@ -206,7 +207,7 @@ class TestAvfStep:
 
     def test_unknown_integrator_rejected(self):
         with pytest.raises(ValueError, match="integrator"):
-            SimConfig(integrator="euler")
+            SimConfig(Omega=20.0, dt=2e-5, t_final=0.01, integrator="euler")
 
 
 class TestEnergy:
@@ -250,7 +251,7 @@ class TestSimulate:
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.0, initial_state=ic)
         tr = simulate(cfg, mats, basis2)
         assert tr.times.shape == (1,)
-        assert_allclose(tr.states[0], ic.to_vector())
+        assert_allclose(tr.states[0], ic)
         assert abs(tr.tip_w[0] - 5e-3) < 1e-12
 
     def test_small_release_oscillates_at_omega1(self, mats_undamped, basis2):
@@ -305,8 +306,7 @@ class TestSimulate:
 
     def test_dt_guard(self, mats, basis2):
         with pytest.raises(ValueError):
-            simulate(SimConfig(Omega=0.0, dt=1e-3, t_final=0.1,
-                               initial_state=State.zero(2)), mats, basis2)
+            simulate(SimConfig(Omega=0.0, dt=1e-3, t_final=0.1), mats, basis2)
 
     def test_blowup_reported_with_time(self, beam, piezo, basis2):
         from piezobeam import IntegrationBlowupError
@@ -327,7 +327,7 @@ def reference_run(cfg, mats, ctrl):
         return rhs(x, t, control_voltage(x, t, mats, ctrl, omega), mats, omega, dist)
 
     nsteps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
-    x = (cfg.initial_state or State.zero(mats.n)).to_vector()
+    x = cfg.initial_state
     states, voltage = [], []
     for i in range(nsteps + 1):
         t = i * cfg.dt
@@ -373,15 +373,36 @@ class TestClosedLoopKernel:
 
 
 class TestStateLayout:
-    def test_roundtrip(self):
-        x = np.arange(8.0)
-        s = State.from_vector(x, 2)
-        assert_allclose(s.p, [0, 1])
-        assert_allclose(s.q, [2, 3])
-        assert_allclose(s.pdot, [4, 5])
-        assert_allclose(s.qdot, [6, 7])
-        assert_allclose(s.to_vector(), x)
+    def test_bad_length(self, mats, basis2):
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.01,
+                               initial_state=np.zeros(7)), mats, basis2)
 
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            State.from_vector(np.zeros(7), 2)
+    def test_rest_is_the_zero_vector(self, mats, basis2):
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.0)
+        assert np.all(simulate(cfg, mats, basis2).states == np.zeros((1, 8)))
+
+
+class TestRunValues:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"),
+        ({"t_final": math.inf}, "t_final"), ({"t_final": math.nan}, "t_final"),
+        ({"Omega": math.nan}, "Omega"), ({"Omega": -math.inf}, "Omega"),
+    ])
+    def test_sim_config_rejects_nonfinite(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"SimConfig.{name} must be finite"):
+            SimConfig(**{"Omega": 20.0, "dt": 2e-5, "t_final": 0.01, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"amplitude": math.nan}, "amplitude"), ({"amplitude": math.inf}, "amplitude"),
+        ({"frequency": math.nan}, "frequency"), ({"frequency": math.inf}, "frequency"),
+        ({"target": 0}, "target"),
+    ])
+    def test_disturbance_rejects_bad_values(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"Disturbance.{name} must be"):
+            Disturbance(**{"amplitude": 0.001, "frequency": 24.0, "target": 1, **kwargs})
+
+    def test_disturbance_target_beyond_model(self, mats):
+        dist = Disturbance(amplitude=0.001, frequency=24.0, target=3)
+        with pytest.raises(ValueError, match="Disturbance.target = 3"):
+            rhs(np.zeros(8), 0.0, 0.0, mats, 20.0, dist)
