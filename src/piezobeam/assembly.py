@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve, eig, eigh
 
 from .basis import ModalBasis
 
 
 class AssemblyError(RuntimeError):
-    """Assembled mass matrix lost positive definiteness (quadrature/basis bug)."""
+    """A mass matrix is not positive definite (quadrature/basis bug)."""
 
 
 class SpinDestabilizedError(RuntimeError):
@@ -180,8 +179,9 @@ class SystemMatrices:
 
     def __post_init__(self):
         n = self.n
-        self.M1inv = cho_solve(cho_factor(self.M1), np.eye(n))
-        self.M2inv = cho_solve(cho_factor(self.M2), np.eye(n))
+        (L1, L1inv), (L2, L2inv) = _cholesky(self.M1, "M1"), _cholesky(self.M2, "M2")
+        # M^-1 = L^-T L^-1 by a second triangular solve, as LAPACK's potrs does
+        self.M1inv, self.M2inv = np.linalg.solve(L1.T, L1inv), np.linalg.solve(L2.T, L2inv)
         self.b = self.M1inv @ self.F1
         self.N = (self.M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
         self.natural_frequencies = linear_frequencies(self, 0.0)
@@ -288,12 +288,6 @@ def assemble(beam, piezo, basis, quad_points=32):
             F1[j - 1] = Mp0 * (basis.flexural_mode(j, piezo.l2)[1]
                                - basis.flexural_mode(j, piezo.l1)[1])
 
-    for name, M in (("M1", M1), ("M2", M2)):
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise AssemblyError(f"{name} is not positive definite after assembly")
-
     mats = SystemMatrices(n=n, M1=M1, M2=M2, CB=np.zeros((n, n)), CT=np.zeros((n, n)),
                           C1=C1, C2=C2, K1=K1, K2=K2, D1=D1, G1=G1, F1=F1, Mp0=Mp0)
     CB, CT = damping_matrices(mats, beam)
@@ -301,20 +295,37 @@ def assemble(beam, piezo, basis, quad_points=32):
     return mats
 
 
+def _cholesky(M, name):
+    """(L, L^-1) for the Cholesky factorization M = L L^T of a mass matrix;
+    AssemblyError names M if it is not positive definite."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise AssemblyError(f"{name} is not positive definite") from None
+    return L, np.linalg.solve(L, np.eye(len(M)))
+
+
+def _symmetric_pencil(K, M, name):
+    """Ascending eigenvalues of K v = lam M v for symmetric K, by the
+    Cholesky reduction to the symmetric L^-1 K L^-T."""
+    _, Linv = _cholesky(M, name)
+    return np.linalg.eigvalsh(Linv @ K @ Linv.T)
+
+
 def linear_frequencies(mats, omega=0.0):
     """(flexural, torsional) natural frequencies in rad/s, ascending."""
     Keff = mats.K1 + omega ** 2 * mats.D1
     if omega == 0.0:
-        vals_f = eigh(Keff, mats.M1, eigvals_only=True)
+        vals_f = _symmetric_pencil(Keff, mats.M1, "M1")
     else:
         # D1 is not symmetric, so the effective pencil is general
-        vals_f = eig(Keff, mats.M1, right=False)
+        vals_f = np.linalg.eigvals(np.linalg.solve(mats.M1, Keff))
         if np.max(np.abs(vals_f.imag)) > 1e-6 * max(1.0, np.max(np.abs(vals_f.real))):
             raise SpinDestabilizedError(complex(vals_f[np.argmax(np.abs(vals_f.imag))]))
         vals_f = np.sort(vals_f.real)
     if vals_f[0] < -1e-9 * abs(vals_f).max():
         raise SpinDestabilizedError(vals_f[0])
-    vals_t = eigh(mats.K2, mats.M2, eigvals_only=True)
+    vals_t = _symmetric_pencil(mats.K2, mats.M2, "M2")
     return np.sqrt(np.clip(vals_f, 0.0, None)), np.sqrt(np.clip(vals_t, 0.0, None))
 
 

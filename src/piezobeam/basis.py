@@ -9,7 +9,6 @@ the fixed-free rod sinusoids psi_j(x) = sin((2j-1)*pi*x/(2L)).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 def _char(lam):
@@ -23,16 +22,27 @@ def _char_prime(lam):
 def flexural_eigenvalues(n):
     """First n roots of 1 + cos(lam)*cosh(lam) = 0, ascending.
 
-    Root j lies within 1 of (2j-1)*pi/2; the characteristic function changes
-    sign across that bracket, so brentq is guaranteed to converge.  A couple
-    of Newton polish steps push the residual toward machine level.
+    Root j lies within 1 of (2j-1)*pi/2 and the characteristic function
+    changes sign across that bracket, so bisection halves it down to 1e-13
+    (or to adjacent floats) and always converges.  A couple of Newton polish
+    steps push the residual toward machine level.
     """
     if n < 0:
         raise ValueError("mode count must be >= 0")
     roots = []
     for j in range(1, n + 1):
         center = (2 * j - 1) * np.pi / 2.0
-        lam = brentq(_char, center - 1.0, center + 1.0, xtol=1e-13, rtol=8.9e-16)
+        a, b = center - 1.0, center + 1.0
+        a_negative = _char(a) < 0.0
+        while b - a > 1e-13:
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                break
+            if (_char(m) < 0.0) == a_negative:
+                a = m
+            else:
+                b = m
+        lam = 0.5 * (a + b)
         for _ in range(2):
             slope = _char_prime(lam)
             if slope != 0.0:

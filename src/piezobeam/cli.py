@@ -273,6 +273,30 @@ def recompute_metrics_from_csv(csv_path, period1):
                            np.atleast_1d(data["v_p"]), period1)
 
 
+# (flag, the config key it overrides and stores its value under, type, help)
+OVERRIDE_FLAGS = (
+    ("--dt", "sim.dt", float, "time step override [s]"),
+    ("--tfinal", "sim.t_final", float, "duration override [s]"),
+    ("--omega", "sim.Omega", float, "base rotation override [rad/s]"),
+    ("--modes", "sim.n_modes", int, "mode count per field"),
+)
+
+
+def _join_override_values(argv):
+    """argv with each override flag and the value after it joined as
+    '--flag=value'.  argparse takes a value that starts with '-' for an
+    option unless it reads like -1 or -1.5, so '--omega -1e3' and
+    '--dt -inf' would not parse."""
+    flags = {flag for flag, *_ in OVERRIDE_FLAGS}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def make_parser():
     ap = argparse.ArgumentParser(
         prog="piezobeam",
@@ -282,19 +306,16 @@ def make_parser():
     ap.add_argument("--scenario", choices=list(SCENARIOS) + ["all"], default="free")
     ap.add_argument("--controller", choices=["on", "off"], default="on")
     ap.add_argument("--out", type=str, default="out", help="output directory")
-    # an override's destination is the config key it replaces
-    ap.add_argument("--dt", dest="sim.dt", type=float, help="time step override [s]")
-    ap.add_argument("--tfinal", dest="sim.t_final", type=float, help="duration override [s]")
-    ap.add_argument("--omega", dest="sim.Omega", type=float,
-                    help="base rotation override [rad/s]")
-    ap.add_argument("--modes", dest="sim.n_modes", type=int, help="mode count per field")
+    for flag, key, kind, text in OVERRIDE_FLAGS:
+        ap.add_argument(flag, dest=key, type=kind, help=text)
     ap.add_argument("--export-matrices", type=str, default=None,
                     help="write assembled matrices to a plain-text file and exit")
     return ap
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser().parse_args(_join_override_values(argv))
     try:
         cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in SCHEMA})
         basis, mats = build_model(cfg)

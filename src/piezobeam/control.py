@@ -5,6 +5,7 @@ respect to the piezo voltage, so cancelling the modeled flexural dynamics
 through the input leaves ydd + k1*yd + k0*y = 0 in closed loop.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class ControlAuthorityError(RuntimeError):
 
 def design_gains(omega_cl, zeta_cl):
     """Closed-loop polynomial s^2 + k1*s + k0 from (bandwidth, damping)."""
-    if omega_cl <= 0 or zeta_cl <= 0:
-        raise ValueError("closed-loop frequency and damping must be > 0")
+    if not (0 < omega_cl < math.inf and 0 < zeta_cl < math.inf):
+        raise ValueError("closed-loop frequency and damping must be finite and > 0")
     return omega_cl ** 2, 2.0 * zeta_cl * omega_cl
 
 
@@ -35,8 +36,9 @@ class ControllerConfig:
     authority_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.k0 <= 0 or self.k1 <= 0:
-            raise ValueError("closed-loop polynomial must be Hurwitz (k0, k1 > 0)")
+        if not (0 < self.k0 < math.inf and 0 < self.k1 < math.inf):
+            raise ValueError("closed-loop polynomial must be Hurwitz (k0, k1 finite "
+                             "and > 0)")
         self.output_weights = np.asarray(self.output_weights, dtype=float)
         if not np.any(self.output_weights):
             raise ValueError("output weights must not all be zero")

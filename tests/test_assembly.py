@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (BeamSpec, ModalBasis, PiezoSpec, SpinDestabilizedError,
+from piezobeam import (AssemblyError, BeamSpec, ModalBasis, PiezoSpec, SpinDestabilizedError,
                        assemble, damping_matrices, linear_frequencies,
                        section_properties)
 from piezobeam.assembly import piezo_moment_coefficient
@@ -159,6 +164,12 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(beam, piezo, ModalBasis.build(2, 0.2))
 
+    @pytest.mark.parametrize("name", ["M1", "M2"])
+    def test_indefinite_mass_matrix_named(self, mats, name):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(AssemblyError, match=name):
+            mats.__class__(**{**mats.__dict__, name: indefinite})
+
 
 class TestLinearFrequencies:
     def test_first_flexural_matches_euler_bernoulli(self, beam, basis2, mats_bare):
@@ -186,6 +197,18 @@ class TestLinearFrequencies:
         m_noD = mats.__class__(**{**mats.__dict__, "D1": np.zeros_like(mats.D1)})
         b = linear_frequencies(m_noD, 0.0)
         assert_allclose(a[0], b[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.0, 20.0])
+    def test_five_modes_match_inverse_mass_times_stiffness(self, beam, piezo, omega):
+        # eigenvalues of M^-1 K from the general solver, not the Cholesky reduction
+        zeta = (0.01,) * 5
+        m = assemble(BeamSpec(zeta_flex=zeta, zeta_tors=zeta), piezo,
+                     ModalBasis.build(5, beam.L))
+        om_f, om_t = linear_frequencies(m, omega)
+        for got, K, M in ((om_f, m.K1 + omega ** 2 * m.D1, m.M1), (om_t, m.K2, m.M2)):
+            vals = np.linalg.eig(np.linalg.inv(M) @ K)[0]
+            assert np.all(vals.imag == 0.0)
+            assert_allclose(got, np.sqrt(np.sort(vals.real)), rtol=1e-12)
 
     def test_spin_destabilized_error(self, mats):
         # doctored effective stiffness: strongly negative D1 at high spin
@@ -216,3 +239,15 @@ class TestDamping:
         basis = ModalBasis.build(2, beam.L)
         with pytest.raises(ValueError):
             assemble(beam, piezo, basis)
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh process, since the test suite itself imports scipy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, piezobeam, piezobeam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -236,6 +236,19 @@ class TestMainExitCodes:
                              delimiter=",", names=True)
         assert np.max(np.abs(data["theta_tip"])) < 1e-14
 
+    def test_negative_exponent_override_is_a_value(self, tmp_path, capsys):
+        outputs = {}
+        for name, flags in (("spaced", ["--omega", "-1e3"]), ("joined", ["--omega=-1e3"])):
+            out = tmp_path / name
+            rc = main(["--scenario", "free", "--controller", "off", "--tfinal", "0.002",
+                       "--out", str(out)] + flags)
+            assert rc == 0
+            outputs[name] = (capsys.readouterr().out,
+                             {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs["spaced"] == outputs["joined"]
+        manifest = json.loads(outputs["spaced"][1]["free_off_manifest.json"])
+        assert manifest["config"]["sim"]["Omega"] == -1000.0
+
     @pytest.mark.parametrize("text, flags, message", [
         ("beam: {E: 1.0e9, rho: 10}\nrotation: {Omega: 900}\nbogus: 3\n", [], "beam.E"),
         ("", ["--tfinal", "-1"], "sim.t_final"),
@@ -244,8 +257,9 @@ class TestMainExitCodes:
          "disturbance.target"),
         ("", ["--tfinal", "inf"], "sim.t_final"),
         ("", ["--omega", "nan"], "sim.Omega"),
+        ("", ["--dt", "-inf"], "sim.dt"),
     ], ids=["unknown_keys", "negative_tfinal", "coarse_dt", "target_beyond_modes",
-            "infinite_tfinal_flag", "nan_omega_flag"])
+            "infinite_tfinal_flag", "nan_omega_flag", "negative_infinite_dt_flag"])
     def test_config_error_writes_nothing(self, tmp_path, capsys, text, flags, message):
         out = tmp_path / "o"
         out.mkdir()

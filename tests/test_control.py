@@ -36,6 +36,13 @@ class TestDesignGains:
             design_gains(100.0, 0.0)
 
 
+    @pytest.mark.parametrize("omega_cl, zeta_cl", [
+        (float("nan"), 0.8), (100.0, float("nan")), (float("inf"), 0.8), (100.0, float("inf"))])
+    def test_rejects_nonfinite(self, omega_cl, zeta_cl):
+        with pytest.raises(ValueError, match="finite"):
+            design_gains(omega_cl, zeta_cl)
+
+
 class TestOutput:
     def test_zero_state(self, basis2):
         y, yd = output(np.zeros(8), basis2.flexural_tip_values())
@@ -199,6 +206,12 @@ class TestControllerConfig:
             ControllerConfig(k0=-1.0, k1=1.0, output_weights=[1.0])
         with pytest.raises(ValueError):
             ControllerConfig(k0=1.0, k1=0.0, output_weights=[1.0])
+
+    @pytest.mark.parametrize("k0, k1", [
+        (float("nan"), float("nan")), (1.0, float("nan")), (float("inf"), 1.0)])
+    def test_rejects_nonfinite_gains(self, k0, k1):
+        with pytest.raises(ValueError, match="Hurwitz"):
+            ControllerConfig(k0=k0, k1=k1, output_weights=[1.0, 0.0])
 
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError):
