@@ -7,10 +7,10 @@ from .assembly import (AssemblyError, BeamSpec, PiezoSpec, SectionProperties,
                        damping_matrices, export_matrices, linear_frequencies,
                        section_properties)
 from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, Trajectory,
-                       avf_step, cubic_force, energy, rhs, rk4_step, simulate,
+                       avf_step, closed_loop, energy, rhs, rk4_step, simulate,
                        step)
-from .control import (ControlAuthorityError, ControllerConfig, control_voltage,
-                      design_gains, make_policy, output)
+from .control import (ControlAuthorityError, ControllerConfig, design_gains,
+                      make_policy, output)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

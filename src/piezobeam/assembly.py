@@ -74,7 +74,8 @@ class PiezoSpec:
 
 @dataclass(frozen=True)
 class SectionProperties:
-    """Per-length section values at one axial station."""
+    """Per-length section values at one axial station or at an array of
+    them (see section_properties)."""
 
     rhoA: float
     Ix: float
@@ -126,15 +127,20 @@ def _patch_values(beam, piezo):
 
 
 def section_properties(x, beam, piezo=None):
-    """Section values at station x; piezo=None means bare beam everywhere."""
-    if not 0.0 <= x <= beam.L:
+    """Section values at station x, a scalar or an array of stations;
+    piezo=None means bare beam everywhere.
+
+    Without a patch every value is a scalar.  With one, each value has x's
+    shape: the bare value plus the patch's on [l1, l2].
+    """
+    if not np.all((0.0 <= x) & (x <= beam.L)):
         raise ValueError(f"position {x} outside [0, {beam.L}]")
-    rhoA, Ix, EIy, GJ, EA = _bare_values(beam)
-    zn = 0.0
-    if piezo is not None and piezo.l1 <= x <= piezo.l2 and piezo.l2 > piezo.l1:
-        dr, di, de, dg, da, zn = _patch_values(beam, piezo)
-        rhoA, Ix, EIy, GJ, EA = rhoA + dr, Ix + di, EIy + de, GJ + dg, EA + da
-    return SectionProperties(rhoA=rhoA, Ix=Ix, EIy=EIy, GJ=GJ, EA=EA, zn=zn)
+    values = _bare_values(beam) + (0.0,)
+    if piezo is not None and piezo.l2 > piezo.l1:
+        inside = (piezo.l1 <= x) & (x <= piezo.l2)
+        values = [np.where(inside, v + d, v)[()]  # [()]: a scalar for scalar x
+                  for v, d in zip(values, _patch_values(beam, piezo))]
+    return SectionProperties(*values)
 
 
 def piezo_moment_coefficient(beam, piezo):
@@ -247,21 +253,7 @@ def assemble(beam, piezo, basis, quad_points=32):
     breaks = [0.0, beam.L] if not has_patch else \
         sorted({0.0, piezo.l1, piezo.l2, beam.L})
     x, w = gauss_panels(breaks, quad_points)
-
-    rhoA0, Ix0, EIy0, GJ0, EA0 = _bare_values(beam)
-    rhoA = np.full_like(x, rhoA0)
-    Ix = np.full_like(x, Ix0)
-    EIy = np.full_like(x, EIy0)
-    GJ = np.full_like(x, GJ0)
-    EA = np.full_like(x, EA0)
-    if has_patch:
-        dr, di, de, dg, da, _ = _patch_values(beam, piezo)
-        mask = (x >= piezo.l1) & (x <= piezo.l2)
-        rhoA[mask] += dr
-        Ix[mask] += di
-        EIy[mask] += de
-        GJ[mask] += dg
-        EA[mask] += da
+    sec = section_properties(x, beam, piezo)
 
     phi = np.empty((n, x.size))
     dphi = np.empty((n, x.size))
@@ -272,14 +264,14 @@ def assemble(beam, piezo, basis, quad_points=32):
         phi[j - 1], dphi[j - 1], ddphi[j - 1] = basis.flexural_mode(j, x)
         psi[j - 1], dpsi[j - 1] = basis.torsional_mode(j, x)
 
-    M1 = np.einsum("m,im,jm->ij", w * rhoA, phi, phi)
-    M2 = np.einsum("m,im,jm->ij", w * Ix, psi, psi)
-    C1 = np.einsum("m,im,jm->ij", w * Ix, phi, dpsi)
-    C2 = np.einsum("m,im,jm->ij", w * Ix, psi, dphi)
-    K1 = np.einsum("m,im,jm->ij", w * EIy, ddphi, ddphi)
-    K2 = np.einsum("m,im,jm->ij", w * GJ, dpsi, dpsi)
-    D1 = np.einsum("m,im,jm->ij", w * Ix, phi, ddphi)
-    G1 = np.einsum("m,im,jm,km,lm->ijkl", w * EA, dphi, dphi, dphi, dphi)
+    M1 = np.einsum("m,im,jm->ij", w * sec.rhoA, phi, phi)
+    M2 = np.einsum("m,im,jm->ij", w * sec.Ix, psi, psi)
+    C1 = np.einsum("m,im,jm->ij", w * sec.Ix, phi, dpsi)
+    C2 = np.einsum("m,im,jm->ij", w * sec.Ix, psi, dphi)
+    K1 = np.einsum("m,im,jm->ij", w * sec.EIy, ddphi, ddphi)
+    K2 = np.einsum("m,im,jm->ij", w * sec.GJ, dpsi, dpsi)
+    D1 = np.einsum("m,im,jm->ij", w * sec.Ix, phi, ddphi)
+    G1 = np.einsum("m,im,jm,km,lm->ijkl", w * sec.EA, dphi, dphi, dphi, dphi)
 
     Mp0 = piezo_moment_coefficient(beam, piezo) if piezo is not None else 0.0
     F1 = np.zeros(n)

@@ -25,8 +25,7 @@ from .assembly import (BeamSpec, PiezoSpec, assemble, export_matrices,
                        SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
-from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig,
-                       compute_metrics, simulate)
+from .dynamics import Disturbance, IntegrationBlowupError, SimConfig, simulate
 
 SCENARIOS = ("free", "disturbance")
 
@@ -190,7 +189,10 @@ def build_model(cfg):
 def _build_controller(cfg, mats, basis):
     om_f, _ = mats.natural_frequencies
     omega_cl = om_f[0] if cfg.ctrl_omega_cl is None else cfg.ctrl_omega_cl
-    k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)
+    try:
+        k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)
+    except ValueError as exc:  # its message starts with the argument name
+        raise ConfigError(f"controller.{exc}") from None
     return ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
                             v_max=cfg.ctrl_v_max)
 
@@ -214,11 +216,9 @@ def write_csv(path, traj, n):
             + [f"dq{i}" for i in range(1, n + 1)]
             + ["w_tip", "theta_tip", "v_p"])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(traj.times.size):
-            row = ([traj.times[i]] + list(traj.states[i])
-                   + [traj.tip_w[i], traj.tip_theta[i], traj.voltage[i]])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, np.column_stack((traj.times, traj.states, traj.tip_w,
+                                        traj.tip_theta, traj.voltage)),
+                   fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
@@ -264,13 +264,6 @@ def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
         with open(out_dir / path, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
     return metrics
-
-
-def recompute_metrics_from_csv(csv_path, period1):
-    """Re-derive the metrics from a written trajectory CSV (no hidden state)."""
-    data = np.genfromtxt(csv_path, delimiter=",", names=True)
-    return compute_metrics(np.atleast_1d(data["t"]), np.atleast_1d(data["w_tip"]),
-                           np.atleast_1d(data["v_p"]), period1)
 
 
 # (flag, the config key it overrides and stores its value under, type, help)

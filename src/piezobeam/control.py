@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import closed_loop
-
 
 class ControlAuthorityError(RuntimeError):
     def __init__(self, beta):
@@ -21,10 +19,17 @@ class ControlAuthorityError(RuntimeError):
 
 
 def design_gains(omega_cl, zeta_cl):
-    """Closed-loop polynomial s^2 + k1*s + k0 from (bandwidth, damping)."""
-    if not (0 < omega_cl < math.inf and 0 < zeta_cl < math.inf):
-        raise ValueError("closed-loop frequency and damping must be finite and > 0")
-    return omega_cl ** 2, 2.0 * zeta_cl * omega_cl
+    """Closed-loop polynomial s^2 + k1*s + k0 from (bandwidth, damping).
+
+    The ValueError for an argument that is not finite and > 0, or whose gain
+    (k0 for omega_cl, k1 for zeta_cl) is not, starts with the argument name.
+    """
+    k0, k1 = omega_cl * omega_cl, 2.0 * zeta_cl * omega_cl
+    for name, value, gain in (("omega_cl", omega_cl, k0), ("zeta_cl", zeta_cl, k1)):
+        if not (0 < value < math.inf and 0 < gain < math.inf):
+            raise ValueError(f"{name}: {value!r} must be finite and > 0 and give a "
+                             "finite closed-loop gain > 0")
+    return k0, k1
 
 
 @dataclass
@@ -75,8 +80,3 @@ def make_policy(mats, ctrl, omega):
             v = min(max(v, -v_max), v_max)
         return v
     return policy
-
-
-def control_voltage(x, t, mats, ctrl, omega):
-    """The voltage make_policy's law applies at state x and time t."""
-    return closed_loop(mats, omega, make_policy(mats, ctrl, omega))(x, t)[1]

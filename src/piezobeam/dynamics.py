@@ -79,11 +79,6 @@ def _contract3(T, p):
     return T.dot(p).reshape(n * n, n).dot(p).reshape(n, n).dot(p)
 
 
-def cubic_force(G1, p):
-    """g_i = sum_jkl G1_ijkl p_j p_k p_l."""
-    return _contract3(G1.reshape(-1, p.size), p)
-
-
 def closed_loop(mats, omega, policy=None, disturbance=None):
     """The modal equations at base rotation omega under a voltage policy, as
     f(x, t) -> (x', v); the Omega-dependent operator is built once, here.
@@ -240,8 +235,9 @@ def simulate(config, mats, basis, controller=None):
     with metrics.
 
     The controller is a voltage policy (x, t, a0) -> volts (see
-    closed_loop).  The voltage logged at each sample is the one the first
-    stage of the step from that sample used.
+    closed_loop), supplied exactly when config.controller_on is set.  The
+    voltage logged at each sample is the one the first stage of the step
+    from that sample used.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -250,13 +246,11 @@ def simulate(config, mats, basis, controller=None):
         raise ValueError(f"SimConfig.dt = {config.dt} too coarse for highest "
                          f"retained frequency {f_max:.1f} Hz (need dt <= {1.0 / (20.0 * f_max):.3g})")
 
-    policy = None
-    if config.controller_on:
-        if controller is None:
-            raise ValueError("controller_on set but no control policy supplied")
-        policy = controller
+    if config.controller_on != (controller is not None):
+        raise ValueError("SimConfig.controller_on must be set exactly when a control "
+                         "policy is supplied")
 
-    f = closed_loop(mats, config.Omega, policy, config.disturbance)
+    f = closed_loop(mats, config.Omega, controller, config.disturbance)
     advance = INTEGRATORS[config.integrator]
 
     def deriv(xs, ts):

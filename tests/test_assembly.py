@@ -90,6 +90,17 @@ class TestSectionProperties:
             section_properties(-0.01, beam, piezo)
         with pytest.raises(ValueError):
             section_properties(0.16, beam, piezo)
+        with pytest.raises(ValueError):
+            section_properties(np.array([0.03, 0.16]), beam, piezo)
+
+    def test_array_stations_match_scalar_ones(self, beam, piezo):
+        # stations outside, on both edges of and inside the patch
+        x = np.array([0.0, 0.005, piezo.l1, 0.03, piezo.l2, 0.1, beam.L])
+        at = section_properties(x, beam, piezo)
+        for name in ("rhoA", "Ix", "EIy", "GJ", "EA", "zn"):
+            assert getattr(at, name).shape == x.shape
+            assert [getattr(section_properties(xi, beam, piezo), name) for xi in x] \
+                == list(getattr(at, name))
 
 
 class TestAssemble:
@@ -251,3 +262,17 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_public_names():
+    # a name added to or dropped from the package is a deliberate diff here
+    import piezobeam
+    assert set(piezobeam.__all__) == {
+        "AssemblyError", "BeamSpec", "ControlAuthorityError", "ControllerConfig",
+        "Disturbance", "IntegrationBlowupError", "ModalBasis", "PiezoSpec",
+        "SectionProperties", "SimConfig", "SpinDestabilizedError", "SystemMatrices",
+        "Trajectory", "assemble", "avf_step", "closed_loop", "damping_matrices",
+        "design_gains", "energy", "export_matrices", "flexural_eigenvalues",
+        "linear_frequencies", "make_policy", "output", "rhs", "rk4_step",
+        "section_properties", "simulate", "step",
+        "assembly", "basis", "control", "dynamics"}  # the submodules

@@ -2,37 +2,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from piezobeam import ModalBasis, flexural_eigenvalues
 
 
-def bisect_roots(n, tol=1e-12):
-    """Independent oracle: plain bisection on 1 + cos(l)cosh(l) = 0."""
+def brentq_roots(n):
+    """Independent oracle: scipy's brentq on 1 + cos(l)cosh(l) = 0, on the
+    brackets (2j-1)pi/2 -+ 1."""
     f = lambda lam: 1.0 + np.cos(lam) * np.cosh(lam)
-    roots = []
-    for j in range(1, n + 1):
-        a = (2 * j - 1) * np.pi / 2 - 1.0
-        b = (2 * j - 1) * np.pi / 2 + 1.0
-        assert f(a) * f(b) < 0
-        while b - a > tol:
-            c = 0.5 * (a + b)
-            if f(a) * f(c) <= 0:
-                b = c
-            else:
-                a = c
-        roots.append(0.5 * (a + b))
-    return roots
+    return [brentq(f, (2 * j - 1) * np.pi / 2 - 1.0, (2 * j - 1) * np.pi / 2 + 1.0,
+                   xtol=1e-14, rtol=4 * np.finfo(float).eps)
+            for j in range(1, n + 1)]
 
 
 def test_eigenvalues_empty():
     assert flexural_eigenvalues(0) == []
 
 
-def test_eigenvalues_first_two_against_bisection_oracle():
-    lam = flexural_eigenvalues(2)
-    oracle = bisect_roots(2)
-    assert_allclose(lam, oracle, atol=1e-11)
-    assert_allclose(lam, [1.87510, 4.69409], atol=1e-5)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_eigenvalues_against_brentq_oracle(n):
+    lam = flexural_eigenvalues(n)
+    assert_allclose(lam, brentq_roots(n), atol=1e-11)
+    assert_allclose(lam[:2], [1.87510, 4.69409][:n], atol=1e-5)
 
 
 def test_eigenvalue_residuals():

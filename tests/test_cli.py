@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam.cli import (ConfigError, build_model, load_config, main,
-                           recompute_metrics_from_csv, run_scenario)
+from piezobeam.cli import (ConfigError, build_model, load_config, main, run_scenario,
+                           write_csv)
+from piezobeam.dynamics import Trajectory, compute_metrics
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -138,6 +139,21 @@ class TestRunScenario:
         assert np.all(dt > 0)
         assert np.max(np.abs(dt - short_cfg.dt)) < 1e-12
 
+    def test_csv_special_values_byte_for_byte(self, tmp_path):
+        tiny = 5e-324  # the least subnormal
+        traj = Trajectory(times=np.array([0.0, 2e-5]),
+                          states=np.array([[-0.0, np.nan, np.inf, -np.inf],
+                                           [tiny, -2.2250738585072e-308, 1 / 3, -1e300]]),
+                          tip_w=np.array([-0.0, 0.1]), tip_theta=np.array([np.nan, -tiny]),
+                          voltage=np.array([-np.inf, 200.0]))
+        write_csv(tmp_path / "s.csv", traj, 1)
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"t,p1,q1,dp1,dq1,w_tip,theta_tip,v_p\n"
+            b"0,-0,nan,inf,-inf,-0,nan,-inf\n"
+            b"2.0000000000000002e-05,4.9406564584124654e-324,-2.2250738585071999e-308,"
+            b"0.33333333333333331,-1.0000000000000001e+300,0.10000000000000001,"
+            b"-4.9406564584124654e-324,200\n")
+
     def test_manifest_written_and_determinism(self, short_cfg, tmp_path):
         # each run on its own model, so a rebuild must reproduce it too
         run_scenario("free", short_cfg, *build_model(short_cfg), tmp_path / "a",
@@ -161,8 +177,8 @@ class TestRunScenario:
         metrics = run_scenario("free", short_cfg, *short_model, tmp_path, controller_on=True)
         _, mats = short_model
         om_f, _ = linear_frequencies(mats, 0.0)
-        redo = recompute_metrics_from_csv(tmp_path / "free_on.csv",
-                                          2 * math.pi / om_f[0])
+        data = np.genfromtxt(tmp_path / "free_on.csv", delimiter=",", names=True)
+        redo = compute_metrics(data["t"], data["w_tip"], data["v_p"], 2 * math.pi / om_f[0])
         for key, val in redo.items():
             assert metrics[key] == val
 
@@ -285,10 +301,13 @@ class TestMainExitCodes:
         ("sim: {tip_w0: .nan}\n", "sim.tip_w0"),
         ("piezo: {d31: .nan}\n", "piezo.d31"),
         ("beam: {L: .nan}\n", "beam.L"),
+        ("controller: {omega_cl: 1.0e200}\n", "controller.omega_cl"),
+        ("controller: {zeta_cl: 1.0e308}\n", "controller.zeta_cl"),
     ], ids=["negative_controller_vmax", "zero_controller_vmax", "negative_piezo_vmax",
             "fractional_modes", "bool_modes", "fractional_target", "zero_omega_cl",
             "negative_omega_cl", "nan_omega_cl", "infinite_tfinal", "nan_omega",
-            "nan_tip_w0", "nan_d31", "nan_beam_length"])
+            "nan_tip_w0", "nan_d31", "nan_beam_length", "overflowing_omega_cl",
+            "overflowing_zeta_cl"])
     def test_bad_value_writes_nothing(self, tmp_path, capsys, text, message):
         out = tmp_path / "o"
         out.mkdir()

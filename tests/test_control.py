@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from piezobeam import (ControlAuthorityError, ControllerConfig, ModalBasis,
-                       SimConfig, assemble, control_voltage,
-                       design_gains, linear_frequencies, make_policy, output,
-                       simulate)
+                       SimConfig, assemble, closed_loop, design_gains,
+                       linear_frequencies, make_policy, output, simulate)
 
 from test_dynamics import tip_release_state
 
@@ -70,7 +69,8 @@ class TestOutput:
 class TestControlVoltage:
     def test_zero_state_zero_voltage(self, mats, basis2):
         ctrl = build_controller(mats, basis2)
-        assert control_voltage(np.zeros(8), 0.0, mats, ctrl, 20.0) == 0.0
+        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        assert law(np.zeros(8), 0.0)[1] == 0.0
 
     def test_n1_hand_formula(self, beam, piezo):
         basis = ModalBasis.build(1, beam.L)
@@ -79,6 +79,7 @@ class TestControlVoltage:
         k0, k1 = design_gains(151.7, 0.8)
         ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=[phiL])
         omega = 20.0
+        law = closed_loop(m, omega, make_policy(m, ctrl, omega))
         rng = np.random.default_rng(5)
         for _ in range(10):
             p, q, pd, qd = rng.normal(scale=1e-3, size=4)
@@ -88,7 +89,7 @@ class TestControlVoltage:
                                           + (m.K1[0, 0] + omega ** 2 * m.D1[0, 0]) * p
                                           + m.G1[0, 0, 0, 0] * p ** 3))
             expected = num / (phiL * m.F1[0] / m.M1[0, 0])
-            got = control_voltage(x, 0.0, m, ctrl, omega)
+            got = law(x, 0.0)[1]
             assert_allclose(got, expected, rtol=1e-12)
 
     def test_closed_loop_residual(self, mats, basis2):
@@ -160,7 +161,7 @@ class TestControlVoltage:
         x = np.zeros(8)
         x[0] = 1e-3
         with pytest.raises(ControlAuthorityError):
-            control_voltage(x, 0.0, mats, ctrl, 20.0)
+            closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))(x, 0.0)
 
 
 class TestPolicy:
@@ -170,9 +171,9 @@ class TestPolicy:
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
                                 initial_state=ic, controller_on=True),
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         for i in range(tr.times.size):
-            assert tr.voltage[i] == control_voltage(tr.states[i], tr.times[i],
-                                                    mats, ctrl, 20.0)
+            assert tr.voltage[i] == law(tr.states[i], tr.times[i])[1]
 
     def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
         # four stages per step, the first one shared with the voltage sample,

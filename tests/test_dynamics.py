@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
                        IntegrationBlowupError, ModalBasis, PiezoSpec, SimConfig,
-                       assemble, avf_step, control_voltage, cubic_force,
-                       design_gains, energy, linear_frequencies, make_policy,
+                       assemble, avf_step, closed_loop, design_gains, energy,
+                       linear_frequencies, make_policy,
                        rhs, rk4_step, simulate, step)
 
 
@@ -20,22 +20,32 @@ def tip_release_state(basis, tip_w0=5e-3):
     return x
 
 
+def kernel_cubic_force(mats, p):
+    """G1(p, p, p) as the kernel applies it: at rest and Omega = 0 the
+    flexural acceleration a of rhs solves M1 a = -(K1 p + G1(p, p, p))."""
+    n = mats.n
+    x = np.zeros(4 * n)
+    x[:n] = p
+    acc = rhs(x, 0.0, 0.0, mats, 0.0)[2 * n:3 * n]
+    return -(mats.M1 @ acc + mats.K1 @ p)
+
+
 class TestCubicForce:
     def test_zero(self, mats):
-        assert np.all(cubic_force(mats.G1, np.zeros(2)) == 0.0)
+        assert np.all(kernel_cubic_force(mats, np.zeros(2)) == 0.0)
 
     def test_odd(self, mats):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.normal(scale=1e-3, size=2)
-            assert_allclose(cubic_force(mats.G1, -p), -cubic_force(mats.G1, p),
+            assert_allclose(kernel_cubic_force(mats, -p), -kernel_cubic_force(mats, p),
                             rtol=1e-12)
 
     def test_n1_direct_expansion(self, beam, piezo):
         basis = ModalBasis.build(1, beam.L)
         m = assemble(beam, piezo, basis)
         p = np.array([1.7e-3])
-        assert_allclose(cubic_force(m.G1, p)[0], m.G1[0, 0, 0, 0] * p[0] ** 3,
+        assert_allclose(kernel_cubic_force(m, p)[0], m.G1[0, 0, 0, 0] * p[0] ** 3,
                         rtol=1e-14)
 
 
@@ -226,7 +236,7 @@ class TestEnergy:
         rng = np.random.default_rng(11)
         for _ in range(5):
             p = rng.normal(scale=2e-3, size=2)
-            g = cubic_force(mats.G1, p)
+            g = np.einsum("ijkl,j,k,l->i", mats.G1, p, p, p)
             h = 1e-7
             for i in range(2):
                 pp, pm = p.copy(), p.copy()
@@ -304,6 +314,13 @@ class TestSimulate:
         assert np.all(np.diff(E) <= 1e-9 * E[0])
         assert E[-1] < E[0]
 
+    def test_controller_flag_must_match_policy(self, mats, basis2):
+        policy = lambda x, t, a0: 0.0
+        for on, controller in ((True, None), (False, policy)):
+            cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.001, controller_on=on)
+            with pytest.raises(ValueError, match="controller_on"):
+                simulate(cfg, mats, basis2, controller=controller)
+
     def test_dt_guard(self, mats, basis2):
         with pytest.raises(ValueError):
             simulate(SimConfig(Omega=0.0, dt=1e-3, t_final=0.1), mats, basis2)
@@ -322,9 +339,10 @@ def reference_run(cfg, mats, ctrl):
     """The controlled RK4 loop composed from the public pieces: the law is
     evaluated afresh at every stage, and once more for each voltage sample."""
     omega, dist = cfg.Omega, cfg.disturbance
+    law = closed_loop(mats, omega, make_policy(mats, ctrl, omega))
 
     def f(x, t):
-        return rhs(x, t, control_voltage(x, t, mats, ctrl, omega), mats, omega, dist)
+        return rhs(x, t, law(x, t)[1], mats, omega, dist)
 
     nsteps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     x = cfg.initial_state
@@ -332,7 +350,7 @@ def reference_run(cfg, mats, ctrl):
     for i in range(nsteps + 1):
         t = i * cfg.dt
         states.append(x)
-        voltage.append(control_voltage(x, t, mats, ctrl, omega))
+        voltage.append(law(x, t)[1])
         if i < nsteps:
             x = rk4_step(f, x, t, cfg.dt)
     return np.array(states), np.array(voltage)
