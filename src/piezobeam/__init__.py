@@ -12,5 +12,14 @@ from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, Trajector
 from .control import (ControlAuthorityError, ControllerConfig, design_gains,
                       make_policy, output)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ModalBasis", "flexural_eigenvalues",
+    "AssemblyError", "BeamSpec", "PiezoSpec", "SectionProperties",
+    "SpinDestabilizedError", "SystemMatrices", "assemble", "damping_matrices",
+    "export_matrices", "linear_frequencies", "section_properties",
+    "Disturbance", "IntegrationBlowupError", "SimConfig", "Trajectory",
+    "avf_step", "closed_loop", "energy", "rhs", "rk4_step", "simulate", "step",
+    "ControlAuthorityError", "ControllerConfig", "design_gains", "make_policy",
+    "output",
+]
 __version__ = "0.1.0"

@@ -73,8 +73,15 @@ class ModalBasis:
         sigma = (np.cosh(lam) + np.cos(lam)) / (np.sinh(lam) + np.sin(lam))
         # 1 - sigma = (sin - cos - exp(-lam)) / (sinh + sin), exact rearrangement
         dsig = (np.sin(lam) - np.cos(lam) - np.exp(-lam)) / (np.sinh(lam) + np.sin(lam))
-        return cls(n=n, length=float(length), flexural_roots=lam, sigma=sigma,
-                   one_minus_sigma=dsig)
+        basis = cls(n=n, length=float(length), flexural_roots=lam, sigma=sigma,
+                    one_minus_sigma=dsig)
+        # evaluated once per basis and shared read-only by every caller
+        for name, mode in (("_flexural_tips", basis.flexural_mode),
+                           ("_torsional_tips", basis.torsional_mode)):
+            tips = np.array([mode(j, basis.length)[0] for j in range(1, n + 1)])
+            tips.setflags(write=False)
+            object.__setattr__(basis, name, tips)  # frozen, and not a field
+        return basis
 
     def _check_args(self, j, x):
         if not 1 <= j <= self.n:
@@ -113,8 +120,10 @@ class ModalBasis:
         return np.sin(k * x), k * np.cos(k * x)
 
     def flexural_tip_values(self):
-        """phi_j(L) for all modes (output weights of the tip deflection)."""
-        return np.array([self.flexural_mode(j, self.length)[0] for j in range(1, self.n + 1)])
+        """phi_j(L) for all modes (output weights of the tip deflection), as a
+        read-only array computed once by build."""
+        return self._flexural_tips
 
     def torsional_tip_values(self):
-        return np.array([self.torsional_mode(j, self.length)[0] for j in range(1, self.n + 1)])
+        """psi_j(L) for all modes, as a read-only array computed once by build."""
+        return self._torsional_tips

@@ -71,11 +71,14 @@ def make_policy(mats, ctrl, omega):
     beta = float(c @ mats.b)
     if abs(beta) < ctrl.authority_tolerance:
         raise ControlAuthorityError(beta)
-    k0, k1, v_max = ctrl.k0, ctrl.k1, ctrl.v_max
+    n, v_max = mats.n, ctrl.v_max
+    # k0*y + k1*yd (see output) as one row on the state: two dot products a call
+    g = np.zeros(4 * n)
+    g[:n] = ctrl.k0 * c
+    g[2 * n:3 * n] = ctrl.k1 * c
 
     def policy(x, t, a0):
-        y, yd = output(x, c)
-        v = (-k0 * y - k1 * yd - float(c @ a0)) / beta
+        v = -(float(g.dot(x)) + float(c.dot(a0))) / beta
         if v_max is not None:
             v = min(max(v, -v_max), v_max)
         return v

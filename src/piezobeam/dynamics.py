@@ -127,13 +127,25 @@ def rhs(x, t, v_p, mats, omega, disturbance=None):
 
 def rk4_step(f, x, t, dt, k1=None):
     """One classical Runge-Kutta step of x' = f(x, t); k1 = f(x, t) when the
-    caller has it already."""
+    caller has it already.
+
+    The step is x + (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), rounded in that
+    order.  It writes into neither its arguments nor any array f returns, so
+    f may return the same array on every call.
+    """
     if k1 is None:
         k1 = f(x, t)
-    k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+    h = 0.5 * dt
+    k2 = f(x + h * k1, t + h)
+    k3 = f(x + h * k2, t + h)
     k4 = f(x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = k2 * 2.0
+    s += k1
+    s += k3 * 2.0
+    s += k4
+    s *= dt / 6.0
+    s += x
+    return s
 
 
 AVF_RTOL = 1e-12
@@ -261,23 +273,23 @@ def simulate(config, mats, basis, controller=None):
     if x.shape != (4 * n,):
         raise ValueError(f"SimConfig.initial_state has shape {x.shape}, "
                          f"need ({4 * n},) for [p; q; pdot; qdot]")
-    nsteps = int(math.floor(config.t_final / config.dt + 1e-9))
-    times = np.arange(nsteps + 1) * config.dt
+    dt = float(config.dt)
+    nsteps = int(math.floor(config.t_final / dt + 1e-9))
+    times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):
+            t = i * dt  # times[i] bit for bit, as a Python float
             states[i] = x
-            k1, voltage[i] = f(x, times[i])
+            k1, voltage[i] = f(x, t)
             if not np.isfinite(k1).all():
-                raise IntegrationBlowupError(times[i])
+                raise IntegrationBlowupError(t)
             if i < nsteps:
-                x = advance(deriv, x, times[i], config.dt, k1=k1)
-    phiL = basis.flexural_tip_values()
-    psiL = basis.torsional_tip_values()
-    tip_w = states[:, :n] @ phiL
-    tip_theta = states[:, n:2 * n] @ psiL
+                x = advance(deriv, x, t, dt, k1=k1)
+    tip_w = states[:, :n] @ basis.flexural_tip_values()
+    tip_theta = states[:, n:2 * n] @ basis.torsional_tip_values()
     metrics = compute_metrics(times, tip_w, voltage, 2.0 * math.pi / om_f[0])
     return Trajectory(times=times, states=states, tip_w=tip_w,
                       tip_theta=tip_theta, voltage=voltage, metrics=metrics)

@@ -274,5 +274,4 @@ def test_public_names():
         "Trajectory", "assemble", "avf_step", "closed_loop", "damping_matrices",
         "design_gains", "energy", "export_matrices", "flexural_eigenvalues",
         "linear_frequencies", "make_policy", "output", "rhs", "rk4_step",
-        "section_properties", "simulate", "step",
-        "assembly", "basis", "control", "dynamics"}  # the submodules
+        "section_properties", "simulate", "step"}

@@ -52,6 +52,14 @@ def test_tip_value_mode1():
     assert abs(phi - 2.0) < 1e-10
 
 
+def test_tip_values_stored_once_read_only():
+    b = ModalBasis.build(3, 0.15)
+    for tips, mode in ((b.flexural_tip_values, b.flexural_mode),
+                       (b.torsional_tip_values, b.torsional_mode)):
+        assert tips() is tips() and not tips().flags.writeable
+        assert np.array_equal(tips(), [mode(j, 0.15)[0] for j in (1, 2, 3)])
+
+
 def test_norm_integral_is_length():
     # classical property of the sigma normalization, fine trapezoid oracle
     L = 0.15

@@ -193,6 +193,37 @@ class TestPolicy:
         assert nsteps == 100
         assert len(calls) == 4 * nsteps + 1
 
+    @pytest.mark.parametrize("case", ["unsaturated", "clipped", "nan"])
+    def test_law_is_the_textbook_law(self, mats, basis2, case):
+        # v = (-k0*y - k1*yd - c.a0)/beta with (y, yd) from output(), at
+        # random states and drifts of the sizes a release produces
+        ctrl = build_controller(mats, basis2)
+        c, beta = ctrl.output_weights, float(ctrl.output_weights @ mats.b)
+        rng = np.random.default_rng(11)
+        xs = rng.normal(size=(200, 8)) * np.repeat([1e-3, 1e-4, 0.3, 0.03], 2)
+        a0s = rng.normal(scale=300.0, size=(200, 2))
+        if case == "nan":  # p1, pd2 or a0_2 is NaN, in turn; saturation keeps it
+            xs[0::3, 0] = xs[1::3, 5] = a0s[2::3, 1] = np.nan
+            ctrl.v_max = 50.0
+        expected = []
+        for x, a0 in zip(xs, a0s):
+            y, yd = output(x, c)
+            expected.append((-ctrl.k0 * y - ctrl.k1 * yd - float(c @ a0)) / beta)
+        expected = np.array(expected)
+        if case == "clipped":
+            ctrl.v_max = float(np.median(np.abs(expected)))
+            expected = np.clip(expected, -ctrl.v_max, ctrl.v_max)
+        law = make_policy(mats, ctrl, 20.0)
+        got = np.array([law(x, 0.0, a0) for x, a0 in zip(xs, a0s)])
+        if case == "nan":
+            assert np.all(np.isnan(got)) and np.all(np.isnan(expected))
+            return
+        assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        if case == "clipped":
+            clipped = np.abs(expected) == ctrl.v_max
+            assert 50 < clipped.sum() < 150
+            assert np.array_equal(got[clipped], expected[clipped])
+
     def test_authority_checked_when_built(self, mats):
         w = np.linalg.solve(mats.M1, mats.F1)
         ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=np.array([-w[1], w[0]]),

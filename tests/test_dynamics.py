@@ -123,6 +123,32 @@ class TestStep:
             errs.append(abs(x[0] - np.exp(-dt)))
         assert 25 < errs[0] / errs[1] < 40   # ~2^5
 
+    def test_rk4_writes_into_nothing_it_is_given(self):
+        # f returns one shared array on every call: a step that scaled or
+        # summed a stage in place would change it, and every later stage
+        dt, t = 1e-3, 0.25
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        shared = np.array([0.3, -1.1, 2.0, -0.7])
+        k1 = np.array([0.4, 0.9, -1.3, 0.2])
+        held = [a.copy() for a in (x, shared, k1)]
+        out = rk4_step(lambda xs, ts: shared, x, t, dt, k1=k1)
+        assert all(np.array_equal(a, b) for a, b in zip((x, shared, k1), held))
+        assert not any(out is a for a in (x, shared, k1))
+        s = shared
+        assert np.array_equal(out, x + (dt / 6.0) * (k1 + 2.0 * s + 2.0 * s + s))
+
+        # fresh stages: the result is the out-of-place formula bit for bit
+        stages = []
+
+        def f(xs, ts):
+            k = np.array([xs[1], -xs[0] * ts, xs[3] ** 2, -xs[2]])
+            stages.append(k.copy())
+            return k
+
+        out = rk4_step(f, x, t, dt)
+        k1, k2, k3, k4 = stages
+        assert np.array_equal(out, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
     def test_zero_dynamics(self, mats):
         x = np.zeros(8)
         out = step(x, 0.0, 1e-4, mats, 20.0)
