@@ -51,9 +51,12 @@ def flexural_eigenvalues(n):
     return roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalBasis:
-    """Flexural + torsional admissible functions for one beam length."""
+    """Flexural + torsional admissible functions for one beam length.
+
+    Compared and hashed by identity: its fields are arrays.
+    """
 
     n: int
     length: float

@@ -209,16 +209,26 @@ def _sim_config(cfg, basis, scenario, controller_on):
                      initial_state=x0, disturbance=dist, controller_on=controller_on)
 
 
+CSV_BLOCK_ROWS = 256  # rows per % operation: few Python calls, little transient memory
+
+
 def write_csv(path, traj, n):
+    """The trajectory as CSV, every value "%.17g" (what np.savetxt with that
+    fmt writes, byte for byte), formatted and written CSV_BLOCK_ROWS rows at
+    a time."""
     cols = (["t"] + [f"p{i}" for i in range(1, n + 1)]
             + [f"q{i}" for i in range(1, n + 1)]
             + [f"dp{i}" for i in range(1, n + 1)]
             + [f"dq{i}" for i in range(1, n + 1)]
             + ["w_tip", "theta_tip", "v_p"])
+    table = np.column_stack((traj.times, traj.states, traj.tip_w,
+                             traj.tip_theta, traj.voltage))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack((traj.times, traj.states, traj.tip_w,
-                                        traj.tip_theta, traj.voltage)),
-                   fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):

@@ -3,6 +3,16 @@
 The state is one flat vector x = [p; q; pdot; qdot] of length 4n, with p the
 flexural and q the torsional modal coordinates; this is the layout of every
 x below, of SimConfig.initial_state and of each row of Trajectory.states.
+
+The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
+the cubic force, the piezo voltage and the disturbance value.  closed_loop
+evaluates them once per call; rhs, step and the AVF runs go through it.
+simulate's RK4 runs use stage maps instead (_rk4_stage_maps): RK4 on these
+equations is linear in z = [x; u1; u2; u3; u4], so each stage's input, and
+the linear part of the drift the law cancels, is one matvec with z, and the
+new state is another, with the maps built once per run.  The policy is still
+called once per stage, on that stage's input; only the cubic force, the law
+and the disturbance are evaluated per stage.
 """
 
 import math
@@ -79,6 +89,24 @@ def _contract3(T, p):
     return T.dot(p).reshape(n * n, n).dot(p).reshape(n, n).dot(p)
 
 
+def _modal_terms(mats, omega, disturbance):
+    """The pieces of the modal equations that every kernel reads: the
+    Omega-dependent operator A, the flattened cubic tensor N, the voltage
+    column b = M1^-1 F1 and the disturbance column M1^-1 e_target (None
+    without a disturbance).
+
+    With them, x' = A x + [0; 0; -N(p, p, p) + b v + column d; 0].  A target
+    outside the model's flexural equations 1..n raises ValueError.
+    """
+    column = None
+    if disturbance is not None:
+        if not 1 <= disturbance.target <= mats.n:
+            raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
+                             f"the model's flexural equations 1..{mats.n}")
+        column = mats.M1inv[:, disturbance.target - 1]
+    return StateOperator.build(mats, omega).A, mats.N, mats.b, column
+
+
 def closed_loop(mats, omega, policy=None, disturbance=None):
     """The modal equations at base rotation omega under a voltage policy, as
     f(x, t) -> (x', v); the Omega-dependent operator is built once, here.
@@ -91,14 +119,10 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
     disturbance force are then added.  No finiteness check is made; a
     disturbance target outside 1..n raises ValueError here.
     """
-    A, N, b = StateOperator.build(mats, omega).A, mats.N, mats.b
+    A, N, b, column = _modal_terms(mats, omega, disturbance)
     n = mats.n
     flex = slice(2 * n, 3 * n)
-    if disturbance is not None:
-        if not 1 <= disturbance.target <= n:
-            raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
-                             f"the model's flexural equations 1..{n}")
-        column, force = mats.M1inv[:, disturbance.target - 1], disturbance.force
+    force = None if disturbance is None else disturbance.force
 
     def f(x, t):
         out = A.dot(x)
@@ -107,7 +131,7 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
         v = policy(x, t, acc) if policy is not None else 0.0
         if v:
             acc += b * v
-        if disturbance is not None:
+        if column is not None:
             acc += column * force(t)
         return out, v
     return f
@@ -146,6 +170,45 @@ def rk4_step(f, x, t, dt, k1=None):
     s *= dt / 6.0
     s += x
     return s
+
+
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times, as fractions of the step
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+
+
+def _rk4_stage_maps(A, b, column, dt):
+    """Classical RK4 on x' = A x + E u as linear maps of one step's operand
+    z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s); v_s; d_s] holds
+    stage s's cubic force, voltage and disturbance value, and E puts -I, b
+    and the disturbance column into the flexural-acceleration rows.
+
+    Returns (S, F).  S[s] maps z to [y; A_flex y] for the input y of stage
+    s + 2 (s = 0, 1, 2), and reads only x and u1 .. u_{s+1}; A_flex are the
+    flexural-acceleration rows of A, so A_flex y - N(p, p, p) is the drift
+    that stage hands the policy.  F maps z to the step's new state.
+    """
+    d = A.shape[0]
+    n = d // 4
+    m = n + 2
+    flex = slice(2 * n, 3 * n)
+    E = np.zeros((n, m))
+    np.fill_diagonal(E, -1.0)
+    E[:, n] = b
+    if column is not None:
+        E[:, n + 1] = column
+    eye = np.eye(d, d + 4 * m)
+    S = np.empty((3, d + n, d + 4 * m))
+    K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
+    y = eye  # y1 = x
+    for s in range(4):
+        k = A.dot(y, out=K[s])
+        if s:
+            S[s - 1, d:] = k[flex]
+        k[flex, d + s * m:d + (s + 1) * m] = E  # A y_s does not read u_s
+        if s < 3:
+            y = S[s, :d] = eye + (_RK4_NODES[s + 1] * dt) * k
+    F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
+    return S, F
 
 
 AVF_RTOL = 1e-12
@@ -242,14 +305,80 @@ def compute_metrics(times, tip_w, voltage, period1):
     }
 
 
+def _run_rk4(mats, config, policy, x, states, voltage):
+    """Fill states and voltage with RK4 steps from x, through the stage maps.
+
+    Per step, stage 1 takes y1 = x and a0 = A_flex x - N(p, p, p), as
+    closed_loop does, so the logged voltage is closed_loop's at the logged
+    state; stages 2-4 each read [y_s; A_flex y_s] off one matvec with z, and
+    the new state is F z.  Every stage writes its cubic force, voltage and
+    disturbance value into z.
+    """
+    A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
+    force = None if column is None else config.disturbance.force
+    dt = float(config.dt)
+    S, F = _rk4_stage_maps(A, b, column, dt)
+    n = mats.n
+    d, m = 4 * n, n + 2
+    flex = slice(2 * n, 3 * n)
+    z = np.zeros(d + 4 * m)
+    first = z[:d + m]  # [x; u1], all that k1 reads
+    stages = [(z[d + s * m:d + (s + 1) * m], c * dt, maps)
+              for s, (c, maps) in enumerate(zip(_RK4_NODES, (*S, None)))]
+    nsteps = states.shape[0] - 1
+    for i in range(nsteps + 1):
+        t = i * dt  # times[i] bit for bit, as a Python float
+        states[i] = z[:d] = x
+        y, a0 = x, A.dot(x)[flex]
+        for s, (u, c, maps) in enumerate(stages):
+            ts = t + c
+            u[:n] = cubic = _contract3(N, y[:n])
+            if policy is not None:
+                a0 -= cubic
+                u[n] = policy(y, ts, a0)
+            if force is not None:
+                u[n + 1] = force(ts)
+            if s == 0:
+                voltage[i] = u[n]
+                if not np.isfinite(first).all():
+                    raise IntegrationBlowupError(t)
+                if i == nsteps:
+                    return
+            if maps is not None:
+                w = maps.dot(z)
+                y, a0 = w[:d], w[d:]
+        x = F.dot(z)
+
+
+def _run_steps(mats, config, policy, x, states, voltage):
+    """Fill states and voltage with steps of config.integrator from x, each
+    stage one closed_loop evaluation."""
+    f = closed_loop(mats, config.Omega, policy, config.disturbance)
+    advance = INTEGRATORS[config.integrator]
+
+    def deriv(xs, ts):
+        return f(xs, ts)[0]
+
+    dt = float(config.dt)
+    nsteps = states.shape[0] - 1
+    for i in range(nsteps + 1):
+        t = i * dt
+        states[i] = x
+        k1, voltage[i] = f(x, t)
+        if not np.isfinite(k1).all():
+            raise IntegrationBlowupError(t)
+        if i < nsteps:
+            x = advance(deriv, x, t, dt, k1=k1)
+
+
 def simulate(config, mats, basis, controller=None):
     """Fixed-step run with config.integrator; returns the sampled Trajectory
     with metrics.
 
     The controller is a voltage policy (x, t, a0) -> volts (see
-    closed_loop), supplied exactly when config.controller_on is set.  The
-    voltage logged at each sample is the one the first stage of the step
-    from that sample used.
+    closed_loop), supplied exactly when config.controller_on is set, and
+    called once per stage.  The voltage logged at each sample is the one
+    the first stage of the step from that sample used.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -262,12 +391,6 @@ def simulate(config, mats, basis, controller=None):
         raise ValueError("SimConfig.controller_on must be set exactly when a control "
                          "policy is supplied")
 
-    f = closed_loop(mats, config.Omega, controller, config.disturbance)
-    advance = INTEGRATORS[config.integrator]
-
-    def deriv(xs, ts):
-        return f(xs, ts)[0]
-
     x = np.zeros(4 * n) if config.initial_state is None else \
         np.array(config.initial_state, dtype=float)
     if x.shape != (4 * n,):
@@ -278,16 +401,10 @@ def simulate(config, mats, basis, controller=None):
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
+    run = _run_rk4 if config.integrator == "rk4" else _run_steps
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nsteps + 1):
-            t = i * dt  # times[i] bit for bit, as a Python float
-            states[i] = x
-            k1, voltage[i] = f(x, t)
-            if not np.isfinite(k1).all():
-                raise IntegrationBlowupError(t)
-            if i < nsteps:
-                x = advance(deriv, x, t, dt, k1=k1)
+        run(mats, config, controller, x, states, voltage)
     tip_w = states[:, :n] @ basis.flexural_tip_values()
     tip_theta = states[:, n:2 * n] @ basis.torsional_tip_values()
     metrics = compute_metrics(times, tip_w, voltage, 2.0 * math.pi / om_f[0])

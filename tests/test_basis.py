@@ -60,6 +60,16 @@ def test_tip_values_stored_once_read_only():
         assert np.array_equal(tips(), [mode(j, 0.15)[0] for j in (1, 2, 3)])
 
 
+def test_equality_and_hash_by_identity():
+    # array fields: generated field-wise __eq__ would raise, and __hash__
+    # would be unhashable
+    b = ModalBasis.build(2, 0.15)
+    assert b == b
+    assert (b == ModalBasis.build(2, 0.15)) is False
+    assert hash(b) == hash(b)
+    assert {b: 1}[b] == 1
+
+
 def test_norm_integral_is_length():
     # classical property of the sigma normalization, fine trapezoid oracle
     L = 0.15

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam.cli import (ConfigError, build_model, load_config, main, run_scenario,
-                           write_csv)
+from piezobeam.cli import (CSV_BLOCK_ROWS, ConfigError, build_model, load_config, main,
+                           run_scenario, write_csv)
 from piezobeam.dynamics import Trajectory, compute_metrics
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -153,6 +153,24 @@ class TestRunScenario:
             b"2.0000000000000002e-05,4.9406564584124654e-324,-2.2250738585071999e-308,"
             b"0.33333333333333331,-1.0000000000000001e+300,0.10000000000000001,"
             b"-4.9406564584124654e-324,200\n")
+
+    def test_csv_blocks_match_savetxt_byte_for_byte(self, tmp_path):
+        # two full blocks and a partial one, against np.savetxt on the same table
+        rows, n = 2 * CSV_BLOCK_ROWS + 123, 2
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(rows, 4 * n + 4)) * 10.0 ** rng.integers(-300, 300, (rows, 1))
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308]
+        table[CSV_BLOCK_ROWS - 3:CSV_BLOCK_ROWS + 3, 3] = special  # across a block edge
+        traj = Trajectory(times=table[:, 0], states=table[:, 1:4 * n + 1],
+                          tip_w=table[:, -3], tip_theta=table[:, -2], voltage=table[:, -1])
+        write_csv(tmp_path / "blocks.csv", traj, n)
+        header = ",".join(["t", "p1", "p2", "q1", "q2", "dp1", "dp2", "dq1", "dq2",
+                           "w_tip", "theta_tip", "v_p"])
+        with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written.count(b"\n") == rows + 1
+        assert written == (tmp_path / "savetxt.csv").read_bytes()
 
     def test_manifest_written_and_determinism(self, short_cfg, tmp_path):
         # each run on its own model, so a rebuild must reproduce it too
