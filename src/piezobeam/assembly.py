@@ -64,7 +64,6 @@ class PiezoSpec:
     G_p: float = 23e9
     rho_p: float = 7500.0
     d31: float = -320e-12
-    v_max: float = 200.0  # None disables saturation
 
     def __post_init__(self):
         _positive(self, ("t_p", "w_p", "E_p", "G_p", "rho_p"))
@@ -255,14 +254,9 @@ def assemble(beam, piezo, basis, quad_points=32):
     x, w = gauss_panels(breaks, quad_points)
     sec = section_properties(x, beam, piezo)
 
-    phi = np.empty((n, x.size))
-    dphi = np.empty((n, x.size))
-    ddphi = np.empty((n, x.size))
-    psi = np.empty((n, x.size))
-    dpsi = np.empty((n, x.size))
-    for j in range(1, n + 1):
-        phi[j - 1], dphi[j - 1], ddphi[j - 1] = basis.flexural_mode(j, x)
-        psi[j - 1], dpsi[j - 1] = basis.torsional_mode(j, x)
+    modes = np.arange(1, n + 1)
+    phi, dphi, ddphi = basis.flexural_mode(modes[:, None], x)  # (n, nodes) each
+    psi, dpsi = basis.torsional_mode(modes[:, None], x)
 
     M1 = np.einsum("m,im,jm->ij", w * sec.rhoA, phi, phi)
     M2 = np.einsum("m,im,jm->ij", w * sec.Ix, psi, psi)
@@ -274,11 +268,8 @@ def assemble(beam, piezo, basis, quad_points=32):
     G1 = np.einsum("m,im,jm,km,lm->ijkl", w * sec.EA, dphi, dphi, dphi, dphi)
 
     Mp0 = piezo_moment_coefficient(beam, piezo) if piezo is not None else 0.0
-    F1 = np.zeros(n)
-    if has_patch:
-        for j in range(1, n + 1):
-            F1[j - 1] = Mp0 * (basis.flexural_mode(j, piezo.l2)[1]
-                               - basis.flexural_mode(j, piezo.l1)[1])
+    F1 = Mp0 * (basis.flexural_mode(modes, piezo.l2)[1]
+                - basis.flexural_mode(modes, piezo.l1)[1]) if has_patch else np.zeros(n)
 
     mats = SystemMatrices(n=n, M1=M1, M2=M2, CB=np.zeros((n, n)), CT=np.zeros((n, n)),
                           C1=C1, C2=C2, K1=K1, K2=K2, D1=D1, G1=G1, F1=F1, Mp0=Mp0)

@@ -81,27 +81,29 @@ class ModalBasis:
         # evaluated once per basis and shared read-only by every caller
         for name, mode in (("_flexural_tips", basis.flexural_mode),
                            ("_torsional_tips", basis.torsional_mode)):
-            tips = np.array([mode(j, basis.length)[0] for j in range(1, n + 1)])
+            tips = mode(np.arange(1, n + 1), basis.length)[0]
             tips.setflags(write=False)
             object.__setattr__(basis, name, tips)  # frozen, and not a field
         return basis
 
     def _check_args(self, j, x):
-        if not 1 <= j <= self.n:
+        j = np.asarray(j)
+        if not np.all((1 <= j) & (j <= self.n)):
             raise ValueError(f"mode index {j} outside 1..{self.n}")
         x = np.asarray(x, dtype=float)
         if np.any(x < 0) or np.any(x > self.length * (1 + 1e-12)):
             raise ValueError(f"position outside [0, {self.length}]")
-        return x
+        return j, x
 
     def flexural_mode(self, j, x):
-        """Return (phi, phi', phi'') of flexural mode j at x (scalar or array).
+        """Return (phi, phi', phi'') of flexural mode j at x, with j an int
+        or an int array of mode indices broadcast against x (scalar or array).
 
         The combinations cosh(z) - sigma*sinh(z) are evaluated as
         0.5*((1-sigma)*e^z + (1+sigma)*e^-z) so no large-argument cancellation
         occurs even though sigma -> 1 for high modes.
         """
-        x = self._check_args(j, x)
+        j, x = self._check_args(j, x)
         lam = self.flexural_roots[j - 1]
         sig = self.sigma[j - 1]
         dsig = self.one_minus_sigma[j - 1]
@@ -117,8 +119,9 @@ class ModalBasis:
         return phi, dphi, ddphi
 
     def torsional_mode(self, j, x):
-        """Return (psi, psi') of torsional mode j at x."""
-        x = self._check_args(j, x)
+        """Return (psi, psi') of torsional mode j at x, broadcast as in
+        flexural_mode."""
+        j, x = self._check_args(j, x)
         k = (2 * j - 1) * np.pi / (2.0 * self.length)
         return np.sin(k * x), k * np.cos(k * x)
 

@@ -46,8 +46,8 @@ class AppConfig:
 
     The `beam` and `piezo` YAML sections hold the BeamSpec and PiezoSpec
     fields under their own names; every other field names its YAML key.  A
-    key that is absent or null keeps its default.  Two defaults follow other
-    fields: piezo.w_p is beam.b, and controller.v_max is piezo.v_max.
+    key that is absent or null keeps its default.  One default follows
+    another field: piezo.w_p is beam.b.
     """
 
     beam: BeamSpec
@@ -63,11 +63,9 @@ class AppConfig:
     # None -> first flexural frequency at Omega = 0
     ctrl_omega_cl: float = _key("controller.omega_cl", None)
     ctrl_zeta_cl: float = _key("controller.zeta_cl", 0.8)
-    ctrl_v_max: float = _key("controller.v_max", None)
+    ctrl_v_max: float = _key("controller.v_max", 200.0)
 
     def __post_init__(self):
-        if self.ctrl_v_max is None:
-            self.ctrl_v_max = self.piezo.v_max
         n = self.n_modes
         for key, ok, rule in (
                 ("piezo.l2", self.piezo.l2 <= self.beam.L, "patch end beyond beam length"),
@@ -84,8 +82,6 @@ class AppConfig:
                 ("controller.omega_cl", self.ctrl_omega_cl is None or self.ctrl_omega_cl > 0,
                  "must be null or > 0"),
                 ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
-                ("piezo.v_max", self.piezo.v_max is None or self.piezo.v_max > 0,
-                 "must be null or > 0"),
                 ("controller.v_max", self.ctrl_v_max is None or self.ctrl_v_max > 0,
                  "must be null or > 0")):
             if not ok:
@@ -232,48 +228,48 @@ def write_csv(path, traj, n):
 
 
 def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
-    """Run one scenario on the model build_model(cfg) returned, then write
-    its CSV trajectory, metrics JSON and manifest.
+    """Run one scenario, or both for name="all", on the model build_model(cfg)
+    returned, then write each one's CSV trajectory, metrics JSON and
+    manifest; returns {scenario: metrics} in SCENARIOS order.
 
-    Nothing is written unless every simulation of the scenario succeeds.
-    For the disturbance scenario with the controller on, an uncontrolled
-    companion run is performed and exported alongside, and the manifest
-    lists it, so the attenuation figure is reproducible from the written
-    files.
+    Every simulation of the call runs before out_dir is created, so a call
+    that fails writes nothing.  For the disturbance scenario with the
+    controller on, an uncontrolled companion run is performed and exported
+    alongside, and the manifest lists it, so the attenuation figure is
+    reproducible from the written files.
     """
-    if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+    if name not in SCENARIOS + ("all",):
+        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS} or 'all'")
     controller = make_policy(mats, _build_controller(cfg, mats, basis), cfg.Omega) \
         if controller_on else None
-    tag = f"{name}_{'on' if controller_on else 'off'}"
-    runs = {tag: simulate(_sim_config(cfg, basis, name, controller_on), mats, basis,
-                          controller=controller)}
-    outputs = {"csv": f"{tag}.csv", "metrics": f"{tag}_metrics.json"}
+    state = "on" if controller_on else "off"
+    record = {"controller": state, "config": cfg.as_dict(),
+              "matrices_sha256": hashlib.sha256(mats.tobytes()).hexdigest()}
+    runs, results, docs = {}, {}, {}  # docs: {file name: JSON record}
+    for scenario in SCENARIOS if name == "all" else (name,):
+        tag = f"{scenario}_{state}"
+        runs[tag] = simulate(_sim_config(cfg, basis, scenario, controller_on), mats, basis,
+                             controller=controller)
+        metrics = results[scenario] = dict(runs[tag].metrics)
+        outputs = {"csv": f"{tag}.csv", "metrics": f"{tag}_metrics.json"}
+        if scenario == "disturbance" and controller_on:
+            companion = runs[f"{scenario}_off"] = simulate(
+                _sim_config(cfg, basis, scenario, False), mats, basis)
+            outputs["companion_csv"] = f"{scenario}_off.csv"
+            rms_off = companion.metrics["rms_tip_after_transient_m"]
+            rms_on = metrics["rms_tip_after_transient_m"]
+            metrics["attenuation_db"] = (20.0 * math.log10(rms_off / rms_on)
+                                         if rms_on > 0 else float("inf"))
+        docs[outputs["metrics"]] = metrics
+        docs[f"{tag}_manifest.json"] = {"scenario": scenario, **record, "outputs": outputs}
 
-    metrics = dict(runs[tag].metrics)
-    if name == "disturbance" and controller_on:
-        companion = runs[f"{name}_off"] = simulate(_sim_config(cfg, basis, name, False),
-                                                   mats, basis)
-        outputs["companion_csv"] = f"{name}_off.csv"
-        rms_off = companion.metrics["rms_tip_after_transient_m"]
-        rms_on = metrics["rms_tip_after_transient_m"]
-        metrics["attenuation_db"] = (20.0 * math.log10(rms_off / rms_on)
-                                     if rms_on > 0 else float("inf"))
-
-    manifest = {
-        "scenario": name,
-        "controller": "on" if controller_on else "off",
-        "config": cfg.as_dict(),
-        "matrices_sha256": hashlib.sha256(mats.tobytes()).hexdigest(),
-        "outputs": outputs,
-    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    for run_tag, traj in runs.items():
-        write_csv(out_dir / f"{run_tag}.csv", traj, cfg.n_modes)
-    for path, record in ((outputs["metrics"], metrics), (f"{tag}_manifest.json", manifest)):
+    for tag, traj in runs.items():
+        write_csv(out_dir / f"{tag}.csv", traj, cfg.n_modes)
+    for path, doc in docs.items():
         with open(out_dir / path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-    return metrics
+            json.dump(doc, fh, indent=2, sort_keys=True)
+    return results
 
 
 # (flag, the config key it overrides and stores its value under, type, help)
@@ -326,10 +322,9 @@ def main(argv=None):
             export_matrices(mats, args.export_matrices)
             return 0
 
-        names = SCENARIOS if args.scenario == "all" else (args.scenario,)
-        for name in names:
-            metrics = run_scenario(name, cfg, basis, mats, Path(args.out),
-                                   controller_on=args.controller == "on")
+        results = run_scenario(args.scenario, cfg, basis, mats, Path(args.out),
+                               controller_on=args.controller == "on")
+        for name, metrics in results.items():
             print(f"{name} [controller {args.controller}]: "
                   + json.dumps(metrics, sort_keys=True))
         return 0

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+AUTHORITY_TOLERANCE = 1e-12  # least |beta|, the output's acceleration per volt
+
 
 class ControlAuthorityError(RuntimeError):
     def __init__(self, beta):
@@ -38,7 +40,6 @@ class ControllerConfig:
     k1: float
     output_weights: np.ndarray
     v_max: float = None
-    authority_tolerance: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.k0 < math.inf and 0 < self.k1 < math.inf):
@@ -64,12 +65,12 @@ def make_policy(mats, ctrl, omega):
     disturbance is not fed forward.
 
     The output's acceleration per volt, beta = c M1^-1 F1, does not depend
-    on omega; ControlAuthorityError is raised here if |beta| is below the
-    authority tolerance.
+    on omega; ControlAuthorityError is raised here if |beta| is below
+    AUTHORITY_TOLERANCE.
     """
     c = ctrl.output_weights
     beta = float(c @ mats.b)
-    if abs(beta) < ctrl.authority_tolerance:
+    if abs(beta) < AUTHORITY_TOLERANCE:
         raise ControlAuthorityError(beta)
     n, v_max = mats.n, ctrl.v_max
     # k0*y + k1*yd (see output) as one row on the state: two dot products a call

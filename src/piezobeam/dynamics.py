@@ -149,16 +149,14 @@ def rhs(x, t, v_p, mats, omega, disturbance=None):
     return out
 
 
-def rk4_step(f, x, t, dt, k1=None):
-    """One classical Runge-Kutta step of x' = f(x, t); k1 = f(x, t) when the
-    caller has it already.
+def rk4_step(f, x, t, dt):
+    """One classical Runge-Kutta step of x' = f(x, t).
 
     The step is x + (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), rounded in that
     order.  It writes into neither its arguments nor any array f returns, so
     f may return the same array on every call.
     """
-    if k1 is None:
-        k1 = f(x, t)
+    k1 = f(x, t)
     h = 0.5 * dt
     k2 = f(x + h * k1, t + h)
     k3 = f(x + h * k2, t + h)
@@ -350,11 +348,10 @@ def _run_rk4(mats, config, policy, x, states, voltage):
         x = F.dot(z)
 
 
-def _run_steps(mats, config, policy, x, states, voltage):
-    """Fill states and voltage with steps of config.integrator from x, each
-    stage one closed_loop evaluation."""
+def _run_avf(mats, config, policy, x, states, voltage):
+    """Fill states and voltage with AVF steps from x, each right-hand side
+    one closed_loop evaluation."""
     f = closed_loop(mats, config.Omega, policy, config.disturbance)
-    advance = INTEGRATORS[config.integrator]
 
     def deriv(xs, ts):
         return f(xs, ts)[0]
@@ -368,7 +365,7 @@ def _run_steps(mats, config, policy, x, states, voltage):
         if not np.isfinite(k1).all():
             raise IntegrationBlowupError(t)
         if i < nsteps:
-            x = advance(deriv, x, t, dt, k1=k1)
+            x = avf_step(deriv, x, t, dt, k1=k1)
 
 
 def simulate(config, mats, basis, controller=None):
@@ -401,7 +398,7 @@ def simulate(config, mats, basis, controller=None):
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
-    run = _run_rk4 if config.integrator == "rk4" else _run_steps
+    run = _run_rk4 if config.integrator == "rk4" else _run_avf
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         run(mats, config, controller, x, states, voltage)

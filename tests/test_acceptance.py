@@ -141,7 +141,7 @@ def test_criterion_6_disturbance_rejection(tmp_path):
     # closed-loop stiffness well above the drive
     cfg.ctrl_omega_cl = 700.0
     metrics = run_scenario("disturbance", cfg, *build_model(cfg), tmp_path,
-                           controller_on=True)
+                           controller_on=True)["disturbance"]
     elapsed = time.time() - t0
     att = metrics["attenuation_db"]
     ok = att >= 20.0 and elapsed < 120.0

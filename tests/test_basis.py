@@ -153,6 +153,24 @@ def test_domain_errors():
         b.torsional_mode(1, 0.2)
 
 
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_mode_arrays_are_the_stacked_single_modes(n):
+    # bit for bit: assemble and the tip vectors rely on it
+    b = ModalBasis.build(n, 0.15)
+    modes = np.arange(1, n + 1)
+    x = np.concatenate(([0.0, 0.15], np.linspace(0.0, 0.15, 37)))
+    for mode in (b.flexural_mode, b.torsional_mode):
+        for j, at in ((modes[:, None], x), (modes, 0.15)):
+            for k, got in enumerate(mode(j, at)):
+                want = np.stack([mode(i, at)[k] for i in modes])
+                assert got.shape == want.shape and np.array_equal(got, want)
+    for bad in ([1, 0], [1, n + 1], [[1], [n + 1]]):
+        with pytest.raises(ValueError, match="mode index"):
+            b.flexural_mode(np.array(bad), x)
+        with pytest.raises(ValueError, match="mode index"):
+            b.torsional_mode(np.array(bad), x)
+
+
 def test_derivatives_are_analytic_not_fd():
     # derivative values match central differences of phi to O(h^2)
     b = ModalBasis.build(2, 0.15)

@@ -33,6 +33,7 @@ class TestLoadConfig:
         assert cfg.beam.zeta_tors == (0.01, 0.0033)
         assert cfg.Omega == 20.0
         assert cfg.n_modes == 2
+        assert cfg.ctrl_v_max == 200.0
 
     def test_no_file_gives_defaults(self):
         cfg = load_config(None)
@@ -78,12 +79,9 @@ class TestLoadConfig:
     def test_derived_defaults_follow(self, tmp_path):
         cfg = load_config(write(tmp_path, "beam:\n  b: 2.0e-2\n"))
         assert cfg.piezo.w_p == 2.0e-2
-        cfg = load_config(write(tmp_path, "piezo:\n  v_max: 150\n"))
-        assert cfg.ctrl_v_max == 150.0
-        # set explicitly, neither follows
-        cfg = load_config(write(tmp_path, "beam: {b: 2.0e-2}\npiezo: {w_p: 1.0e-2, v_max: 150}\n"
-                                          "controller: {v_max: 90}\n"))
-        assert (cfg.piezo.w_p, cfg.ctrl_v_max) == (1.0e-2, 90.0)
+        # set explicitly, it does not follow
+        cfg = load_config(write(tmp_path, "beam: {b: 2.0e-2}\npiezo: {w_p: 1.0e-2}\n"))
+        assert cfg.piezo.w_p == 1.0e-2
 
     def test_integral_float_is_an_int(self, tmp_path):
         cfg = load_config(write(tmp_path, "sim: {n_modes: 2.0}\n"))
@@ -119,9 +117,9 @@ def short_model(short_cfg):
 class TestRunScenario:
     def test_free_controller_shrinks_settling(self, short_cfg, short_model, tmp_path):
         m_off = run_scenario("free", short_cfg, *short_model, tmp_path / "off",
-                             controller_on=False)
+                             controller_on=False)["free"]
         m_on = run_scenario("free", short_cfg, *short_model, tmp_path / "on",
-                            controller_on=True)
+                            controller_on=True)["free"]
         t_off = m_off["settling_time_s"] or math.inf
         t_on = m_on["settling_time_s"] or math.inf
         assert t_on < t_off
@@ -192,7 +190,8 @@ class TestRunScenario:
 
     def test_metrics_recomputable_from_csv(self, short_cfg, short_model, tmp_path):
         from piezobeam.assembly import linear_frequencies
-        metrics = run_scenario("free", short_cfg, *short_model, tmp_path, controller_on=True)
+        metrics = run_scenario("free", short_cfg, *short_model, tmp_path,
+                               controller_on=True)["free"]
         _, mats = short_model
         om_f, _ = linear_frequencies(mats, 0.0)
         data = np.genfromtxt(tmp_path / "free_on.csv", delimiter=",", names=True)
@@ -202,7 +201,7 @@ class TestRunScenario:
 
     def test_disturbance_attenuation_and_fft_peak(self, short_cfg, short_model, tmp_path):
         metrics = run_scenario("disturbance", short_cfg, *short_model, tmp_path,
-                               controller_on=True)
+                               controller_on=True)["disturbance"]
         assert metrics["attenuation_db"] > 0
         # dominant FFT peak of the uncontrolled companion sits at 24 Hz
         data = np.genfromtxt(tmp_path / "disturbance_off.csv",
@@ -225,6 +224,22 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             run_scenario("bogus", short_cfg, *short_model, tmp_path)
 
+    @pytest.mark.parametrize("controller_on", [True, False], ids=["on", "off"])
+    def test_all_is_each_scenario_in_turn(self, short_cfg, short_model, tmp_path,
+                                          controller_on):
+        cfg = replace(short_cfg, t_final=0.01)
+        both = run_scenario("all", cfg, *short_model, tmp_path / "all", controller_on)
+        each = {}
+        for name in ("free", "disturbance"):
+            each.update(run_scenario(name, cfg, *short_model, tmp_path / "each",
+                                     controller_on))
+        assert list(both) == ["free", "disturbance"]
+        assert both == each
+        written = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+                   for d in ("all", "each")]
+        assert written[0] == written[1]
+        assert len(written[0]) == (7 if controller_on else 6)
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -244,6 +259,16 @@ class TestMainExitCodes:
         rc = main(["--config", cfg, "--scenario", "free", "--controller", "off",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_failed_call_writes_nothing(self, tmp_path, capsys):
+        # the free release succeeds; the forced run then blows up
+        cfg = write(tmp_path, "disturbance: {amplitude: 1.0e6}\n")
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--scenario", "all", "--controller", "off",
+                   "--tfinal", "0.05", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_authority_failure(self, tmp_path, capsys):
         # degenerate patch: F1 = 0, the controller has no authority

@@ -156,8 +156,7 @@ class TestControlVoltage:
         # output weights orthogonal to M1^-1 F1 kill the decoupling gain
         w = np.linalg.solve(mats.M1, mats.F1)
         c = np.array([-w[1], w[0]])
-        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=c,
-                               authority_tolerance=1e-9)
+        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=c)
         x = np.zeros(8)
         x[0] = 1e-3
         with pytest.raises(ControlAuthorityError):
@@ -226,8 +225,7 @@ class TestPolicy:
 
     def test_authority_checked_when_built(self, mats):
         w = np.linalg.solve(mats.M1, mats.F1)
-        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=np.array([-w[1], w[0]]),
-                                authority_tolerance=1e-9)
+        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=np.array([-w[1], w[0]]))
         with pytest.raises(ControlAuthorityError):
             make_policy(mats, ctrl, 20.0)
 
