@@ -5,7 +5,7 @@ quadrature with the panels split at the piezo patch edges, so no integrand
 ever crosses the Heaviside jump in the section properties.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -179,6 +179,8 @@ class SystemMatrices:
     M2inv: np.ndarray = field(default=None, repr=False, compare=False)
     b: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 F1
     N: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
+    # (A0, A1, A2): StateOperator's A(Omega) = A0 + Omega A1 + Omega^2 A2
+    A_parts: tuple = field(default=None, repr=False, compare=False)
     # (flexural, torsional) linear frequencies at Omega = 0 in rad/s
     natural_frequencies: tuple = field(default=None, repr=False, compare=False)
 
@@ -186,9 +188,20 @@ class SystemMatrices:
         n = self.n
         (L1, L1inv), (L2, L2inv) = _cholesky(self.M1, "M1"), _cholesky(self.M2, "M2")
         # M^-1 = L^-T L^-1 by a second triangular solve, as LAPACK's potrs does
-        self.M1inv, self.M2inv = np.linalg.solve(L1.T, L1inv), np.linalg.solve(L2.T, L2inv)
-        self.b = self.M1inv @ self.F1
-        self.N = (self.M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
+        self.M1inv, self.M2inv = M1inv, M2inv = (np.linalg.solve(L1.T, L1inv),
+                                                 np.linalg.solve(L2.T, L2inv))
+        self.b = M1inv @ self.F1
+        self.N = (M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
+        p, q, pd, qd = (slice(k * n, (k + 1) * n) for k in range(4))
+        A0, A1, A2 = self.A_parts = tuple(np.zeros((3, 4 * n, 4 * n)))
+        A0[:2 * n, 2 * n:] = np.eye(2 * n)
+        A0[pd, p] = -M1inv @ self.K1
+        A2[pd, p] = -M1inv @ self.D1
+        A0[pd, pd] = -M1inv @ self.CB
+        A1[pd, qd] = -(M1inv @ self.C1)
+        A0[qd, q] = -M2inv @ self.K2
+        A1[qd, pd] = -(M2inv @ self.C2)
+        A0[qd, qd] = -M2inv @ self.CT
         self.natural_frequencies = linear_frequencies(self, 0.0)
 
     def tobytes(self):
@@ -217,17 +230,9 @@ class StateOperator:
 
     @classmethod
     def build(cls, mats, omega):
-        n = mats.n
-        M1inv, M2inv = mats.M1inv, mats.M2inv
-        A = np.zeros((4 * n, 4 * n))
-        A[:2 * n, 2 * n:] = np.eye(2 * n)
-        A[2 * n:3 * n, :n] = -M1inv @ (mats.K1 + omega ** 2 * mats.D1)
-        A[2 * n:3 * n, 2 * n:3 * n] = -M1inv @ mats.CB
-        A[2 * n:3 * n, 3 * n:] = -omega * (M1inv @ mats.C1)
-        A[3 * n:, n:2 * n] = -M2inv @ mats.K2
-        A[3 * n:, 2 * n:3 * n] = -omega * (M2inv @ mats.C2)
-        A[3 * n:, 3 * n:] = -M2inv @ mats.CT
-        return cls(A=A)
+        """A at omega from the Omega-independent parts mats.A_parts."""
+        A0, A1, A2 = mats.A_parts
+        return cls(A=A0 + omega * A1 + omega ** 2 * A2)
 
 
 def gauss_panels(breakpoints, points_per_panel):
@@ -271,11 +276,10 @@ def assemble(beam, piezo, basis, quad_points=32):
     F1 = Mp0 * (basis.flexural_mode(modes, piezo.l2)[1]
                 - basis.flexural_mode(modes, piezo.l1)[1]) if has_patch else np.zeros(n)
 
-    mats = SystemMatrices(n=n, M1=M1, M2=M2, CB=np.zeros((n, n)), CT=np.zeros((n, n)),
-                          C1=C1, C2=C2, K1=K1, K2=K2, D1=D1, G1=G1, F1=F1, Mp0=Mp0)
-    CB, CT = damping_matrices(mats, beam)
-    mats.CB, mats.CT = CB, CT
-    return mats
+    undamped = SystemMatrices(n=n, M1=M1, M2=M2, CB=np.zeros((n, n)), CT=np.zeros((n, n)),
+                              C1=C1, C2=C2, K1=K1, K2=K2, D1=D1, G1=G1, F1=F1, Mp0=Mp0)
+    CB, CT = damping_matrices(undamped, beam)  # from its natural frequencies
+    return replace(undamped, CB=CB, CT=CT)
 
 
 def _cholesky(M, name):

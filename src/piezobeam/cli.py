@@ -82,8 +82,7 @@ class AppConfig:
                 ("controller.omega_cl", self.ctrl_omega_cl is None or self.ctrl_omega_cl > 0,
                  "must be null or > 0"),
                 ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
-                ("controller.v_max", self.ctrl_v_max is None or self.ctrl_v_max > 0,
-                 "must be null or > 0")):
+                ("controller.v_max", self.ctrl_v_max > 0, "must be > 0")):
             if not ok:
                 raise ConfigError(f"{key}: {rule}")
 

@@ -8,11 +8,13 @@ The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
 the cubic force, the piezo voltage and the disturbance value.  closed_loop
 evaluates them once per call; rhs, step and the AVF runs go through it.
 simulate's RK4 runs use stage maps instead (_rk4_stage_maps): RK4 on these
-equations is linear in z = [x; u1; u2; u3; u4], so each stage's input, and
-the linear part of the drift the law cancels, is one matvec with z, and the
+equations is linear in z = [x; u1; u2; u3; u4], so each stage's input, the
+linear part of the drift the law cancels and the first contraction N p of
+the cubic force are one matvec with z (with x, for the first stage), and the
 new state is another, with the maps built once per run.  The policy is still
-called once per stage, on that stage's input; only the cubic force, the law
-and the disturbance are evaluated per stage.
+called once per stage, on that stage's input; per stage only the two
+remaining cubic contractions and the law are evaluated, and the disturbance
+once per block of steps.
 """
 
 import math
@@ -50,7 +52,8 @@ class Disturbance:
                       ("target", 1 <= self.target, ">= 1")))
 
     def force(self, t):
-        return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
+        """The force at time t, a float or an array of times."""
+        return self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)
 
 
 @dataclass
@@ -172,18 +175,22 @@ def rk4_step(f, x, t, dt):
 
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times, as fractions of the step
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+_FORCE_BLOCK = 256  # steps per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, b, column, dt):
+def _rk4_stage_maps(A, N, b, column, dt):
     """Classical RK4 on x' = A x + E u as linear maps of one step's operand
     z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s); v_s; d_s] holds
     stage s's cubic force, voltage and disturbance value, and E puts -I, b
     and the disturbance column into the flexural-acceleration rows.
 
-    Returns (S, F).  S[s] maps z to [y; A_flex y] for the input y of stage
-    s + 2 (s = 0, 1, 2), and reads only x and u1 .. u_{s+1}; A_flex are the
-    flexural-acceleration rows of A, so A_flex y - N(p, p, p) is the drift
-    that stage hands the policy.  F maps z to the step's new state.
+    Returns (S1, S, F).  S1 maps x to [A x; N p], N the flattened cubic
+    tensor (n^3, n), so N p is the first of the cubic force's three
+    contractions.  S[s] maps z to [y; A_flex y; N p] for the input y = [p;
+    ...] of stage s + 2 (s = 0, 1, 2), and reads only x and u1 .. u_{s+1};
+    A_flex are the flexural-acceleration rows of A, so A_flex y - N(p, p, p)
+    is the drift that stage hands the policy.  F maps z to the step's new
+    state.
     """
     d = A.shape[0]
     n = d // 4
@@ -194,19 +201,23 @@ def _rk4_stage_maps(A, b, column, dt):
     E[:, n] = b
     if column is not None:
         E[:, n + 1] = column
+    S1 = np.zeros((d + N.shape[0], d))
+    S1[:d] = A
+    S1[d:, :n] = N
     eye = np.eye(d, d + 4 * m)
-    S = np.empty((3, d + n, d + 4 * m))
+    S = np.empty((3, d + n + N.shape[0], d + 4 * m))
     K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
     y = eye  # y1 = x
     for s in range(4):
         k = A.dot(y, out=K[s])
         if s:
-            S[s - 1, d:] = k[flex]
+            S[s - 1, d:d + n] = k[flex]
         k[flex, d + s * m:d + (s + 1) * m] = E  # A y_s does not read u_s
         if s < 3:
             y = S[s, :d] = eye + (_RK4_NODES[s + 1] * dt) * k
+            N.dot(y[:n], out=S[s, d + n:])
     F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
-    return S, F
+    return S1, S, F
 
 
 AVF_RTOL = 1e-12
@@ -306,46 +317,62 @@ def compute_metrics(times, tip_w, voltage, period1):
 def _run_rk4(mats, config, policy, x, states, voltage):
     """Fill states and voltage with RK4 steps from x, through the stage maps.
 
-    Per step, stage 1 takes y1 = x and a0 = A_flex x - N(p, p, p), as
-    closed_loop does, so the logged voltage is closed_loop's at the logged
-    state; stages 2-4 each read [y_s; A_flex y_s] off one matvec with z, and
-    the new state is F z.  Every stage writes its cubic force, voltage and
-    disturbance value into z.
+    The step operand z, the stage maps' outputs and the cubic contractions
+    live in buffers made once per run.  Per stage one matvec gives the
+    stage's input y, its a0 before the cubic force and N p (stage 1 takes
+    y1 = x and [A x; N p] from x, so its a0 = A_flex x - N(p, p, p) and the
+    logged voltage are closed_loop's at the logged state); two more
+    contractions write the cubic force into the stage's slot of z.  The
+    disturbance values of a step's four stages come from one vectorised
+    Disturbance.force call per _FORCE_BLOCK steps, and the new state is F z.
     """
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
-    force = None if column is None else config.disturbance.force
     dt = float(config.dt)
-    S, F = _rk4_stage_maps(A, b, column, dt)
+    S1, S, F = _rk4_stage_maps(A, N, b, column, dt)
     n = mats.n
     d, m = 4 * n, n + 2
-    flex = slice(2 * n, 3 * n)
     z = np.zeros(d + 4 * m)
+    z[:d] = states[0] = x
+    x = z[:d]
     first = z[:d + m]  # [x; u1], all that k1 reads
-    stages = [(z[d + s * m:d + (s + 1) * m], c * dt, maps)
-              for s, (c, maps) in enumerate(zip(_RK4_NODES, (*S, None)))]
+    probe = np.zeros(d + m)  # probe . [x; u1] is 0 unless an entry is NaN or infinite
+    forcing = z[d + n + 1::m]  # d_1 .. d_4
+    offsets = np.array([c * dt for c in _RK4_NODES])
+    contracted = np.empty(n * n)
+    contracted_nn = contracted.reshape(n, n)
+    stages = []
+    for s, (maps, c) in enumerate(zip((S1, *S), _RK4_NODES)):
+        w = np.empty(maps.shape[0])
+        # stage 1 reads [A x; N p] off x, stages 2-4 [y; A_flex y; N p] off z
+        src, y, a0 = (x, x, w[2 * n:3 * n]) if s == 0 else (z, w[:d], w[d:d + n])
+        u = d + s * m  # u_s in z
+        stages.append((maps, src, w, y, y[:n], a0, w[-n ** 3:].reshape(n * n, n),
+                       z[u:u + n], u + n, c * dt))
     nsteps = states.shape[0] - 1
     for i in range(nsteps + 1):
         t = i * dt  # times[i] bit for bit, as a Python float
-        states[i] = z[:d] = x
-        y, a0 = x, A.dot(x)[flex]
-        for s, (u, c, maps) in enumerate(stages):
-            ts = t + c
-            u[:n] = cubic = _contract3(N, y[:n])
+        if column is not None:
+            j = i % _FORCE_BLOCK
+            if j == 0:
+                block = np.arange(i, min(i + _FORCE_BLOCK, nsteps + 1)) * dt
+                values = config.disturbance.force(block[:, None] + offsets)
+            forcing[...] = values[j]
+        for maps, src, w, y, p, a0, Np, cubic, v_at, c in stages:
+            maps.dot(src, out=w)
+            Np.dot(p, out=contracted)
+            contracted_nn.dot(p, out=cubic)
             if policy is not None:
                 a0 -= cubic
-                u[n] = policy(y, ts, a0)
-            if force is not None:
-                u[n + 1] = force(ts)
-            if s == 0:
-                voltage[i] = u[n]
-                if not np.isfinite(first).all():
+                z[v_at] = policy(y, t + c, a0)
+            if src is x:
+                voltage[i] = z[v_at]
+                if probe.dot(first) != 0.0:
                     raise IntegrationBlowupError(t)
                 if i == nsteps:
                     return
-            if maps is not None:
-                w = maps.dot(z)
-                y, a0 = w[:d], w[d:]
-        x = F.dot(z)
+        row = states[i + 1]
+        F.dot(z, out=row)
+        x[...] = row
 
 
 def _run_avf(mats, config, policy, x, states, voltage):

@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def last_line(steps_per_s, run_s, attempted, failed=0):
+    """The last-line JSON object of one perfbench/run.py --trace 0 run."""
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {"steps_per_s": {"value": steps_per_s, "unit": "1/s"},
+                        "run_s": {"value": run_s, "unit": "s"}}}
+
+
+def test_summary_of_canned_pairs():
+    pairs = [(last_line(100.0, 2.0, 10), last_line(150.0, 2.0, 12)),
+             (last_line(110.0, 1.0, 11), last_line(105.0, 0.5, 13, failed=1)),
+             (last_line(90.0, 3.0, 9), last_line(160.0, 4.0, 14)),
+             (last_line(120.0, 4.0, 12), last_line(170.0, 1.0, 15))]
+    out = bench_pairs.summarize(pairs, {"steps_per_s": "higher", "run_s": "lower"})
+    assert out["pairs"] == 4
+    assert out["operations"] == {
+        "parent": {"attempted": 42, "failed": 0, "all_correct": True},
+        "change": {"attempted": 54, "failed": 1, "all_correct": False}}
+    steps = out["metrics"]["steps_per_s"]
+    assert steps["unit"] == "1/s" and steps["better"] == "higher"
+    assert steps["parent"]["runs"] == [100.0, 110.0, 90.0, 120.0]
+    # numpy.percentile([90, 100, 110, 120], [25, 50, 75]) = 97.5, 105, 112.5
+    assert (steps["parent"]["q1"], steps["parent"]["median"], steps["parent"]["q3"]) \
+        == pytest.approx((97.5, 105.0, 112.5), rel=1e-15)
+    assert steps["change"]["median"] == pytest.approx(155.0, rel=1e-15)
+    assert steps["change_wins"] == 3
+    assert steps["ratio_of_medians"] == pytest.approx(155.0 / 105.0, rel=1e-15)
+    # lower is better; the tie in the first pair counts for neither side
+    run = out["metrics"]["run_s"]
+    assert run["change_wins"] == 2
+    assert run["parent"]["median"] == 2.5 and run["change"]["median"] == 1.5
+
+
+def test_one_pair_is_its_own_quartiles():
+    out = bench_pairs.summarize([(last_line(1.0, 1.0, 1), last_line(2.0, 1.0, 1))],
+                                {"steps_per_s": "higher"})
+    assert out["metrics"]["steps_per_s"]["change"] == {
+        "median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}

@@ -76,6 +76,16 @@ class TestLoadConfig:
         text = "beam:\n  zeta_flex: null\nsim:\n  dt: null\ncontroller:\n  v_max: null\n"
         assert load_config(write(tmp_path, text)) == load_config(None)
 
+    def test_vmax_rule_text(self, tmp_path, capsys):
+        # null keeps the 200 V default like every other key, so the rule
+        # offers no null
+        cfg = load_config(write(tmp_path, "controller: {v_max: null}\n"))
+        assert cfg.ctrl_v_max == 200.0
+        rc = main(["--config", write(tmp_path, "controller: {v_max: -5}\n"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "controller.v_max: must be > 0" in capsys.readouterr().err
+
     def test_derived_defaults_follow(self, tmp_path):
         cfg = load_config(write(tmp_path, "beam:\n  b: 2.0e-2\n"))
         assert cfg.piezo.w_p == 2.0e-2

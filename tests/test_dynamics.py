@@ -371,13 +371,43 @@ class TestSimulate:
             simulate(SimConfig(Omega=0.0, dt=1e-3, t_final=0.1), mats, basis2)
 
     def test_blowup_reported_with_time(self, beam, piezo, basis2):
-        from piezobeam import IntegrationBlowupError
         m = assemble(beam, piezo, basis2)
         ic = tip_release_state(basis2, tip_w0=0.5)  # absurd release
+        cfg = SimConfig(Omega=0.0, dt=3e-5, t_final=0.5, initial_state=ic)
         with pytest.raises(IntegrationBlowupError) as info:
-            simulate(SimConfig(Omega=0.0, dt=3e-5, t_final=0.5,
-                               initial_state=ic), m, basis2)
-        assert info.value.t > 0
+            simulate(cfg, m, basis2)
+        # the first sample at which the rk4_step loop's right-hand side is
+        # not finite: a non-finite state or cubic force
+        f = closed_loop(m, 0.0)
+        x, i = ic, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(f(x, i * cfg.dt)[0]).all():
+                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * cfg.dt, cfg.dt)
+                i += 1
+        assert i > 0
+        assert info.value.t == i * cfg.dt
+
+    # dt = 2e-5: 23*dt + dt rounds below 24*dt, 24*dt + dt above 25*dt, so
+    # the NaN reaches the state first at step k or already in step k - 1's
+    # last stage
+    @pytest.mark.parametrize("k", [24, 25], ids=["last_stage_before_tk",
+                                                 "last_stage_after_tk"])
+    def test_blowup_time_is_the_first_nonfinite_voltage(self, mats, basis2, k):
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values())
+        law = make_policy(mats, ctrl, 20.0)
+        dt = 2e-5
+        t_k = k * dt
+
+        def failing(x, t, a0):
+            return math.nan if t >= t_k else law(x, t, a0)
+
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.002, controller_on=True,
+                        initial_state=tip_release_state(basis2, 1e-4))
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(cfg, mats, basis2, controller=failing)
+        assert info.value.t == t_k
 
 
 def reference_run(cfg, mats, ctrl):
@@ -503,6 +533,16 @@ class TestRunValues:
     def test_disturbance_rejects_bad_values(self, kwargs, name):
         with pytest.raises(ValueError, match=f"Disturbance.{name} must be"):
             Disturbance(**{"amplitude": 0.001, "frequency": 24.0, "target": 1, **kwargs})
+
+    @pytest.mark.parametrize("amplitude, frequency", [(0.001, 24.0), (2.5, 149.7)])
+    def test_disturbance_force_scalar_and_array_agree(self, amplitude, frequency):
+        # at the stage times of a 100-step run, bit for bit
+        dist = Disturbance(amplitude=amplitude, frequency=frequency, target=1)
+        dt = 2e-5
+        times = [i * dt + c * dt for i in range(101) for c in (0.0, 0.5, 0.5, 1.0)]
+        values = dist.force(np.array(times))
+        assert values.shape == (404,)
+        assert [float(v) for v in values] == [float(dist.force(t)) for t in times]
 
     def test_disturbance_target_beyond_model(self, mats):
         dist = Disturbance(amplitude=0.001, frequency=24.0, target=3)

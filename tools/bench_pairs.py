@@ -1,0 +1,141 @@
+"""Benchmark a parent commit against the working tree and write BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py --parent REF --pr N --seeds S1 S2 ... [--seconds 50]
+
+The parent ref is extracted with `git archive` into a temporary directory
+outside the repository (removed at the end); the change side is this
+checkout's working tree.  For each workload of BENCHMARK.json, and each seed
+in turn, it runs `perfbench/run.py --trace 0` once on each side, one run at
+a time, the parent first on the first, third, ... pair.  Each run's value of a metric is
+the `value` that run.py's last-line JSON gives it.  The file written holds,
+per workload and end-to-end metric of BENCHMARK.json, every run, the median
+and quartiles of each side, the pairs the change won and the ratio of the
+medians; the operations attempted and failed per side; nproc and the Python
+and numpy versions.  Standard library only.
+"""
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
+
+
+def side(runs):
+    """One side's runs with their median and quartiles, linearly
+    interpolated as numpy's default percentiles."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def summarize(pairs, better):
+    """One workload's entry from its pairs of last-line JSON objects
+    [(parent, change), ...]; better maps each metric reported to "lower" or
+    "higher".  A pair counts as won when the change's value is strictly
+    better; ties count for neither side."""
+    operations = {}
+    for k, name in enumerate(("parent", "change")):
+        results = [pair[k] for pair in pairs]
+        operations[name] = {"attempted": sum(r["attempted"] for r in results),
+                            "failed": sum(r["failed"] for r in results),
+                            "all_correct": all(r["correct"] for r in results)}
+    metrics = {}
+    for name, direction in better.items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        entry = {"unit": pairs[0][0]["metrics"][name]["unit"], "better": direction,
+                 "parent": side(parent), "change": side(change)}
+        entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        entry["ratio_of_medians"] = entry["change"]["median"] / entry["parent"]["median"]
+        metrics[name] = entry
+    return {"pairs": len(pairs), "operations": operations, "metrics": metrics}
+
+
+def run_once(root, workload, seed, seconds):
+    """run.py's last-line JSON for one --trace 0 run in checkout root."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True).stdout
+
+
+def extract(ref, into):
+    """Write the committed tree of ref into the directory into."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref))) as tar:
+        tar.extractall(into, filter="data")
+
+
+def machine():
+    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                           check=True, capture_output=True, text=True).stdout.strip()
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    return {"nproc": nproc, "python": sys.version.split()[0], "numpy": numpy}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--pr", required=True, type=int, help="N of the BENCH_N.json written")
+    ap.add_argument("--seeds", required=True, type=int, nargs="+",
+                    help="one seed per pair, the same on both sides")
+    ap.add_argument("--seconds", type=float, default=50.0)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    out = {"what": ("perfbench/run.py end-to-end metrics, parent commit (a git archive) "
+                    "against the working tree, alternating pairs (parent first on odd "
+                    f"pairs), --seconds {args.seconds:g}, --trace 0, one seed per pair. "
+                    "Each value is the metric's 'value' from the last-line JSON that "
+                    "run.py prints. Quartiles are linearly interpolated, as numpy's "
+                    "default percentiles."),
+           "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
+           "workloads": {}}
+    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        extract(parent_commit, tmp)
+        roots = {"parent": tmp, "change": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for k, seed in enumerate(args.seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                result = {}
+                for name in order:
+                    result[name] = run_once(roots[name], workload, seed, args.seconds)
+                    print(f"{workload} pair {k + 1} seed {seed} {name}: "
+                          f"{json.dumps(result[name]['metrics'])}", file=sys.stderr)
+                pairs.append((result["parent"], result["change"]))
+            entry = summarize(pairs, better)
+            out["workloads"][workload] = {"pairs": entry.pop("pairs"), "seeds": args.seeds,
+                                          **entry}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"written {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
