@@ -5,6 +5,7 @@ quadrature with the panels split at the piezo patch edges, so no integrand
 ever crosses the Heaviside jump in the section properties.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,10 +26,18 @@ class SpinDestabilizedError(RuntimeError):
         self.eigenvalue = eigenvalue
 
 
-def _positive(obj, names):
+class SpecError(ValueError):
+    """A field, name, of a BeamSpec or PiezoSpec, kind, that breaks its rule."""
+
+    def __init__(self, spec, name, rule):
+        super().__init__(f"{type(spec).__name__}.{name}: {rule}")
+        self.kind, self.name, self.rule = type(spec), name, rule
+
+
+def _positive(spec, names):
     for name in names:
-        if not 0 < getattr(obj, name) < np.inf:
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite and > 0")
+        if not 0 < getattr(spec, name) < np.inf:
+            raise SpecError(spec, name, "must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class BeamSpec:
         for name in ("zeta_flex", "zeta_tors"):
             for z in getattr(self, name):
                 if not 0.0 <= z < 1.0:
-                    raise ValueError(f"BeamSpec.{name}: damping ratio out of [0,1)")
+                    raise SpecError(self, name, "damping ratio out of [0,1)")
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class PiezoSpec:
     def __post_init__(self):
         _positive(self, ("t_p", "w_p", "E_p", "G_p", "rho_p"))
         if not 0.0 <= self.l1 <= self.l2:
-            raise ValueError("PiezoSpec: need 0 <= l1 <= l2")
+            raise SpecError(self, "l1", "need 0 <= l1 <= l2")
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,10 @@ def piezo_moment_coefficient(beam, piezo):
     return -0.5 * beam.b * piezo.E_p * piezo.d31 * (beam.t_b + piezo.t_p)
 
 
+# the assembled matrices, in the order that tobytes and export_matrices write them
+MATRICES = ("M1", "M2", "CB", "CT", "C1", "C2", "K1", "K2", "D1", "G1", "F1")
+
+
 @dataclass
 class SystemMatrices:
     """All modal coefficient matrices, the cubic tensor and the forcing vector.
@@ -205,10 +218,8 @@ class SystemMatrices:
         self.natural_frequencies = linear_frequencies(self, 0.0)
 
     def tobytes(self):
-        parts = [np.ascontiguousarray(a).tobytes() for a in
-                 (self.M1, self.M2, self.CB, self.CT, self.C1, self.C2,
-                  self.K1, self.K2, self.D1, self.G1, self.F1)]
-        return b"".join(parts) + np.float64(self.Mp0).tobytes()
+        return b"".join(np.ascontiguousarray(getattr(self, name)).tobytes()
+                        for name in MATRICES) + np.float64(self.Mp0).tobytes()
 
 
 @dataclass(frozen=True)
@@ -333,14 +344,10 @@ def export_matrices(mats, path):
         fh.write(f"# modal system matrices, n = {mats.n}\n")
         fh.write("# units: M1 kg*m^2-scale modal mass, K1 N*m-scale modal "
                  "stiffness, F1 modal force per volt; row-major rows below\n")
-        for name in ("M1", "M2", "CB", "CT", "C1", "C2", "K1", "K2", "D1"):
+        for name in MATRICES:
             arr = getattr(mats, name)
-            fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
+            fh.write(" ".join(map(str, (name, *arr.shape))) + "\n")
+            # a matrix by rows, G1 by its n^2 (i, j) blocks, F1 on one line
+            for row in arr.reshape(math.prod(arr.shape[:arr.ndim // 2]), -1):
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(f"G1 {mats.n} {mats.n} {mats.n} {mats.n}\n")
-        for block in mats.G1.reshape(mats.n * mats.n, -1):
-            fh.write(" ".join(f"{v:.17g}" for v in block) + "\n")
-        fh.write(f"F1 {mats.n}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in mats.F1) + "\n")
         fh.write(f"Mp0 {mats.Mp0:.17g}\n")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .assembly import (BeamSpec, PiezoSpec, assemble, export_matrices,
+from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, export_matrices,
                        SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
@@ -169,8 +169,9 @@ def load_config(path=None, overrides=None):
     try:
         beam = BeamSpec(**given["beam"])
         piezo = PiezoSpec(**{"w_p": beam.b, **given["piezo"]})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except SpecError as exc:  # named by its YAML key: the section holding that kind
+        section = next(f.name for f in fields(AppConfig) if f.type is exc.kind)
+        raise ConfigError(f"{section}.{exc.name}: {exc.rule}") from None
     return AppConfig(beam=beam, piezo=piezo, **given[None])
 
 
@@ -257,8 +258,9 @@ def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
             outputs["companion_csv"] = f"{scenario}_off.csv"
             rms_off = companion.metrics["rms_tip_after_transient_m"]
             rms_on = metrics["rms_tip_after_transient_m"]
+            # a zero RMS has no finite dB ratio, and JSON has no Infinity
             metrics["attenuation_db"] = (20.0 * math.log10(rms_off / rms_on)
-                                         if rms_on > 0 else float("inf"))
+                                         if rms_on > 0 and rms_off > 0 else None)
         docs[outputs["metrics"]] = metrics
         docs[f"{tag}_manifest.json"] = {"scenario": scenario, **record, "outputs": outputs}
 

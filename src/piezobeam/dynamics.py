@@ -6,15 +6,8 @@ x below, of SimConfig.initial_state and of each row of Trajectory.states.
 
 The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
 the cubic force, the piezo voltage and the disturbance value.  closed_loop
-evaluates them once per call; rhs, step and the AVF runs go through it.
-simulate's RK4 runs use stage maps instead (_rk4_stage_maps): RK4 on these
-equations is linear in z = [x; u1; u2; u3; u4], so each stage's input, the
-linear part of the drift the law cancels and the first contraction N p of
-the cubic force are one matvec with z (with x, for the first stage), and the
-new state is another, with the maps built once per run.  The policy is still
-called once per stage, on that stage's input; per stage only the two
-remaining cubic contractions and the law are evaluated, and the disturbance
-once per block of steps.
+evaluates them once per call for rhs, step and the AVF runs; simulate's RK4
+runs step them through the stage maps of _rk4_stage_maps instead.
 """
 
 import math
@@ -184,13 +177,19 @@ def _rk4_stage_maps(A, N, b, column, dt):
     stage s's cubic force, voltage and disturbance value, and E puts -I, b
     and the disturbance column into the flexural-acceleration rows.
 
-    Returns (S1, S, F).  S1 maps x to [A x; N p], N the flattened cubic
-    tensor (n^3, n), so N p is the first of the cubic force's three
-    contractions.  S[s] maps z to [y; A_flex y; N p] for the input y = [p;
-    ...] of stage s + 2 (s = 0, 1, 2), and reads only x and u1 .. u_{s+1};
-    A_flex are the flexural-acceleration rows of A, so A_flex y - N(p, p, p)
-    is the drift that stage hands the policy.  F maps z to the step's new
-    state.
+    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:d + s m] = [x; u1
+    .. u_s], d = 4n and m = n + 2, to [y; A_flex y; N p] for the input y =
+    [p; ...] of stage s + 1 (y = x for the first).  A_flex are the
+    flexural-acceleration rows of A, so A_flex y - N(p, p, p) is the drift
+    that stage hands the policy, and N p, N the flattened cubic tensor (n^3,
+    n), is the first of the cubic force's three contractions.  F maps z to
+    the step's new state.
+
+    So a step, with the maps built once per run, is per stage one matvec
+    with a prefix of z, the two remaining contractions, which write the
+    cubic force into u_s, and one policy call, which writes v_s; the d_s of
+    a block of steps come from one vectorised Disturbance.force call, and
+    the new state is F z.
     """
     d = A.shape[0]
     n = d // 4
@@ -201,23 +200,20 @@ def _rk4_stage_maps(A, N, b, column, dt):
     E[:, n] = b
     if column is not None:
         E[:, n + 1] = column
-    S1 = np.zeros((d + N.shape[0], d))
-    S1[:d] = A
-    S1[d:, :n] = N
     eye = np.eye(d, d + 4 * m)
-    S = np.empty((3, d + n + N.shape[0], d + 4 * m))
+    S = np.empty((4, d + n + N.shape[0], d + 4 * m))
     K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
     y = eye  # y1 = x
     for s in range(4):
+        S[s, :d] = y
         k = A.dot(y, out=K[s])
-        if s:
-            S[s - 1, d:d + n] = k[flex]
+        S[s, d:d + n] = k[flex]
+        N.dot(y[:n], out=S[s, d + n:])
         k[flex, d + s * m:d + (s + 1) * m] = E  # A y_s does not read u_s
         if s < 3:
-            y = S[s, :d] = eye + (_RK4_NODES[s + 1] * dt) * k
-            N.dot(y[:n], out=S[s, d + n:])
+            y = eye + (_RK4_NODES[s + 1] * dt) * k
     F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
-    return S1, S, F
+    return [np.ascontiguousarray(S[s, :, :d + s * m]) for s in range(4)], F
 
 
 AVF_RTOL = 1e-12
@@ -315,20 +311,12 @@ def compute_metrics(times, tip_w, voltage, period1):
 
 
 def _run_rk4(mats, config, policy, x, states, voltage):
-    """Fill states and voltage with RK4 steps from x, through the stage maps.
-
-    The step operand z, the stage maps' outputs and the cubic contractions
-    live in buffers made once per run.  Per stage one matvec gives the
-    stage's input y, its a0 before the cubic force and N p (stage 1 takes
-    y1 = x and [A x; N p] from x, so its a0 = A_flex x - N(p, p, p) and the
-    logged voltage are closed_loop's at the logged state); two more
-    contractions write the cubic force into the stage's slot of z.  The
-    disturbance values of a step's four stages come from one vectorised
-    Disturbance.force call per _FORCE_BLOCK steps, and the new state is F z.
-    """
+    """Fill states and voltage with RK4 steps from x through the stage maps
+    (see _rk4_stage_maps), in buffers made once per run; the logged voltage
+    is the first stage's, closed_loop's at the logged state."""
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
-    S1, S, F = _rk4_stage_maps(A, N, b, column, dt)
+    S, F = _rk4_stage_maps(A, N, b, column, dt)
     n = mats.n
     d, m = 4 * n, n + 2
     z = np.zeros(d + 4 * m)
@@ -340,14 +328,11 @@ def _run_rk4(mats, config, policy, x, states, voltage):
     offsets = np.array([c * dt for c in _RK4_NODES])
     contracted = np.empty(n * n)
     contracted_nn = contracted.reshape(n, n)
-    stages = []
-    for s, (maps, c) in enumerate(zip((S1, *S), _RK4_NODES)):
-        w = np.empty(maps.shape[0])
-        # stage 1 reads [A x; N p] off x, stages 2-4 [y; A_flex y; N p] off z
-        src, y, a0 = (x, x, w[2 * n:3 * n]) if s == 0 else (z, w[:d], w[d:d + n])
-        u = d + s * m  # u_s in z
-        stages.append((maps, src, w, y, y[:n], a0, w[-n ** 3:].reshape(n * n, n),
-                       z[u:u + n], u + n, c * dt))
+    W = np.empty((4, S[0].shape[0]))  # each stage's [y; A_flex y; N p]
+    starts = range(d, d + 4 * m, m)  # of u1 .. u4 in z, so z[:u] is what S[s] reads
+    stages = [(maps, z[:u], w, w[:d], w[:n], w[d:d + n], w[d + n:].reshape(n * n, n),
+               z[u:u + n], u + n, c * dt, s == 0)
+              for s, (maps, w, c, u) in enumerate(zip(S, W, _RK4_NODES, starts))]
     nsteps = states.shape[0] - 1
     for i in range(nsteps + 1):
         t = i * dt  # times[i] bit for bit, as a Python float
@@ -357,14 +342,14 @@ def _run_rk4(mats, config, policy, x, states, voltage):
                 block = np.arange(i, min(i + _FORCE_BLOCK, nsteps + 1)) * dt
                 values = config.disturbance.force(block[:, None] + offsets)
             forcing[...] = values[j]
-        for maps, src, w, y, p, a0, Np, cubic, v_at, c in stages:
-            maps.dot(src, out=w)
+        for maps, prefix, w, y, p, a0, Np, cubic, v_at, c, logged in stages:
+            maps.dot(prefix, out=w)
             Np.dot(p, out=contracted)
             contracted_nn.dot(p, out=cubic)
             if policy is not None:
                 a0 -= cubic
                 z[v_at] = policy(y, t + c, a0)
-            if src is x:
+            if logged:
                 voltage[i] = z[v_at]
                 if probe.dot(first) != 0.0:
                     raise IntegrationBlowupError(t)

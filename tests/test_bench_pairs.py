@@ -46,3 +46,15 @@ def test_one_pair_is_its_own_quartiles():
                                 {"steps_per_s": "higher"})
     assert out["metrics"]["steps_per_s"]["change"] == {
         "median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}
+
+
+def test_traced_entry_of_a_canned_run():
+    result = {"correct": True, "attempted": 196, "failed": 0,
+              "metrics": {"control.policy_calls": {"value": 802.0, "unit": "count"},
+                          "cli.csv_bytes": {"value": 78440.0, "unit": "B"},
+                          "trace.overhead_s": {"value": 0.5, "unit": "s"}}}
+    out = bench_pairs.traced(result, ["control.policy_calls", "cli.csv_bytes"])
+    assert out == {"control.policy_calls": 802.0, "cli.csv_bytes": 78440.0,
+                   "operations": {"attempted": 196, "failed": 0, "all_correct": True}}
+    with pytest.raises(KeyError):
+        bench_pairs.traced(result, ["dynamics.steps"])

@@ -288,6 +288,24 @@ class TestMainExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    @pytest.mark.parametrize("text, flags", [
+        ("disturbance: {amplitude: 0}\n", []),
+        ("", ["--tfinal", "0"]),
+    ], ids=["zero_amplitude", "zero_duration"])
+    def test_attenuation_of_zero_rms_is_null(self, tmp_path, capsys, text, flags):
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "o"
+        rc = main(["--config", write(tmp_path, text), "--tfinal", "0.002",
+                   "--scenario", "disturbance", "--out", str(out)] + flags)
+        assert rc == 0
+        printed = capsys.readouterr().out.strip()
+        assert printed.startswith("disturbance [controller on]: ")
+        for doc in (printed.split(": ", 1)[1],
+                    (out / "disturbance_on_metrics.json").read_text()):
+            assert json.loads(doc, parse_constant=no_constant)["attenuation_db"] is None
+
     def test_export_matrices(self, tmp_path):
         out = tmp_path / "mats.txt"
         rc = main(["--export-matrices", str(out)])
@@ -356,11 +374,16 @@ class TestMainExitCodes:
         ("beam: {L: .nan}\n", "beam.L"),
         ("controller: {omega_cl: 1.0e200}\n", "controller.omega_cl"),
         ("controller: {zeta_cl: 1.0e308}\n", "controller.zeta_cl"),
+        ("beam: {L: -0.15}\n", "beam.L: must be finite and > 0"),
+        ("piezo: {t_p: 0}\n", "piezo.t_p: must be finite and > 0"),
+        ("piezo: {l1: 0.05, l2: 0.02}\n", "piezo.l1: need 0 <= l1 <= l2"),
+        ("beam: {zeta_flex: [0.01, 1.0]}\n", "beam.zeta_flex: damping ratio out of [0,1)"),
     ], ids=["negative_controller_vmax", "zero_controller_vmax", "negative_piezo_vmax",
             "fractional_modes", "bool_modes", "fractional_target", "zero_omega_cl",
             "negative_omega_cl", "nan_omega_cl", "infinite_tfinal", "nan_omega",
             "nan_tip_w0", "nan_d31", "nan_beam_length", "overflowing_omega_cl",
-            "overflowing_zeta_cl"])
+            "overflowing_zeta_cl", "negative_beam_length", "zero_patch_thickness",
+            "patch_ends_swapped", "beam_damping_ratio_of_one"])
     def test_bad_value_writes_nothing(self, tmp_path, capsys, text, message):
         out = tmp_path / "o"
         out.mkdir()

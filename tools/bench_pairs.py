@@ -6,12 +6,15 @@ The parent ref is extracted with `git archive` into a temporary directory
 outside the repository (removed at the end); the change side is this
 checkout's working tree.  For each workload of BENCHMARK.json, and each seed
 in turn, it runs `perfbench/run.py --trace 0` once on each side, one run at
-a time, the parent first on the first, third, ... pair.  Each run's value of a metric is
-the `value` that run.py's last-line JSON gives it.  The file written holds,
-per workload and end-to-end metric of BENCHMARK.json, every run, the median
-and quartiles of each side, the pairs the change won and the ratio of the
-medians; the operations attempted and failed per side; nproc and the Python
-and numpy versions.  Standard library only.
+a time, the parent first on the first, third, ... pair; then one
+`--trace 1` run of TRACE_SECONDS per side with the first seed.  Each run's
+value of a metric is the `value` that run.py's last-line JSON gives it.  The
+file written holds, per workload and end-to-end metric of BENCHMARK.json,
+every run, the median and quartiles of each side, the pairs the change won
+and the ratio of the medians; the operations attempted and failed per side;
+under "traced", each side's per-layer metrics of BENCHMARK.json and
+operations from its traced run; nproc and the Python and numpy versions.
+Standard library only.
 """
 
 import argparse
@@ -28,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
+TRACE_SECONDS = 10.0
 
 
 def side(runs):
@@ -43,12 +47,8 @@ def summarize(pairs, better):
     [(parent, change), ...]; better maps each metric reported to "lower" or
     "higher".  A pair counts as won when the change's value is strictly
     better; ties count for neither side."""
-    operations = {}
-    for k, name in enumerate(("parent", "change")):
-        results = [pair[k] for pair in pairs]
-        operations[name] = {"attempted": sum(r["attempted"] for r in results),
-                            "failed": sum(r["failed"] for r in results),
-                            "all_correct": all(r["correct"] for r in results)}
+    operations = {name: tally([pair[k] for pair in pairs])
+                  for k, name in enumerate(("parent", "change"))}
     metrics = {}
     for name, direction in better.items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -62,10 +62,24 @@ def summarize(pairs, better):
     return {"pairs": len(pairs), "operations": operations, "metrics": metrics}
 
 
-def run_once(root, workload, seed, seconds):
-    """run.py's last-line JSON for one --trace 0 run in checkout root."""
+def tally(results):
+    """The operations of a side's last-line JSON objects."""
+    return {"attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "all_correct": all(r["correct"] for r in results)}
+
+
+def traced(result, names):
+    """One side's traced entry from the last-line JSON of its --trace 1 run:
+    the value of each per-layer metric in names, and its operations."""
+    return {**{name: result["metrics"][name]["value"] for name in names},
+            "operations": tally([result])}
+
+
+def run_once(root, workload, seed, seconds, trace=0):
+    """run.py's last-line JSON for one run in checkout root."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n"
@@ -103,15 +117,17 @@ def main(argv=None):
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    layers = [m["name"] for m in bench["per_layer"]]
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     out = {"what": ("perfbench/run.py end-to-end metrics, parent commit (a git archive) "
                     "against the working tree, alternating pairs (parent first on odd "
                     f"pairs), --seconds {args.seconds:g}, --trace 0, one seed per pair. "
                     "Each value is the metric's 'value' from the last-line JSON that "
                     "run.py prints. Quartiles are linearly interpolated, as numpy's "
-                    "default percentiles."),
+                    "default percentiles. Then, per side, one run of the first seed at "
+                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'."),
            "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
-           "workloads": {}}
+           "workloads": {}, "traced": {}}
     tmp = tempfile.mkdtemp(prefix="bench-parent-")
     try:
         extract(parent_commit, tmp)
@@ -129,6 +145,13 @@ def main(argv=None):
             entry = summarize(pairs, better)
             out["workloads"][workload] = {"pairs": entry.pop("pairs"), "seeds": args.seeds,
                                           **entry}
+            seed = args.seeds[0]
+            out["traced"][workload] = {"seed": seed}
+            for name in ("parent", "change"):
+                result = run_once(roots[name], workload, seed, TRACE_SECONDS, trace=1)
+                out["traced"][workload][name] = traced(result, layers)
+                print(f"{workload} traced seed {seed} {name}: "
+                      f"{json.dumps(out['traced'][workload][name])}", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     path = ROOT / f"BENCH_{args.pr}.json"
