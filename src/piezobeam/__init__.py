@@ -4,8 +4,7 @@ cantilever: assumed-mode model, time integration and active control."""
 from .basis import ModalBasis, flexural_eigenvalues
 from .assembly import (AssemblyError, BeamSpec, PiezoSpec, SectionProperties,
                        SpinDestabilizedError, SystemMatrices, assemble,
-                       damping_matrices, export_matrices, linear_frequencies,
-                       section_properties)
+                       export_matrices, linear_frequencies, section_properties)
 from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, Trajectory,
                        avf_step, closed_loop, energy, rhs, rk4_step, simulate,
                        step)
@@ -15,8 +14,8 @@ from .control import (ControlAuthorityError, ControllerConfig, design_gains,
 __all__ = [
     "ModalBasis", "flexural_eigenvalues",
     "AssemblyError", "BeamSpec", "PiezoSpec", "SectionProperties",
-    "SpinDestabilizedError", "SystemMatrices", "assemble", "damping_matrices",
-    "export_matrices", "linear_frequencies", "section_properties",
+    "SpinDestabilizedError", "SystemMatrices", "assemble", "export_matrices",
+    "linear_frequencies", "section_properties",
     "Disturbance", "IntegrationBlowupError", "SimConfig", "Trajectory",
     "avf_step", "closed_loop", "energy", "rhs", "rk4_step", "simulate", "step",
     "ControlAuthorityError", "ControllerConfig", "design_gains", "make_policy",

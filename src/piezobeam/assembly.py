@@ -1,12 +1,12 @@
 """Section properties and modal system matrices.
 
-All coefficient integrals are evaluated by composite Gauss-Legendre
+All coefficient integrals are evaluated by composite 32-point Gauss-Legendre
 quadrature with the panels split at the piezo patch edges, so no integrand
 ever crosses the Heaviside jump in the section properties.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -175,8 +175,8 @@ class SystemMatrices:
     n: int
     M1: np.ndarray
     M2: np.ndarray
-    CB: np.ndarray
-    CT: np.ndarray
+    zeta_flex: tuple   # modal damping ratios, n of each
+    zeta_tors: tuple
     C1: np.ndarray
     C2: np.ndarray
     K1: np.ndarray
@@ -186,20 +186,32 @@ class SystemMatrices:
     F1: np.ndarray
     Mp0: float
     # Derived from the fields above by __post_init__, which replaces any value
-    # passed in, so a copy built from another instance's fields is consistent.
-    # The matrices are read-only once assembled.
+    # passed in, so a copy built from another instance's fields is consistent,
+    # damping included.  The matrices are read-only once assembled.
+    # (flexural, torsional) linear frequencies at Omega = 0 in rad/s
+    natural_frequencies: tuple = field(default=None, repr=False, compare=False)
+    CB: np.ndarray = field(default=None, repr=False, compare=False)  # diag 2 zeta omega M1_ii
+    CT: np.ndarray = field(default=None, repr=False, compare=False)  # diag 2 zeta omega M2_ii
     M1inv: np.ndarray = field(default=None, repr=False, compare=False)
     M2inv: np.ndarray = field(default=None, repr=False, compare=False)
     b: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 F1
     N: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
     # (A0, A1, A2): StateOperator's A(Omega) = A0 + Omega A1 + Omega^2 A2
     A_parts: tuple = field(default=None, repr=False, compare=False)
-    # (flexural, torsional) linear frequencies at Omega = 0 in rad/s
-    natural_frequencies: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
+        if len(self.zeta_flex) != n or len(self.zeta_tors) != n:
+            raise ValueError(f"need {n} damping ratios per field")
         (L1, L1inv), (L2, L2inv) = _cholesky(self.M1, "M1"), _cholesky(self.M2, "M2")
+        # K v = lam M v reduced to the symmetric L^-1 K L^-T
+        om_f = _root_frequencies(np.linalg.eigvalsh(L1inv @ self.K1 @ L1inv.T))
+        om_t = np.sqrt(np.clip(np.linalg.eigvalsh(L2inv @ self.K2 @ L2inv.T), 0.0, None))
+        for om in (om_f, om_t):
+            om.setflags(write=False)
+        self.natural_frequencies = om_f, om_t
+        self.CB = np.diag(2.0 * np.asarray(self.zeta_flex) * om_f * np.diag(self.M1))
+        self.CT = np.diag(2.0 * np.asarray(self.zeta_tors) * om_t * np.diag(self.M2))
         # M^-1 = L^-T L^-1 by a second triangular solve, as LAPACK's potrs does
         self.M1inv, self.M2inv = M1inv, M2inv = (np.linalg.solve(L1.T, L1inv),
                                                  np.linalg.solve(L2.T, L2inv))
@@ -215,7 +227,6 @@ class SystemMatrices:
         A0[qd, q] = -M2inv @ self.K2
         A1[qd, pd] = -(M2inv @ self.C2)
         A0[qd, qd] = -M2inv @ self.CT
-        self.natural_frequencies = linear_frequencies(self, 0.0)
 
     def tobytes(self):
         return b"".join(np.ascontiguousarray(getattr(self, name)).tobytes()
@@ -246,9 +257,12 @@ class StateOperator:
         return cls(A=A0 + omega * A1 + omega ** 2 * A2)
 
 
-def gauss_panels(breakpoints, points_per_panel):
-    """Gauss-Legendre nodes/weights on each [a,b] panel, concatenated."""
-    xg, wg = leggauss(points_per_panel)
+GAUSS_RULE = leggauss(32)  # (nodes, weights) on [-1, 1] of every panel
+
+
+def gauss_panels(breakpoints):
+    """GAUSS_RULE's nodes/weights on each [a,b] panel, concatenated."""
+    xg, wg = GAUSS_RULE
     nodes, weights = [], []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         if b - a <= 0.0:
@@ -259,15 +273,15 @@ def gauss_panels(breakpoints, points_per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def assemble(beam, piezo, basis, quad_points=32):
+def assemble(beam, piezo, basis):
     """Evaluate every coefficient integral into a SystemMatrices value."""
-    if abs(basis.length - beam.L) > 1e-12 * beam.L:
+    if not abs(basis.length - beam.L) <= 1e-12 * beam.L:  # a NaN length fails too
         raise ValueError("basis length does not match beam length")
     n = basis.n
     has_patch = piezo is not None and piezo.l2 > piezo.l1
     breaks = [0.0, beam.L] if not has_patch else \
         sorted({0.0, piezo.l1, piezo.l2, beam.L})
-    x, w = gauss_panels(breaks, quad_points)
+    x, w = gauss_panels(breaks)
     sec = section_properties(x, beam, piezo)
 
     modes = np.arange(1, n + 1)
@@ -287,10 +301,9 @@ def assemble(beam, piezo, basis, quad_points=32):
     F1 = Mp0 * (basis.flexural_mode(modes, piezo.l2)[1]
                 - basis.flexural_mode(modes, piezo.l1)[1]) if has_patch else np.zeros(n)
 
-    undamped = SystemMatrices(n=n, M1=M1, M2=M2, CB=np.zeros((n, n)), CT=np.zeros((n, n)),
-                              C1=C1, C2=C2, K1=K1, K2=K2, D1=D1, G1=G1, F1=F1, Mp0=Mp0)
-    CB, CT = damping_matrices(undamped, beam)  # from its natural frequencies
-    return replace(undamped, CB=CB, CT=CT)
+    return SystemMatrices(n=n, M1=M1, M2=M2, zeta_flex=beam.zeta_flex[:n],
+                          zeta_tors=beam.zeta_tors[:n], C1=C1, C2=C2, K1=K1, K2=K2,
+                          D1=D1, G1=G1, F1=F1, Mp0=Mp0)
 
 
 def _cholesky(M, name):
@@ -303,39 +316,24 @@ def _cholesky(M, name):
     return L, np.linalg.solve(L, np.eye(len(M)))
 
 
-def _symmetric_pencil(K, M, name):
-    """Ascending eigenvalues of K v = lam M v for symmetric K, by the
-    Cholesky reduction to the symmetric L^-1 K L^-T."""
-    _, Linv = _cholesky(M, name)
-    return np.linalg.eigvalsh(Linv @ K @ Linv.T)
+def _root_frequencies(vals):
+    """Frequencies of ascending flexural eigenvalues; SpinDestabilizedError if negative."""
+    if vals[0] < -1e-9 * abs(vals).max():
+        raise SpinDestabilizedError(vals[0])
+    return np.sqrt(np.clip(vals, 0.0, None))
 
 
 def linear_frequencies(mats, omega=0.0):
-    """(flexural, torsional) natural frequencies in rad/s, ascending."""
-    Keff = mats.K1 + omega ** 2 * mats.D1
+    """(flexural, torsional) natural frequencies in rad/s, ascending.  Only
+    the flexural ones depend on omega; at omega = 0 both are the read-only
+    mats.natural_frequencies."""
     if omega == 0.0:
-        vals_f = _symmetric_pencil(Keff, mats.M1, "M1")
-    else:
-        # D1 is not symmetric, so the effective pencil is general
-        vals_f = np.linalg.eigvals(np.linalg.solve(mats.M1, Keff))
-        if np.max(np.abs(vals_f.imag)) > 1e-6 * max(1.0, np.max(np.abs(vals_f.real))):
-            raise SpinDestabilizedError(complex(vals_f[np.argmax(np.abs(vals_f.imag))]))
-        vals_f = np.sort(vals_f.real)
-    if vals_f[0] < -1e-9 * abs(vals_f).max():
-        raise SpinDestabilizedError(vals_f[0])
-    vals_t = _symmetric_pencil(mats.K2, mats.M2, "M2")
-    return np.sqrt(np.clip(vals_f, 0.0, None)), np.sqrt(np.clip(vals_t, 0.0, None))
-
-
-def damping_matrices(mats, beam):
-    """Diagonal modal damping CB_ii = 2*zeta_1i*omega_1i*M1_ii (and torsional)."""
-    n = mats.n
-    if len(beam.zeta_flex) < n or len(beam.zeta_tors) < n:
-        raise ValueError(f"need at least {n} damping ratios per field")
-    om_f, om_t = mats.natural_frequencies
-    CB = np.diag([2.0 * beam.zeta_flex[i] * om_f[i] * mats.M1[i, i] for i in range(n)])
-    CT = np.diag([2.0 * beam.zeta_tors[i] * om_t[i] * mats.M2[i, i] for i in range(n)])
-    return CB, CT
+        return mats.natural_frequencies
+    # D1 is not symmetric, so the effective pencil is general
+    vals_f = np.linalg.eigvals(np.linalg.solve(mats.M1, mats.K1 + omega ** 2 * mats.D1))
+    if np.max(np.abs(vals_f.imag)) > 1e-6 * max(1.0, np.max(np.abs(vals_f.real))):
+        raise SpinDestabilizedError(complex(vals_f[np.argmax(np.abs(vals_f.imag))]))
+    return _root_frequencies(np.sort(vals_f.real)), mats.natural_frequencies[1]
 
 
 def export_matrices(mats, path):

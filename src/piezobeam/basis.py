@@ -70,8 +70,8 @@ class ModalBasis:
     def build(cls, n, length):
         if n < 1:
             raise ValueError("mode count must be >= 1")
-        if length <= 0:
-            raise ValueError("beam length must be > 0")
+        if not 0 < length < np.inf:
+            raise ValueError("beam length must be finite and > 0")
         lam = np.asarray(flexural_eigenvalues(n))
         sigma = (np.cosh(lam) + np.cos(lam)) / (np.sinh(lam) + np.sin(lam))
         # 1 - sigma = (sin - cos - exp(-lam)) / (sinh + sin), exact rearrangement

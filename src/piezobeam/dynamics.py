@@ -42,7 +42,9 @@ class Disturbance:
     def __post_init__(self):
         _check(self, (("amplitude", 0 <= self.amplitude < math.inf, "finite and >= 0"),
                       ("frequency", 0 < self.frequency < math.inf, "finite and > 0"),
-                      ("target", 1 <= self.target, ">= 1")))
+                      ("target", isinstance(self.target, (int, np.integer))
+                       and not isinstance(self.target, bool) and self.target >= 1,
+                       "an integer >= 1")))
 
     def force(self, t):
         """The force at time t, a float or an array of times."""

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -5,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from piezobeam import (AssemblyError, BeamSpec, ModalBasis, PiezoSpec, SpinDestabilizedError,
-                       assemble, damping_matrices, linear_frequencies,
-                       section_properties)
+                       assemble, linear_frequencies, section_properties)
+from piezobeam import assembly
 from piezobeam.assembly import piezo_moment_coefficient
 
 from conftest import trapezoid_panels
@@ -157,9 +160,10 @@ class TestAssemble:
             dl = np.diag(getattr(ml, name))
             assert np.all(dl >= ds - 1e-15 * np.abs(ds))
 
-    def test_quadrature_convergence(self, beam, piezo, basis2):
-        m32 = assemble(beam, piezo, basis2, quad_points=32)
-        m64 = assemble(beam, piezo, basis2, quad_points=64)
+    def test_quadrature_convergence(self, beam, piezo, basis2, monkeypatch):
+        m32 = assemble(beam, piezo, basis2)
+        monkeypatch.setattr(assembly, "GAUSS_RULE", leggauss(64))
+        m64 = assemble(beam, piezo, basis2)
         for name in ("M1", "M2", "C1", "C2", "K1", "K2", "D1", "G1", "F1"):
             a, b = getattr(m32, name), getattr(m64, name)
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
@@ -174,6 +178,26 @@ class TestAssemble:
     def test_length_mismatch(self, beam, piezo):
         with pytest.raises(ValueError):
             assemble(beam, piezo, ModalBasis.build(2, 0.2))
+
+    def test_nan_basis_length_mismatches(self, beam, piezo, basis2):
+        with pytest.raises(ValueError, match="basis length"):
+            assemble(beam, piezo, dataclasses.replace(basis2, length=math.nan))
+
+    def test_one_construction_and_one_factorization_per_mass_matrix(
+            self, beam, piezo, basis2, monkeypatch):
+        calls = {"post_init": 0, "cholesky": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(assembly.SystemMatrices, "__post_init__",
+                            counted("post_init", assembly.SystemMatrices.__post_init__))
+        monkeypatch.setattr(assembly, "_cholesky", counted("cholesky", assembly._cholesky))
+        assemble(beam, piezo, basis2)
+        assert calls == {"post_init": 1, "cholesky": 2}
 
     @pytest.mark.parametrize("name", ["M1", "M2"])
     def test_indefinite_mass_matrix_named(self, mats, name):
@@ -202,6 +226,11 @@ class TestLinearFrequencies:
         om_f, om_t = linear_frequencies(mats, 20.0)
         assert np.all(np.diff(om_f) > 0) and np.all(om_f >= 0)
         assert np.all(np.diff(om_t) > 0) and np.all(om_t >= 0)
+
+    def test_zero_spin_returns_the_stored_read_only_frequencies(self, mats):
+        for got, stored in zip(linear_frequencies(mats, 0.0), mats.natural_frequencies):
+            assert got is stored and not got.flags.writeable
+        assert linear_frequencies(mats, 20.0)[1] is mats.natural_frequencies[1]
 
     def test_spin_term_vanishes_at_zero(self, mats):
         a = linear_frequencies(mats, 0.0)
@@ -239,11 +268,20 @@ class TestDamping:
         assert np.all(mats.CB == np.diag(np.diag(mats.CB)))
         assert np.all(mats.CT == np.diag(np.diag(mats.CT)))
 
-    def test_first_entry_value(self, beam, basis2, mats_bare):
-        CB, _ = damping_matrices(mats_bare, beam)
+    def test_first_entry_value(self, mats_bare):
         om_f, _ = linear_frequencies(mats_bare, 0.0)
-        assert_allclose(CB[0, 0], 2 * 0.01 * om_f[0] * mats_bare.M1[0, 0], rtol=1e-12)
+        assert_allclose(mats_bare.CB[0, 0], 2 * 0.01 * om_f[0] * mats_bare.M1[0, 0],
+                        rtol=1e-12)
         assert abs(om_f[0] - 151.7) < 0.1
+
+    def test_copy_with_new_stiffness_rederives_damping(self, mats):
+        stiffer = dataclasses.replace(mats, K1=2 * mats.K1, K2=3 * mats.K2)
+        om_f, om_t = stiffer.natural_frequencies
+        assert_allclose(om_f, np.sqrt(2) * mats.natural_frequencies[0], rtol=1e-12)
+        assert_allclose(stiffer.CB, np.diag(2 * np.array(mats.zeta_flex) * om_f
+                                            * np.diag(mats.M1)), rtol=1e-12)
+        assert_allclose(stiffer.CT, np.diag(2 * np.array(mats.zeta_tors) * om_t
+                                            * np.diag(mats.M2)), rtol=1e-12)
 
     def test_short_zeta_list_rejected(self, piezo):
         beam = BeamSpec(zeta_flex=(0.01,))
@@ -271,7 +309,6 @@ def test_public_names():
         "AssemblyError", "BeamSpec", "ControlAuthorityError", "ControllerConfig",
         "Disturbance", "IntegrationBlowupError", "ModalBasis", "PiezoSpec",
         "SectionProperties", "SimConfig", "SpinDestabilizedError", "SystemMatrices",
-        "Trajectory", "assemble", "avf_step", "closed_loop", "damping_matrices",
-        "design_gains", "energy", "export_matrices", "flexural_eigenvalues",
-        "linear_frequencies", "make_policy", "output", "rhs", "rk4_step",
-        "section_properties", "simulate", "step"}
+        "Trajectory", "assemble", "avf_step", "closed_loop", "design_gains", "energy",
+        "export_matrices", "flexural_eigenvalues", "linear_frequencies", "make_policy",
+        "output", "rhs", "rk4_step", "section_properties", "simulate", "step"}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,6 +141,12 @@ def test_torsional_mode_values():
     # free-end torsion BC: psi'(L) = 0
     for j in (1, 2):
         assert abs(b.torsional_mode(j, L)[1]) < 1e-12
+
+
+@pytest.mark.parametrize("length", [0.0, -0.15, math.nan, math.inf])
+def test_length_must_be_finite_and_positive(length):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ModalBasis.build(2, length)
 
 
 def test_domain_errors():

@@ -528,7 +528,8 @@ class TestRunValues:
     @pytest.mark.parametrize("kwargs, name", [
         ({"amplitude": math.nan}, "amplitude"), ({"amplitude": math.inf}, "amplitude"),
         ({"frequency": math.nan}, "frequency"), ({"frequency": math.inf}, "frequency"),
-        ({"target": 0}, "target"),
+        ({"target": 0}, "target"), ({"target": 1.5}, "target"),
+        ({"target": 1.0}, "target"), ({"target": True}, "target"),
     ])
     def test_disturbance_rejects_bad_values(self, kwargs, name):
         with pytest.raises(ValueError, match=f"Disturbance.{name} must be"):
