@@ -59,28 +59,46 @@ def output(x, weights):
     return float(c @ x[:n]), float(c @ x[2 * n:3 * n])
 
 
+@dataclass(frozen=True, eq=False)
+class VoltageLaw:
+    """The linearizing voltage law as data: v = -(g . x + c . a0) / beta,
+    clipped to +-v_max unless v_max is None.  g is k0*y + k1*yd (see
+    output) as one row on the state, c the output weights and beta = c b
+    the output's acceleration per volt; g and c are read-only.
+
+    Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
+    does not read t.  simulate's RK4 runs do not call it: they fold g, c
+    and beta into their stage maps (see dynamics._rk4_stage_maps).
+    """
+
+    g: np.ndarray
+    c: np.ndarray
+    beta: float
+    v_max: float  # None for no saturation
+
+    def __call__(self, x, t, a0):
+        v = -(float(self.g.dot(x)) + float(self.c.dot(a0))) / self.beta
+        if self.v_max is not None:
+            v = min(max(v, -self.v_max), self.v_max)
+        return v
+
+
 def make_policy(mats, ctrl, omega):
-    """Linearizing voltage policy (x, t, a0) -> volts for closed_loop, where
+    """The linearizing VoltageLaw (x, t, a0) -> volts for closed_loop, where
     a0 is the flexural acceleration at zero voltage; the measured
     disturbance is not fed forward.
 
     The output's acceleration per volt, beta = c M1^-1 F1, does not depend
-    on omega; ControlAuthorityError is raised here if |beta| is below
-    AUTHORITY_TOLERANCE.
+    on omega, and omega is not read; ControlAuthorityError is raised here if
+    |beta| is below AUTHORITY_TOLERANCE.
     """
-    c = ctrl.output_weights
+    c = np.array(ctrl.output_weights, dtype=float)
     beta = float(c @ mats.b)
     if abs(beta) < AUTHORITY_TOLERANCE:
         raise ControlAuthorityError(beta)
-    n, v_max = mats.n, ctrl.v_max
-    # k0*y + k1*yd (see output) as one row on the state: two dot products a call
+    n = mats.n
     g = np.zeros(4 * n)
     g[:n] = ctrl.k0 * c
     g[2 * n:3 * n] = ctrl.k1 * c
-
-    def policy(x, t, a0):
-        v = -(float(g.dot(x)) + float(c.dot(a0))) / beta
-        if v_max is not None:
-            v = min(max(v, -v_max), v_max)
-        return v
-    return policy
+    g.flags.writeable = c.flags.writeable = False
+    return VoltageLaw(g, c, beta, ctrl.v_max)

@@ -7,7 +7,9 @@ x below, of SimConfig.initial_state and of each row of Trajectory.states.
 The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
 the cubic force, the piezo voltage and the disturbance value.  closed_loop
 evaluates them once per call for rhs, step and the AVF runs; simulate's RK4
-runs step them through the stage maps of _rk4_stage_maps instead.
+runs step them through the stage maps of _rk4_stage_maps instead, with
+make_policy's law folded into the maps and any other policy called once per
+stage.
 """
 
 import math
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import StateOperator
+from .control import VoltageLaw
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -173,7 +176,7 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _FORCE_BLOCK = 256  # steps per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, N, b, column, dt):
+def _rk4_stage_maps(A, N, b, column, dt, law=None):
     """Classical RK4 on x' = A x + E u as linear maps of one step's operand
     z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s); v_s; d_s] holds
     stage s's cubic force, voltage and disturbance value, and E puts -I, b
@@ -187,11 +190,17 @@ def _rk4_stage_maps(A, N, b, column, dt):
     n), is the first of the cubic force's three contractions.  F maps z to
     the step's new state.
 
+    Given a control.VoltageLaw (g, c, beta), S[s] maps to [y; h; N' p]
+    instead: h = -(g y + c A_flex y) / beta is the law's voltage row, and
+    N' is N with its first index extended by the row (c / beta) N, so the
+    two remaining contractions give [N(p, p, p); c N(p, p, p) / beta] and
+    the unclipped voltage is h plus the last of these.
+
     So a step, with the maps built once per run, is per stage one matvec
-    with a prefix of z, the two remaining contractions, which write the
-    cubic force into u_s, and one policy call, which writes v_s; the d_s of
-    a block of steps come from one vectorised Disturbance.force call, and
-    the new state is F z.
+    with a prefix of z and the two remaining contractions, which write the
+    cubic force into u_s; v_s is then a clipped scalar sum under a folded
+    law, or else one policy call.  The d_s of a block of steps come from
+    one vectorised Disturbance.force call, and the new state is F z.
     """
     d = A.shape[0]
     n = d // 4
@@ -203,14 +212,22 @@ def _rk4_stage_maps(A, N, b, column, dt):
     if column is not None:
         E[:, n + 1] = column
     eye = np.eye(d, d + 4 * m)
-    S = np.empty((4, d + n + N.shape[0], d + 4 * m))
+    cubic = d + (n if law is None else 1)  # first row of the cubic block
+    folded = cubic + N.shape[0]  # first row of the law's cubic rows, if any
+    S = np.empty((4, folded + (0 if law is None else n * n), d + 4 * m))
     K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
     y = eye  # y1 = x
     for s in range(4):
         S[s, :d] = y
         k = A.dot(y, out=K[s])
-        S[s, d:d + n] = k[flex]
-        N.dot(y[:n], out=S[s, d + n:])
+        Np = N.dot(y[:n], out=S[s, cubic:folded])
+        if law is None:
+            S[s, d:cubic] = k[flex]
+        else:
+            h = law.g.dot(y, out=S[s, d])
+            h += law.c.dot(k[flex])
+            h /= -law.beta
+            (law.c / law.beta).dot(Np.reshape(n, -1), out=S[s, folded:].reshape(-1))
         k[flex, d + s * m:d + (s + 1) * m] = E  # A y_s does not read u_s
         if s < 3:
             y = eye + (_RK4_NODES[s + 1] * dt) * k
@@ -315,12 +332,18 @@ def compute_metrics(times, tip_w, voltage, period1):
 def _run_rk4(mats, config, policy, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     (see _rk4_stage_maps), in buffers made once per run; the logged voltage
-    is the first stage's, closed_loop's at the logged state."""
+    is the first stage's, closed_loop's at the logged state.  A VoltageLaw
+    policy is folded into the maps and never called; any other policy is
+    called once per stage."""
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
-    S, F = _rk4_stage_maps(A, N, b, column, dt)
+    law = policy if isinstance(policy, VoltageLaw) else None
+    S, F = _rk4_stage_maps(A, N, b, column, dt, law)
     n = mats.n
     d, m = 4 * n, n + 2
+    r = n if law is None else 1  # rows of A_flex y, or of the law's h
+    q = n if law is None else n + 1  # N(p, p, p), and c N(p, p, p) / beta
+    v_max = math.inf if law is None or law.v_max is None else law.v_max
     z = np.zeros(d + 4 * m)
     z[:d] = states[0] = x
     x = z[:d]
@@ -328,12 +351,12 @@ def _run_rk4(mats, config, policy, x, states, voltage):
     probe = np.zeros(d + m)  # probe . [x; u1] is 0 unless an entry is NaN or infinite
     forcing = z[d + n + 1::m]  # d_1 .. d_4
     offsets = np.array([c * dt for c in _RK4_NODES])
-    contracted = np.empty(n * n)
-    contracted_nn = contracted.reshape(n, n)
-    W = np.empty((4, S[0].shape[0]))  # each stage's [y; A_flex y; N p]
+    contracted = np.empty(q * n)
+    contracted_nn = contracted.reshape(q, n)
+    W = np.empty((4, S[0].shape[0]))  # each stage's [y; A_flex y or h; N p]
     starts = range(d, d + 4 * m, m)  # of u1 .. u4 in z, so z[:u] is what S[s] reads
-    stages = [(maps, z[:u], w, w[:d], w[:n], w[d:d + n], w[d + n:].reshape(n * n, n),
-               z[u:u + n], u + n, c * dt, s == 0)
+    stages = [(maps, z[:u], w, w[:d], w[:n], w[d:d + r], w[d + r:].reshape(q * n, n),
+               z[u:u + q], u + n, c * dt, s == 0)
               for s, (maps, w, c, u) in enumerate(zip(S, W, _RK4_NODES, starts))]
     nsteps = states.shape[0] - 1
     for i in range(nsteps + 1):
@@ -348,7 +371,9 @@ def _run_rk4(mats, config, policy, x, states, voltage):
             maps.dot(prefix, out=w)
             Np.dot(p, out=contracted)
             contracted_nn.dot(p, out=cubic)
-            if policy is not None:
+            if law is not None:  # z[v_at] holds c N(p, p, p) / beta
+                z[v_at] = min(max(w[d] + z[v_at], -v_max), v_max)
+            elif policy is not None:
                 a0 -= cubic
                 z[v_at] = policy(y, t + c, a0)
             if logged:
@@ -388,8 +413,9 @@ def simulate(config, mats, basis, controller=None):
 
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set, and
-    called once per stage.  The voltage logged at each sample is the one
-    the first stage of the step from that sample used.
+    called once per stage; an RK4 run folds a control.VoltageLaw into its
+    stage maps instead of calling it.  The voltage logged at each sample is
+    the one the first stage of the step from that sample used.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from piezobeam import (ControlAuthorityError, ControllerConfig, ModalBasis,
                        SimConfig, assemble, closed_loop, design_gains,
                        linear_frequencies, make_policy, output, simulate)
+from piezobeam.control import VoltageLaw
 
 from test_dynamics import tip_release_state
 
@@ -173,6 +174,37 @@ class TestPolicy:
         law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         for i in range(tr.times.size):
             assert tr.voltage[i] == law(tr.states[i], tr.times[i])[1]
+
+    def test_logged_voltage_below_the_limit_is_the_law_to_round_off(self, mats, basis2):
+        # a 1 mm release leaves the limit within 4 ms; the stage maps sum the
+        # law's terms in another order than closed_loop, so an unclipped
+        # sample agrees to round-off: within 1e-12 of v_max
+        ctrl = build_controller(mats, basis2, v_max=50.0)
+        ic = tip_release_state(basis2, 1e-3)
+        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
+                                initial_state=ic, controller_on=True),
+                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        below = np.abs(tr.voltage) < 50.0
+        assert 0 < below.sum() < below.size
+        expected = np.array([law(x, t)[1] for x, t in zip(tr.states[below], tr.times[below])])
+        assert np.max(np.abs(tr.voltage[below] - expected)) <= 1e-12 * 50.0
+
+    def test_rk4_folds_the_law_and_avf_calls_it(self, mats, basis2, monkeypatch):
+        class Called(Exception):
+            pass
+
+        def refuse(law, x, t, a0):
+            raise Called
+
+        law = make_policy(mats, build_controller(mats, basis2, v_max=50.0), 20.0)
+        monkeypatch.setattr(VoltageLaw, "__call__", refuse)
+        run = dict(Omega=20.0, dt=2e-5, t_final=0.002, controller_on=True,
+                   initial_state=tip_release_state(basis2, 1e-3))
+        tr = simulate(SimConfig(**run), mats, basis2, controller=law)
+        assert np.any(tr.voltage != 0.0)
+        with pytest.raises(Called):
+            simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
 
     def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
         # four stages per step, the first one shared with the voltage sample,

@@ -490,6 +490,31 @@ class TestClosedLoopKernel:
         if case == "saturated_release":
             assert np.any(np.abs(voltage) == 50.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])
+    def test_folded_law_matches_the_called_law(self, beam, piezo, n, case):
+        # simulate folds make_policy's law into the stage maps, but calls
+        # the same law behind a plain function at every stage
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
+                                   zeta_tors=(0.01, 0.0033, 0.004))
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        om_f, _ = linear_frequencies(m, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        saturated = case == "saturated_release"
+        law = make_policy(m, ControllerConfig(k0=k0, k1=k1, v_max=50.0 if saturated else None,
+                                              output_weights=basis.flexural_tip_values()),
+                          20.0)
+        cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, controller_on=True,
+                        initial_state=tip_release_state(basis) if saturated else None,
+                        disturbance=None if saturated else
+                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        called = simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
+        assert_within_peaks(simulate(cfg, m, basis, controller=law),
+                            called.states, called.voltage)
+        assert np.any(called.voltage != 0.0)
+        assert np.any(np.abs(called.voltage) == 50.0) == saturated
+
     def test_no_per_omega_state(self, mats, basis2):
         def run(omega):
             simulate(SimConfig(Omega=omega, dt=2e-5, t_final=4e-5,
