@@ -46,8 +46,9 @@ class ControllerConfig:
             raise ValueError("closed-loop polynomial must be Hurwitz (k0, k1 finite "
                              "and > 0)")
         self.output_weights = np.asarray(self.output_weights, dtype=float)
-        if not np.any(self.output_weights):
-            raise ValueError("output weights must not all be zero")
+        if not (np.isfinite(self.output_weights).all() and np.any(self.output_weights)):
+            raise ValueError("output_weights must be finite and not all zero, "
+                             f"got {self.output_weights}")
         if self.v_max is not None and not self.v_max > 0:
             raise ValueError("v_max must be > 0, or None for no saturation")
 
@@ -89,10 +90,12 @@ def make_policy(mats, ctrl, omega):
     disturbance is not fed forward.
 
     The output's acceleration per volt, beta = c M1^-1 F1, does not depend
-    on omega, and omega is not read; ControlAuthorityError is raised here if
-    |beta| is below AUTHORITY_TOLERANCE.
+    on omega, and omega is not read.  Raises ValueError unless there are n
+    output weights, and ControlAuthorityError if |beta| < AUTHORITY_TOLERANCE.
     """
     c = np.array(ctrl.output_weights, dtype=float)
+    if c.shape != (mats.n,):
+        raise ValueError(f"output_weights has shape {c.shape}, need the model's n = {mats.n}")
     beta = float(c @ mats.b)
     if abs(beta) < AUTHORITY_TOLERANCE:
         raise ControlAuthorityError(beta)

@@ -6,10 +6,10 @@ x below, of SimConfig.initial_state and of each row of Trajectory.states.
 
 The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
 the cubic force, the piezo voltage and the disturbance value.  closed_loop
-evaluates them once per call for rhs, step and the AVF runs; simulate's RK4
-runs step them through the stage maps of _rk4_stage_maps instead, with
-make_policy's law folded into the maps and any other policy called once per
-stage.
+evaluates them once per call, calling the voltage policy; rhs, step and
+every simulate run that calls a policy step it.  A simulate run under RK4
+with no policy or with a control.VoltageLaw calls none: it steps the stage
+maps of _rk4_stage_maps, with the law folded into them.
 """
 
 import math
@@ -150,14 +150,15 @@ def rhs(x, t, v_p, mats, omega, disturbance=None):
     return out
 
 
-def rk4_step(f, x, t, dt):
-    """One classical Runge-Kutta step of x' = f(x, t).
+def rk4_step(f, x, t, dt, k1=None):
+    """One classical Runge-Kutta step of x' = f(x, t); k1 = f(x, t) when
+    the caller has it already, as simulate's step loop does.
 
     The step is x + (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), rounded in that
     order.  It writes into neither its arguments nor any array f returns, so
     f may return the same array on every call.
     """
-    k1 = f(x, t)
+    k1 = f(x, t) if k1 is None else k1
     h = 0.5 * dt
     k2 = f(x + h * k1, t + h)
     k3 = f(x + h * k2, t + h)
@@ -183,24 +184,23 @@ def _rk4_stage_maps(A, N, b, column, dt, law=None):
     and the disturbance column into the flexural-acceleration rows.
 
     Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:d + s m] = [x; u1
-    .. u_s], d = 4n and m = n + 2, to [y; A_flex y; N p] for the input y =
-    [p; ...] of stage s + 1 (y = x for the first).  A_flex are the
-    flexural-acceleration rows of A, so A_flex y - N(p, p, p) is the drift
-    that stage hands the policy, and N p, N the flattened cubic tensor (n^3,
-    n), is the first of the cubic force's three contractions.  F maps z to
-    the step's new state.
+    .. u_s], d = 4n and m = n + 2, to [y; N p] for the input y = [p; ...] of
+    stage s + 1 (y = x for the first); N p, N the flattened cubic tensor
+    (n^3, n), is the first of the cubic force's three contractions.  F maps
+    z to the step's new state.
 
     Given a control.VoltageLaw (g, c, beta), S[s] maps to [y; h; N' p]
-    instead: h = -(g y + c A_flex y) / beta is the law's voltage row, and
-    N' is N with its first index extended by the row (c / beta) N, so the
-    two remaining contractions give [N(p, p, p); c N(p, p, p) / beta] and
-    the unclipped voltage is h plus the last of these.
+    instead: h = -(g y + c A_flex y) / beta is the law's voltage row, A_flex
+    the flexural-acceleration rows of A, and N' is N with its first index
+    extended by the row (c / beta) N, so the two remaining contractions give
+    [N(p, p, p); c N(p, p, p) / beta] and the unclipped voltage is h plus
+    the last of these.  The maps read no other policy (see simulate).
 
     So a step, with the maps built once per run, is per stage one matvec
     with a prefix of z and the two remaining contractions, which write the
-    cubic force into u_s; v_s is then a clipped scalar sum under a folded
-    law, or else one policy call.  The d_s of a block of steps come from
-    one vectorised Disturbance.force call, and the new state is F z.
+    cubic force into u_s, and under a law one clipped scalar sum for v_s.
+    The d_s of a block of steps come from one vectorised Disturbance.force
+    call, and the new state is F z.
     """
     d = A.shape[0]
     n = d // 4
@@ -212,7 +212,7 @@ def _rk4_stage_maps(A, N, b, column, dt, law=None):
     if column is not None:
         E[:, n + 1] = column
     eye = np.eye(d, d + 4 * m)
-    cubic = d + (n if law is None else 1)  # first row of the cubic block
+    cubic = d if law is None else d + 1  # first row of the cubic block
     folded = cubic + N.shape[0]  # first row of the law's cubic rows, if any
     S = np.empty((4, folded + (0 if law is None else n * n), d + 4 * m))
     K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
@@ -221,9 +221,7 @@ def _rk4_stage_maps(A, N, b, column, dt, law=None):
         S[s, :d] = y
         k = A.dot(y, out=K[s])
         Np = N.dot(y[:n], out=S[s, cubic:folded])
-        if law is None:
-            S[s, d:cubic] = k[flex]
-        else:
+        if law is not None:
             h = law.g.dot(y, out=S[s, d])
             h += law.c.dot(k[flex])
             h /= -law.beta
@@ -242,7 +240,7 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 def avf_step(f, x, t, dt, k1=None):
     """One average-vector-field step of x = [y; y'], x' = f(x, t) = [y'; a];
-    k1 = f(x, t) when the caller has it already.
+    k1 = f(x, t) when the caller has it already, as simulate's step loop does.
 
     The velocity increment is dt times the 2-point Gauss average of a along
     the segment from x to the new state, and the positions follow as the
@@ -329,20 +327,18 @@ def compute_metrics(times, tip_w, voltage, period1):
     }
 
 
-def _run_rk4(mats, config, policy, x, states, voltage):
+def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
-    (see _rk4_stage_maps), in buffers made once per run; the logged voltage
-    is the first stage's, closed_loop's at the logged state.  A VoltageLaw
-    policy is folded into the maps and never called; any other policy is
-    called once per stage."""
+    (see _rk4_stage_maps), in buffers made once per run; law is None or a
+    control.VoltageLaw, folded into the maps and never called.  The logged
+    voltage is the first stage's, closed_loop's at the logged state."""
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
-    law = policy if isinstance(policy, VoltageLaw) else None
     S, F = _rk4_stage_maps(A, N, b, column, dt, law)
     n = mats.n
     d, m = 4 * n, n + 2
-    r = n if law is None else 1  # rows of A_flex y, or of the law's h
-    q = n if law is None else n + 1  # N(p, p, p), and c N(p, p, p) / beta
+    r = 0 if law is None else 1  # rows of the law's h
+    q = n + r  # N(p, p, p), and c N(p, p, p) / beta
     v_max = math.inf if law is None or law.v_max is None else law.v_max
     z = np.zeros(d + 4 * m)
     z[:d] = states[0] = x
@@ -353,33 +349,28 @@ def _run_rk4(mats, config, policy, x, states, voltage):
     offsets = np.array([c * dt for c in _RK4_NODES])
     contracted = np.empty(q * n)
     contracted_nn = contracted.reshape(q, n)
-    W = np.empty((4, S[0].shape[0]))  # each stage's [y; A_flex y or h; N p]
+    W = np.empty((4, S[0].shape[0]))  # each stage's [y; h if a law; N p]
     starts = range(d, d + 4 * m, m)  # of u1 .. u4 in z, so z[:u] is what S[s] reads
-    stages = [(maps, z[:u], w, w[:d], w[:n], w[d:d + r], w[d + r:].reshape(q * n, n),
-               z[u:u + q], u + n, c * dt, s == 0)
-              for s, (maps, w, c, u) in enumerate(zip(S, W, _RK4_NODES, starts))]
+    stages = [(maps, z[:u], w, w[:n], w[d + r:].reshape(q * n, n), z[u:u + q], u + n, s == 0)
+              for s, (maps, w, u) in enumerate(zip(S, W, starts))]
     nsteps = states.shape[0] - 1
     for i in range(nsteps + 1):
-        t = i * dt  # times[i] bit for bit, as a Python float
         if column is not None:
             j = i % _FORCE_BLOCK
             if j == 0:
                 block = np.arange(i, min(i + _FORCE_BLOCK, nsteps + 1)) * dt
                 values = config.disturbance.force(block[:, None] + offsets)
             forcing[...] = values[j]
-        for maps, prefix, w, y, p, a0, Np, cubic, v_at, c, logged in stages:
+        for maps, prefix, w, p, Np, cubic, v_at, logged in stages:
             maps.dot(prefix, out=w)
             Np.dot(p, out=contracted)
             contracted_nn.dot(p, out=cubic)
             if law is not None:  # z[v_at] holds c N(p, p, p) / beta
                 z[v_at] = min(max(w[d] + z[v_at], -v_max), v_max)
-            elif policy is not None:
-                a0 -= cubic
-                z[v_at] = policy(y, t + c, a0)
             if logged:
                 voltage[i] = z[v_at]
                 if probe.dot(first) != 0.0:
-                    raise IntegrationBlowupError(t)
+                    raise IntegrationBlowupError(i * dt)
                 if i == nsteps:
                     return
         row = states[i + 1]
@@ -387,14 +378,16 @@ def _run_rk4(mats, config, policy, x, states, voltage):
         x[...] = row
 
 
-def _run_avf(mats, config, policy, x, states, voltage):
-    """Fill states and voltage with AVF steps from x, each right-hand side
-    one closed_loop evaluation."""
+def _run_called(mats, config, policy, x, states, voltage):
+    """Fill states and voltage with the step loop from x: config.integrator
+    steps one closed_loop, whose evaluation at each sample gives the logged
+    voltage and the step's k1."""
     f = closed_loop(mats, config.Omega, policy, config.disturbance)
 
     def deriv(xs, ts):
         return f(xs, ts)[0]
 
+    advance = INTEGRATORS[config.integrator]
     dt = float(config.dt)
     nsteps = states.shape[0] - 1
     for i in range(nsteps + 1):
@@ -404,7 +397,7 @@ def _run_avf(mats, config, policy, x, states, voltage):
         if not np.isfinite(k1).all():
             raise IntegrationBlowupError(t)
         if i < nsteps:
-            x = avf_step(deriv, x, t, dt, k1=k1)
+            x = advance(deriv, x, t, dt, k1=k1)
 
 
 def simulate(config, mats, basis, controller=None):
@@ -412,10 +405,11 @@ def simulate(config, mats, basis, controller=None):
     with metrics.
 
     The controller is a voltage policy (x, t, a0) -> volts (see
-    closed_loop), supplied exactly when config.controller_on is set, and
-    called once per stage; an RK4 run folds a control.VoltageLaw into its
-    stage maps instead of calling it.  The voltage logged at each sample is
-    the one the first stage of the step from that sample used.
+    closed_loop), supplied exactly when config.controller_on is set.  An RK4
+    run folds a control.VoltageLaw into its stage maps; any other callable,
+    and every AVF run, takes the step loop, which calls the policy at every
+    right-hand side (4 nsteps + 1 times under RK4).  The voltage logged at
+    each sample is the one the first stage of the step from that sample used.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -438,7 +432,8 @@ def simulate(config, mats, basis, controller=None):
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
-    run = _run_rk4 if config.integrator == "rk4" else _run_avf
+    folded = controller is None or isinstance(controller, VoltageLaw)
+    run = _run_rk4 if folded and config.integrator == "rk4" else _run_called
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         run(mats, config, controller, x, states, voltage)

@@ -261,6 +261,12 @@ class TestPolicy:
         with pytest.raises(ControlAuthorityError):
             make_policy(mats, ctrl, 20.0)
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0, 0.0]])
+    def test_weights_of_another_length_rejected_when_built(self, mats, weights):
+        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=weights)
+        with pytest.raises(ValueError, match=r"output_weights .* n = 2"):
+            make_policy(mats, ctrl, 20.0)
+
 
 class TestControllerConfig:
     def test_rejects_non_hurwitz(self):
@@ -275,9 +281,10 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match="Hurwitz"):
             ControllerConfig(k0=k0, k1=k1, output_weights=[1.0, 0.0])
 
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(k0=1.0, k1=1.0, output_weights=[0.0, 0.0])
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [float("nan"), 1.0], [1.0, float("inf")]])
+    def test_rejects_zero_weights(self, weights):
+        with pytest.raises(ValueError, match="output_weights"):
+            ControllerConfig(k0=1.0, k1=1.0, output_weights=weights)
 
     @pytest.mark.parametrize("v_max", [0.0, -5.0, float("nan")])
     def test_rejects_nonpositive_v_max(self, v_max):

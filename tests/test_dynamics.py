@@ -149,6 +149,12 @@ class TestStep:
         k1, k2, k3, k4 = stages
         assert np.array_equal(out, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
+        # a k1 handed in stands for the first evaluation and is not written
+        held = k1.copy()
+        stages.clear()
+        assert np.array_equal(rk4_step(f, x, t, dt, k1=k1), out)
+        assert len(stages) == 3 and np.array_equal(k1, held)
+
     def test_zero_dynamics(self, mats):
         x = np.zeros(8)
         out = step(x, 0.0, 1e-4, mats, 20.0)
@@ -514,6 +520,29 @@ class TestClosedLoopKernel:
                             called.states, called.voltage)
         assert np.any(called.voltage != 0.0)
         assert np.any(np.abs(called.voltage) == 50.0) == saturated
+
+    @pytest.mark.parametrize("integrator", ["rk4", "avf"])
+    def test_called_policy_runs_the_step_loop(self, mats, basis2, integrator):
+        # any policy but a VoltageLaw is stepped exactly as step steps it
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        law = make_policy(mats, ControllerConfig(k0=k0, k1=k1, v_max=50.0,
+                                                 output_weights=basis2.flexural_tip_values()),
+                          20.0)
+        policy = lambda x, t, a0: law(x, t, a0)
+        dist = Disturbance(amplitude=0.002, frequency=40.0, target=2)
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
+                        initial_state=tip_release_state(basis2), disturbance=dist,
+                        integrator=integrator)
+        tr = simulate(cfg, mats, basis2, controller=policy)
+        f = closed_loop(mats, 20.0, policy, dist)
+        x = cfg.initial_state
+        for i in range(tr.times.size):
+            t = i * cfg.dt
+            assert np.array_equal(tr.states[i], x), i
+            assert tr.voltage[i] == f(x, t)[1], i
+            x = step(x, t, cfg.dt, mats, 20.0, policy, dist, integrator)
+        assert np.any(np.abs(tr.voltage) == 50.0)  # the release saturates
 
     def test_no_per_omega_state(self, mats, basis2):
         def run(omega):
