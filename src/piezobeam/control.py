@@ -54,9 +54,11 @@ class ControllerConfig:
 
 
 def output(x, weights):
-    """(y, ydot) of the weighted flexural output."""
+    """(y, ydot) of the weighted flexural output; x has 4n entries for n weights."""
     c = np.asarray(weights, dtype=float)
     n = c.size
+    if np.size(x) != 4 * n:
+        raise ValueError(f"output_weights has {n} entries for a state of {np.size(x)}")
     return float(c @ x[:n]), float(c @ x[2 * n:3 * n])
 
 
@@ -68,8 +70,9 @@ class VoltageLaw:
     the output's acceleration per volt; g and c are read-only.
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
-    does not read t.  simulate's RK4 runs do not call it: they fold g, c
-    and beta into their stage maps (see dynamics._rk4_stage_maps).
+    does not read t.  simulate's RK4 runs do not call it: they fold it into
+    their stage maps (see dynamics._rk4_stage_maps), without v_max as its
+    closed loop (closed_loop_matrices).
     """
 
     g: np.ndarray
@@ -82,6 +85,18 @@ class VoltageLaw:
         if self.v_max is not None:
             v = min(max(v, -self.v_max), self.v_max)
         return v
+
+
+def closed_loop_matrices(A, b, law):
+    """(h, A_cl, cubic) of the law without its limit, v = h x + c N(p, p, p) /
+    beta, on the operator A and voltage column b: h = -(g + c A_flex) / beta,
+    A_cl is A with b h added to its flexural rows A_flex, and cubic = -(I -
+    b c / beta) maps N(p, p, p) into them.  law.v_max is not read."""
+    flex = slice(2 * b.size, 3 * b.size)
+    h = -(law.g + law.c.dot(A[flex])) / law.beta
+    A_cl = A.copy()
+    A_cl[flex] += b[:, None] * h
+    return h, A_cl, b[:, None] * (law.c / law.beta) - np.eye(b.size)
 
 
 def make_policy(mats, ctrl, omega):

@@ -9,7 +9,8 @@ the cubic force, the piezo voltage and the disturbance value.  closed_loop
 evaluates them once per call, calling the voltage policy; rhs, step and
 every simulate run that calls a policy step it.  A simulate run under RK4
 with no policy or with a control.VoltageLaw calls none: it steps the stage
-maps of _rk4_stage_maps, with the law folded into them.
+maps of _rk4_stage_maps, with the law (without v_max, its closed loop)
+folded into them.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import StateOperator
-from .control import VoltageLaw
+from .control import VoltageLaw, closed_loop_matrices
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -88,6 +89,13 @@ def _contract3(T, p):
     """sum_jkl T_ijkl p_j p_k p_l for a tensor T flattened to shape (n^3, n)."""
     n = p.size
     return T.dot(p).reshape(n * n, n).dot(p).reshape(n, n).dot(p)
+
+
+def _contract3_rows(T, P):
+    """_contract3 at every row p of P, shape (samples, n)."""
+    n = P.shape[1]
+    TP = np.einsum("tak,tk->ta", P.dot(T.T).reshape(-1, n * n, n), P)
+    return np.einsum("tak,tk->ta", TP.reshape(-1, n, n), P)
 
 
 def _modal_terms(mats, omega, disturbance):
@@ -177,11 +185,12 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _FORCE_BLOCK = 256  # steps per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, N, b, column, dt, law=None):
-    """Classical RK4 on x' = A x + E u as linear maps of one step's operand
-    z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s); v_s; d_s] holds
-    stage s's cubic force, voltage and disturbance value, and E puts -I, b
-    and the disturbance column into the flexural-acceleration rows.
+def _rk4_stage_maps(A, N, E, dt, law=None):
+    """Classical RK4 on x' = A x + [0; 0; E u; 0] as linear maps of one
+    step's operand z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s);
+    v_s; d_s] holds stage s's cubic force, voltage and disturbance value,
+    and E (n, n + 2) maps u into the flexural-acceleration rows: -I, b and
+    the disturbance column for the open loop.
 
     Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:d + s m] = [x; u1
     .. u_s], d = 4n and m = n + 2, to [y; N p] for the input y = [p; ...] of
@@ -194,7 +203,8 @@ def _rk4_stage_maps(A, N, b, column, dt, law=None):
     the flexural-acceleration rows of A, and N' is N with its first index
     extended by the row (c / beta) N, so the two remaining contractions give
     [N(p, p, p); c N(p, p, p) / beta] and the unclipped voltage is h plus
-    the last of these.  The maps read no other policy (see simulate).
+    the last of these.  The maps read no other policy (see simulate); a law
+    without v_max comes as its closed loop (A_cl, E_cl), with no law.
 
     So a step, with the maps built once per run, is per stage one matvec
     with a prefix of z and the two remaining contractions, which write the
@@ -203,14 +213,8 @@ def _rk4_stage_maps(A, N, b, column, dt, law=None):
     call, and the new state is F z.
     """
     d = A.shape[0]
-    n = d // 4
-    m = n + 2
+    n, m = E.shape
     flex = slice(2 * n, 3 * n)
-    E = np.zeros((n, m))
-    np.fill_diagonal(E, -1.0)
-    E[:, n] = b
-    if column is not None:
-        E[:, n + 1] = column
     eye = np.eye(d, d + 4 * m)
     cubic = d if law is None else d + 1  # first row of the cubic block
     folded = cubic + N.shape[0]  # first row of the law's cubic rows, if any
@@ -331,15 +335,22 @@ def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     (see _rk4_stage_maps), in buffers made once per run; law is None or a
     control.VoltageLaw, folded into the maps and never called.  The logged
-    voltage is the first stage's, closed_loop's at the logged state."""
+    voltage is the first stage's, closed_loop's at the logged state; without
+    v_max the maps step the law's closed loop (control.closed_loop_matrices),
+    and its voltage h x + c N(p, p, p) / beta is filled after the last step."""
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
-    S, F = _rk4_stage_maps(A, N, b, column, dt, law)
     n = mats.n
     d, m = 4 * n, n + 2
+    E = np.column_stack((-np.eye(n), b, np.zeros(n) if column is None else column))
+    unclipped = law is not None and law.v_max is None
+    if unclipped:  # linear feedback: the maps step its closed loop, with no law
+        h, A, E[:, :n] = closed_loop_matrices(A, b, law)
+        c_beta, law = law.c / law.beta, None
+    S, F = _rk4_stage_maps(A, N, E, dt, law)
     r = 0 if law is None else 1  # rows of the law's h
     q = n + r  # N(p, p, p), and c N(p, p, p) / beta
-    v_max = math.inf if law is None or law.v_max is None else law.v_max
+    v_max = math.inf if law is None else law.v_max
     z = np.zeros(d + 4 * m)
     z[:d] = states[0] = x
     x = z[:d]
@@ -372,10 +383,13 @@ def _run_rk4(mats, config, law, x, states, voltage):
                 if probe.dot(first) != 0.0:
                     raise IntegrationBlowupError(i * dt)
                 if i == nsteps:
-                    return
-        row = states[i + 1]
-        F.dot(z, out=row)
-        x[...] = row
+                    break
+        else:  # the last sample breaks out before this step
+            row = states[i + 1]
+            F.dot(z, out=row)
+            x[...] = row
+    if unclipped:
+        voltage[...] = states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)
 
 
 def _run_called(mats, config, policy, x, states, voltage):
@@ -406,10 +420,10 @@ def simulate(config, mats, basis, controller=None):
 
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set.  An RK4
-    run folds a control.VoltageLaw into its stage maps; any other callable,
-    and every AVF run, takes the step loop, which calls the policy at every
-    right-hand side (4 nsteps + 1 times under RK4).  The voltage logged at
-    each sample is the one the first stage of the step from that sample used.
+    run folds a control.VoltageLaw (without v_max, its closed loop) into its
+    stage maps; any other callable, and every AVF run, takes the step loop,
+    which calls the policy at every right-hand side (4 nsteps + 1 times under
+    RK4).  The voltage logged at each sample is the policy's at that sample.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from piezobeam import (ControlAuthorityError, ControllerConfig, ModalBasis,
                        SimConfig, assemble, closed_loop, design_gains,
                        linear_frequencies, make_policy, output, simulate)
+from piezobeam import dynamics
 from piezobeam.control import VoltageLaw
 
 from test_dynamics import tip_release_state
@@ -55,6 +56,13 @@ class TestOutput:
         y, _ = output(x, basis.flexural_tip_values())
         assert abs(y - basis.flexural_tip_values()[0] * a) < 1e-18
         assert abs(y - 2 * a) < 1e-9  # phi_1(L) ~ 2
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0, 0.0]])
+    def test_weights_must_match_the_state(self, weights):
+        # n comes from the state, not the weights: one weight on an n = 2
+        # state would read its ydot from q1
+        with pytest.raises(ValueError, match="output_weights"):
+            output(np.arange(8.0), weights)
 
     def test_ydot_consistency_with_trajectory(self, mats, basis2):
         ic = tip_release_state(basis2, 1e-4)
@@ -190,14 +198,35 @@ class TestPolicy:
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states[below], tr.times[below])])
         assert np.max(np.abs(tr.voltage[below] - expected)) <= 1e-12 * 50.0
 
-    def test_rk4_folds_the_law_and_avf_calls_it(self, mats, basis2, monkeypatch):
+    def test_logged_unclipped_voltage_is_the_law_to_round_off(self, mats, basis2,
+                                                              monkeypatch):
+        # without v_max the law is linear feedback: RK4 steps its closed loop
+        # on maps with no law row and logs h x + c N(p, p, p) / beta after
+        # the run, another order of the law's terms than closed_loop's
+        built = []
+        stage_maps = dynamics._rk4_stage_maps
+        monkeypatch.setattr(dynamics, "_rk4_stage_maps",
+                            lambda *args: built.append(args[4:]) or stage_maps(*args))
+        ctrl = build_controller(mats, basis2)
+        ic = tip_release_state(basis2, 1e-3)
+        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
+                                initial_state=ic, controller_on=True),
+                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
+        assert built == [(None,)]
+        assert np.all(expected != 0.0)
+        assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("v_max", [50.0, None])
+    def test_rk4_folds_the_law_and_avf_calls_it(self, mats, basis2, monkeypatch, v_max):
         class Called(Exception):
             pass
 
         def refuse(law, x, t, a0):
             raise Called
 
-        law = make_policy(mats, build_controller(mats, basis2, v_max=50.0), 20.0)
+        law = make_policy(mats, build_controller(mats, basis2, v_max=v_max), 20.0)
         monkeypatch.setattr(VoltageLaw, "__call__", refuse)
         run = dict(Omega=20.0, dt=2e-5, t_final=0.002, controller_on=True,
                    initial_state=tip_release_state(basis2, 1e-3))

@@ -1,0 +1,91 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))  # diff_outputs imports bench_pairs, as it does when run
+spec = importlib.util.spec_from_file_location("diff_outputs", TOOLS / "diff_outputs.py")
+diff_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(diff_outputs)
+
+CSV = "t,p1,v_p\n0,1,0\n1,-4,0\n2,2,0\n"
+
+
+def tree(top, texts):
+    """Write {relative path: text} under top."""
+    for name, text in texts.items():
+        path = top / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return top
+
+
+def manifest(sha, peak):
+    return json.dumps({"matrices_sha256": sha, "outputs": {"csv": "free_on.csv"},
+                       "config": {"sim": {"dt": 2e-05}}, "peak": peak})
+
+
+def test_ledger_of_canned_trees(tmp_path):
+    common = {"export/matrices.txt": "M1 2 2\n1 0\n0 1\n",
+              "free_on/free_on.csv": CSV}
+    parent = tree(tmp_path / "parent", {
+        **common, "free_on/stdout.txt": "free: 1\nsame\n",
+        "free_on/free_on_manifest.json": manifest("fa44", 1.0),
+        "all_on/disturbance_on.csv": CSV, "old.txt": "x"})
+    change = tree(tmp_path / "change", {
+        **common, "free_on/stdout.txt": "free: 2\nsame\nextra\n",
+        "free_on/free_on_manifest.json": manifest("fa44", 1.5),
+        # p1 moves by 2e-12 at its -4 peak; v_p moves off an all-zero column
+        "all_on/disturbance_on.csv": "t,p1,v_p\n0,1,0\n1,-4.000000000002,1e-300\n2,2,0\n",
+        "new.txt": "y"})
+    out = diff_outputs.compare(parent, change)
+    assert out["identical"] == ["export/matrices.txt", "free_on/free_on.csv"]
+    assert out["parent_only"] == ["old.txt"] and out["change_only"] == ["new.txt"]
+    different = out["different"]
+    assert sorted(different) == ["all_on/disturbance_on.csv",
+                                 "free_on/free_on_manifest.json", "free_on/stdout.txt"]
+    shift = different["all_on/disturbance_on.csv"]
+    assert shift["t"] == 0.0 and shift["v_p"] is None
+    assert shift["p1"] == pytest.approx(0.5e-12, rel=1e-3)
+    assert different["free_on/free_on_manifest.json"] == {"peak": [1.0, 1.5]}
+    assert different["free_on/stdout.txt"] == [[1, "free: 1", "free: 2"],
+                                               [3, None, "extra"]]
+
+
+def test_tables_of_another_shape_are_not_compared():
+    shift = diff_outputs.csv_shift(CSV, CSV + "3,1,0\n")
+    assert shift == {"shape": [[["t", "p1", "v_p"], [3, 3]], [["t", "p1", "v_p"], [4, 3]]]}
+    assert "shape" in diff_outputs.csv_shift(CSV, CSV.replace("v_p", "v"))
+
+
+def test_json_leaves_by_key_path():
+    parent = json.dumps({"a": {"b": 1, "c": [1, 2]}, "d": None, "e": {}})
+    change = json.dumps({"a": {"b": 1, "c": [1, 3]}, "f": 0})
+    assert diff_outputs.json_shift(parent, change) == {
+        "a.c": [[1, 2], [1, 3]], "e": [{}, None], "f": [None, 0]}
+
+
+def test_shas_of_manifests_and_exported_matrices(tmp_path):
+    top = tree(tmp_path, {"free_on/free_on_manifest.json": manifest("fa44", 1.0),
+                          "all_on/disturbance_on_manifest.json": manifest("fa44", 2.0),
+                          "all_on/free_on_manifest.json": manifest("0b1c", 2.0),
+                          "all_on/free_on_metrics.json": "{}",
+                          "export/matrices.txt": ""})
+    assert diff_outputs.shas(top) == {
+        "manifests": ["0b1c", "fa44"],
+        "exported": {"export/matrices.txt":
+                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}}
+
+
+def test_the_cli_matrix():
+    cases = diff_outputs.cases()
+    assert cases.pop("export") == ["--export-matrices", "matrices.txt"]
+    assert sorted(cases) == ["all_off", "all_on", "disturbance_off", "disturbance_on",
+                             "free_off", "free_on"]
+    for name, argv in cases.items():
+        scenario, state = name.split("_")
+        assert argv == ["--scenario", scenario, "--controller", state,
+                        "--tfinal", "0.05", "--out", "."]

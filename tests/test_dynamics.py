@@ -11,6 +11,7 @@ from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
                        assemble, avf_step, closed_loop, design_gains, energy,
                        linear_frequencies, make_policy,
                        rhs, rk4_step, simulate, step)
+from piezobeam import dynamics
 from piezobeam.assembly import StateOperator
 
 
@@ -392,6 +393,25 @@ class TestSimulate:
                 i += 1
         assert i > 0
         assert info.value.t == i * cfg.dt
+
+    def test_blowup_under_an_unclipped_law(self, mats, basis2, monkeypatch):
+        # the closed loop stepped with no law in the maps is still checked at
+        # every sample, and a failed run never computes the logged voltage
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        law = make_policy(mats, ControllerConfig(
+            k0=k0, k1=k1, output_weights=basis2.flexural_tip_values()), 20.0)
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.5, controller_on=True,
+                        initial_state=tip_release_state(basis2, tip_w0=0.1))
+        with pytest.raises(IntegrationBlowupError) as called:
+            simulate(cfg, mats, basis2, controller=lambda x, t, a0: law(x, t, a0))
+        voltages = []
+        monkeypatch.setattr(dynamics, "_contract3_rows", lambda *a: voltages.append(a))
+        with pytest.raises(IntegrationBlowupError) as folded:
+            simulate(cfg, mats, basis2, controller=law)
+        assert called.value.t > 0.0
+        assert folded.value.t == called.value.t
+        assert voltages == []
 
     # dt = 2e-5: 23*dt + dt rounds below 24*dt, 24*dt + dt above 25*dt, so
     # the NaN reaches the state first at step k or already in step k - 1's
