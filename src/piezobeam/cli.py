@@ -19,7 +19,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, export_matrices,
                        SpinDestabilizedError)
@@ -149,6 +148,7 @@ def load_config(path=None, overrides=None):
     """
     raw = {}
     if path is not None:
+        import yaml  # the parser is needed only for a file, and takes time to import
         try:
             with open(path) as fh:
                 raw = yaml.safe_load(fh) or {}

@@ -10,7 +10,12 @@ evaluates them once per call, calling the voltage policy; rhs, step and
 every simulate run that calls a policy step it.  A simulate run under RK4
 with no policy or with a control.VoltageLaw calls none: it steps the stage
 maps of _rk4_stage_maps, with the law (without v_max, its closed loop)
-folded into them.
+folded into them.  That step loop, _run_rk4, works on one operand z = [x;
+d1 .. d4; u1 .. u4], the state, the four stages' disturbance values and
+their u_s = [N(p, p, p); v], and a step is 14 numpy calls: three per stage
+and two for the new state.  A zero row of the second stage's map probes
+[x; d1 .. d4; u1] for a NaN or infinity, and the disturbance values are
+filled one block of samples at a time.
 """
 
 import math
@@ -73,6 +78,16 @@ class SimConfig:
                       ("t_final", 0 <= self.t_final < math.inf, "finite and >= 0"),
                       ("integrator", self.integrator in INTEGRATORS,
                        f"one of {sorted(INTEGRATORS)}, got {self.integrator!r}")))
+        # the nsteps + 1 samples must be indexable
+        steps, most = self.t_final / self.dt, np.iinfo(np.intp).max
+        _check(self, (("t_final", steps < most,
+                       f"below {most} steps of dt, got t_final / dt = {steps:.6g}"),))
+
+    @property
+    def nsteps(self):
+        """Steps of the run: t_final / dt, rounded down unless within 1e-9 of
+        the next integer."""
+        return math.floor(self.t_final / self.dt + 1e-9)
 
 
 @dataclass
@@ -94,8 +109,9 @@ def _contract3(T, p):
 def _contract3_rows(T, P):
     """_contract3 at every row p of P, shape (samples, n)."""
     n = P.shape[1]
-    TP = np.einsum("tak,tk->ta", P.dot(T.T).reshape(-1, n * n, n), P)
-    return np.einsum("tak,tk->ta", TP.reshape(-1, n, n), P)
+    col = P[:, :, None]
+    TP = (P @ T.T).reshape(-1, n * n, n) @ col
+    return (TP.reshape(-1, n, n) @ col).reshape(-1, n)
 
 
 def _modal_terms(mats, omega, disturbance):
@@ -180,61 +196,66 @@ def rk4_step(f, x, t, dt, k1=None):
     return s
 
 
-_RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times, as fractions of the step
+_RK4_NODES = np.array([0.0, 0.5, 0.5, 1.0])  # stage times, as fractions of the step
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-_FORCE_BLOCK = 256  # steps per vectorised disturbance evaluation
+_FORCE_BLOCK = 256  # samples per vectorised disturbance evaluation
 
 
 def _rk4_stage_maps(A, N, E, dt, law=None):
-    """Classical RK4 on x' = A x + [0; 0; E u; 0] as linear maps of one
-    step's operand z = [x; u1; u2; u3; u4], where u_s = [N(p_s, p_s, p_s);
-    v_s; d_s] holds stage s's cubic force, voltage and disturbance value,
-    and E (n, n + 2) maps u into the flexural-acceleration rows: -I, b and
-    the disturbance column for the open loop.
+    """Classical RK4 on x' = A x + [0; 0; E [u; d]; 0] as linear maps of one
+    step's operand z = [x; d1 .. d4; u1 .. u4], where d_s is stage s's
+    disturbance value and u_s = [N(p_s, p_s, p_s); v_s] its cubic force and
+    voltage, and E (n, n + 2) maps [u; d] into the flexural-acceleration
+    rows: -I, b and the disturbance column for the open loop.
 
-    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:d + s m] = [x; u1
-    .. u_s], d = 4n and m = n + 2, to [y; N p] for the input y = [p; ...] of
-    stage s + 1 (y = x for the first); N p, N the flattened cubic tensor
-    (n^3, n), is the first of the cubic force's three contractions.  F maps
-    z to the step's new state.
+    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s (n + 1)]
+    = [x; d1 .. d4; u1 .. u_s] to [p; N p] for the flexural coordinates p of
+    stage s + 1's input y (x for the first); N p, N the flattened cubic
+    tensor (n^3, n), is the first of the cubic force's three contractions.
+    S[1] ends in one zero row, the probe: it reads [x; d1 .. d4; u1] and
+    gives 0 unless an entry is NaN or infinite.  F maps z to the step's new
+    state.  So a step is 14 numpy calls: per stage the matvec and two
+    contractions, then F z and one copy (see _run_rk4, which also fills the
+    d_s one block of samples at a time).
 
-    Given a control.VoltageLaw (g, c, beta), S[s] maps to [y; h; N' p]
-    instead: h = -(g y + c A_flex y) / beta is the law's voltage row, A_flex
-    the flexural-acceleration rows of A, and N' is N with its first index
-    extended by the row (c / beta) N, so the two remaining contractions give
-    [N(p, p, p); c N(p, p, p) / beta] and the unclipped voltage is h plus
-    the last of these.  The maps read no other policy (see simulate); a law
-    without v_max comes as its closed loop (A_cl, E_cl), with no law.
-
-    So a step, with the maps built once per run, is per stage one matvec
-    with a prefix of z and the two remaining contractions, which write the
-    cubic force into u_s, and under a law one clipped scalar sum for v_s.
-    The d_s of a block of steps come from one vectorised Disturbance.force
-    call, and the new state is F z.
+    Given a control.VoltageLaw (g, c, beta), S[s] maps to [p; N' p; h]
+    instead: N' is N with its first index extended by the row (c / beta) N,
+    so the two remaining contractions give [N(p, p, p); c N(p, p, p) /
+    beta], and h = -(g y + c A_flex y) / beta is the law's voltage row,
+    A_flex the flexural-acceleration rows of A; the unclipped voltage is h
+    plus c N(p, p, p) / beta.  The maps read no other policy (see simulate);
+    a law without v_max comes as its closed loop (A_cl, E_cl), with no law.
     """
     d = A.shape[0]
-    n, m = E.shape
+    n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
     flex = slice(2 * n, 3 * n)
-    eye = np.eye(d, d + 4 * m)
-    cubic = d if law is None else d + 1  # first row of the cubic block
-    folded = cubic + N.shape[0]  # first row of the law's cubic rows, if any
-    S = np.empty((4, folded + (0 if law is None else n * n), d + 4 * m))
-    K = np.empty((4, d, d + 4 * m))  # k_s = A y_s + E u_s as maps of z
+    eye = np.eye(d, d + 4 + 4 * m)
+    extended = [eye[:n, :n], N]  # p -> [p; N' p]
+    if law is not None:
+        extended.append((law.c / law.beta).dot(N.reshape(n, -1)).reshape(-1, n))
+    extended = np.concatenate(extended)
+    rows = extended.shape[0]  # the law's h, if any, and the probe come after these
+    K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
+    E_u, E_d = E[:, :m], E[:, m]
+    nodes = (_RK4_NODES * dt).tolist()
+    S = []
     y = eye  # y1 = x
-    for s in range(4):
-        S[s, :d] = y
-        k = A.dot(y, out=K[s])
-        Np = N.dot(y[:n], out=S[s, cubic:folded])
+    for s, k in enumerate(K):
+        u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
+        maps = np.zeros((rows + (law is not None) + (s == 1), u))
+        extended.dot(y[:n, :u], maps[:rows])  # out by position, as in _run_rk4
+        A.dot(y, k)
         if law is not None:
-            h = law.g.dot(y, out=S[s, d])
-            h += law.c.dot(k[flex])
+            h = law.g.dot(y[:, :u], maps[rows])
+            h += law.c.dot(k[flex, :u])
             h /= -law.beta
-            (law.c / law.beta).dot(Np.reshape(n, -1), out=S[s, folded:].reshape(-1))
-        k[flex, d + s * m:d + (s + 1) * m] = E  # A y_s does not read u_s
+        k[flex, u:u + m] = E_u  # A y_s does not read u_s or d_s
+        k[flex, d + s] = E_d
         if s < 3:
-            y = eye + (_RK4_NODES[s + 1] * dt) * k
+            y = eye + nodes[s + 1] * k
+        S.append(maps)
     F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
-    return [np.ascontiguousarray(S[s, :, :d + s * m]) for s in range(4)], F
+    return S, F
 
 
 AVF_RTOL = 1e-12
@@ -303,18 +324,14 @@ def energy(x, mats):
             + 0.5 * p @ mats.K1 @ p + 0.5 * q @ mats.K2 @ q + quartic)
 
 
-def _settling_time(times, tip_w, period1):
-    """Earliest time after which |tip_w| stays below 1% of its peak for at
-    least five first-mode periods; None if never sustained."""
-    peak = np.max(np.abs(tip_w))
+def _settling_time(times, abs_w, peak, period1):
+    """Earliest time after which |tip_w| (abs_w, of maximum peak) stays below
+    1% of its peak for at least five first-mode periods; None if never
+    sustained."""
     if peak == 0.0:
         return 0.0
-    thr = 0.01 * peak
-    above = np.abs(tip_w) >= thr
-    if not above.any():
-        t_last = times[0]
-    else:
-        t_last = times[np.nonzero(above)[0][-1]]
+    above = (abs_w >= 0.01 * peak).nonzero()[0]
+    t_last = times[above[-1]] if above.size else times[0]
     if times[-1] - t_last >= 5.0 * period1:
         return float(t_last)
     return None
@@ -323,73 +340,122 @@ def _settling_time(times, tip_w, period1):
 def compute_metrics(times, tip_w, voltage, period1):
     """Scalar summary metrics; recomputable from the CSV columns alone."""
     half = times >= 0.5 * times[-1] if times.size > 1 else slice(None)
+    abs_w = np.abs(tip_w)
+    peak = np.maximum.reduce(abs_w)
+    squares = tip_w[half] ** 2
     return {
-        "settling_time_s": _settling_time(times, tip_w, period1),
-        "peak_tip_m": float(np.max(np.abs(tip_w))),
-        "rms_tip_after_transient_m": float(np.sqrt(np.mean(tip_w[half] ** 2))),
-        "peak_voltage_V": float(np.max(np.abs(voltage))),
+        "settling_time_s": _settling_time(times, abs_w, peak, period1),
+        "peak_tip_m": float(peak),
+        "rms_tip_after_transient_m": math.sqrt(np.add.reduce(squares) / squares.size),
+        "peak_voltage_V": float(np.maximum.reduce(np.abs(voltage))),
     }
 
 
 def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
-    (see _rk4_stage_maps), in buffers made once per run; law is None or a
-    control.VoltageLaw, folded into the maps and never called.  The logged
-    voltage is the first stage's, closed_loop's at the logged state; without
-    v_max the maps step the law's closed loop (control.closed_loop_matrices),
-    and its voltage h x + c N(p, p, p) / beta is filled after the last step."""
+    of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
+    None or a control.VoltageLaw, folded into the maps and never called.
+
+    A step is 14 numpy calls in every case: per stage, one matvec with a
+    prefix of z and the two remaining contractions, which write u_s; then F
+    z and one copy.  Samples are kept as rows [x_i; d_i1 .. d_i4] of a
+    buffer of _FORCE_BLOCK + 1 rows, whose disturbance values come from one
+    Disturbance.force call per block; F z writes x_i+1 into the next row,
+    and copying that row into z's head sets both the state and the forcing
+    of the next step.  The rows go to states once per block.
+
+    A clipped law's voltage v_s is h plus c N(p, p, p) / beta, clipped on
+    Python floats; its first-stage value, closed_loop's at the sample, is
+    logged.  Without v_max the maps step the law's closed loop
+    (control.closed_loop_matrices), and its voltage h x + c N(p, p, p) /
+    beta is filled after the last step; without a law it is 0.
+
+    The probe row of the second stage raises IntegrationBlowupError at the
+    first sample whose [x; d1 .. d4; u1] is not finite; the last sample,
+    which has no second stage, is probed after the loop.
+    """
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
     n = mats.n
-    d, m = 4 * n, n + 2
-    E = np.column_stack((-np.eye(n), b, np.zeros(n) if column is None else column))
+    d, m = 4 * n, n + 1
+    E = np.zeros((n, n + 2))
+    E[:, n] = b
+    if column is not None:
+        E[:, n + 1] = column
     unclipped = law is not None and law.v_max is None
     if unclipped:  # linear feedback: the maps step its closed loop, with no law
         h, A, E[:, :n] = closed_loop_matrices(A, b, law)
         c_beta, law = law.c / law.beta, None
+    else:
+        E.flat[::n + 3] = -1.0  # -I on the cubic force
     S, F = _rk4_stage_maps(A, N, E, dt, law)
-    r = 0 if law is None else 1  # rows of the law's h
-    q = n + r  # N(p, p, p), and c N(p, p, p) / beta
-    v_max = math.inf if law is None else law.v_max
-    z = np.zeros(d + 4 * m)
-    z[:d] = states[0] = x
-    x = z[:d]
-    first = z[:d + m]  # [x; u1], all that k1 reads
-    probe = np.zeros(d + m)  # probe . [x; u1] is 0 unless an entry is NaN or infinite
-    forcing = z[d + n + 1::m]  # d_1 .. d_4
-    offsets = np.array([c * dt for c in _RK4_NODES])
+    clipped = law is not None
+    q = n + clipped  # N(p, p, p), and c N(p, p, p) / beta
+    v_max = law.v_max if clipped else math.inf
+    z = np.zeros(F.shape[1])
+    head = z[:d + 4]
+    S1, S2, S3, S4 = S
+    a1, a2, a3, a4 = range(d + 4, d + 4 + 4 * m, m)  # where u_s starts in z
+    z1, z2, z3, z4 = z[:a1], z[:a2], z[:a3], z[:a4]  # what each stage reads
+    u1, u2, u3, u4 = z[a1:a1 + q], z[a2:a2 + q], z[a3:a3 + q], z[a4:a4 + q]
+    v1, v2, v3, v4 = a1 + n, a2 + n, a3 + n, a4 + n  # v_s in z
+    probe = S1.shape[0]  # the row after S1's, S2's last
+    w = np.empty(probe + 1)  # the stages' outputs, in turn
+    w_ = w[:probe]  # for all stages but the second
+    p = w[:n]
+    Np = w[n:n + q * n * n].reshape(q * n, n)
+    h_at = n + q * n * n  # the law's row h
     contracted = np.empty(q * n)
     contracted_nn = contracted.reshape(q, n)
-    W = np.empty((4, S[0].shape[0]))  # each stage's [y; h if a law; N p]
-    starts = range(d, d + 4 * m, m)  # of u1 .. u4 in z, so z[:u] is what S[s] reads
-    stages = [(maps, z[:u], w, w[:n], w[d + r:].reshape(q * n, n), z[u:u + q], u + n, s == 0)
-              for s, (maps, w, u) in enumerate(zip(S, W, starts))]
     nsteps = states.shape[0] - 1
-    for i in range(nsteps + 1):
+    rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
+    rows[0, :d] = states[0] = x
+    for start in range(0, nsteps + 1, _FORCE_BLOCK):
+        stop = min(start + _FORCE_BLOCK, nsteps)  # steps start .. stop - 1
         if column is not None:
-            j = i % _FORCE_BLOCK
-            if j == 0:
-                block = np.arange(i, min(i + _FORCE_BLOCK, nsteps + 1)) * dt
-                values = config.disturbance.force(block[:, None] + offsets)
-            forcing[...] = values[j]
-        for maps, prefix, w, p, Np, cubic, v_at, logged in stages:
-            maps.dot(prefix, out=w)
-            Np.dot(p, out=contracted)
-            contracted_nn.dot(p, out=cubic)
-            if law is not None:  # z[v_at] holds c N(p, p, p) / beta
-                z[v_at] = min(max(w[d] + z[v_at], -v_max), v_max)
-            if logged:
-                voltage[i] = z[v_at]
-                if probe.dot(first) != 0.0:
-                    raise IntegrationBlowupError(i * dt)
-                if i == nsteps:
-                    break
-        else:  # the last sample breaks out before this step
-            row = states[i + 1]
-            F.dot(z, out=row)
-            x[...] = row
+            times = np.add.outer(np.arange(start, stop + 1) * dt, _RK4_NODES * dt)
+            rows[:stop - start + 1, d:] = config.disturbance.force(times)
+        head[...] = rows[0]
+        # each dot's out goes by position: as a keyword it costs ~0.2 us more
+        for i, new_x, new_row in zip(range(start, stop), rows[1:, :d], rows[1:]):
+            S1.dot(z1, w_)
+            Np.dot(p, contracted)
+            contracted_nn.dot(p, u1)
+            if clipped:  # z[v_s] holds c N(p, p, p) / beta
+                z[v1] = voltage[i] = min(max(w.item(h_at) + z.item(v1), -v_max), v_max)
+            S2.dot(z2, w)
+            if w.item(probe) != 0.0:
+                raise IntegrationBlowupError(i * dt)
+            Np.dot(p, contracted)
+            contracted_nn.dot(p, u2)
+            if clipped:
+                z[v2] = min(max(w.item(h_at) + z.item(v2), -v_max), v_max)
+            S3.dot(z3, w_)
+            Np.dot(p, contracted)
+            contracted_nn.dot(p, u3)
+            if clipped:
+                z[v3] = min(max(w.item(h_at) + z.item(v3), -v_max), v_max)
+            S4.dot(z4, w_)
+            Np.dot(p, contracted)
+            contracted_nn.dot(p, u4)
+            if clipped:
+                z[v4] = min(max(w.item(h_at) + z.item(v4), -v_max), v_max)
+            F.dot(z, new_x)
+            head[...] = new_row
+        states[start + 1:stop + 1] = rows[1:stop - start + 1, :d]
+        if stop < nsteps:
+            rows[0] = rows[-1]  # the next block's first sample
+    S1.dot(z1, w_)  # the last sample: its voltage and its probe
+    Np.dot(p, contracted)
+    contracted_nn.dot(p, u1)
+    if clipped:
+        z[v1] = voltage[nsteps] = min(max(w.item(h_at) + z.item(v1), -v_max), v_max)
+    if S2[probe].dot(z2) != 0.0:
+        raise IntegrationBlowupError(nsteps * dt)
     if unclipped:
         voltage[...] = states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)
+    elif not clipped:
+        voltage[...] = 0.0
 
 
 def _run_called(mats, config, policy, x, states, voltage):
@@ -424,6 +490,12 @@ def simulate(config, mats, basis, controller=None):
     stage maps; any other callable, and every AVF run, takes the step loop,
     which calls the policy at every right-hand side (4 nsteps + 1 times under
     RK4).  The voltage logged at each sample is the policy's at that sample.
+
+    The stage maps step the operand z = [x; d1 .. d4; u1 .. u4] in 14 numpy
+    calls a step, with the disturbance values d_s filled one block of
+    samples at a time (see _run_rk4).  Either loop raises
+    IntegrationBlowupError at the first sample whose right-hand side is not
+    finite; the stage maps tell that from a probe of [x; d1 .. d4; u1].
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -442,7 +514,7 @@ def simulate(config, mats, basis, controller=None):
         raise ValueError(f"SimConfig.initial_state has shape {x.shape}, "
                          f"need ({4 * n},) for [p; q; pdot; qdot]")
     dt = float(config.dt)
-    nsteps = int(math.floor(config.t_final / dt + 1e-9))
+    nsteps = config.nsteps
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)

@@ -345,8 +345,12 @@ class TestMainExitCodes:
         ("", ["--tfinal", "inf"], "sim.t_final"),
         ("", ["--omega", "nan"], "sim.Omega"),
         ("", ["--dt", "-inf"], "sim.dt"),
+        ("", ["--tfinal", "1e300", "--dt", "1e-300", "--scenario", "free",
+              "--controller", "off"], "t_final"),
+        ("", ["--tfinal", "1e300"], "t_final"),
     ], ids=["unknown_keys", "negative_tfinal", "coarse_dt", "target_beyond_modes",
-            "infinite_tfinal_flag", "nan_omega_flag", "negative_infinite_dt_flag"])
+            "infinite_tfinal_flag", "nan_omega_flag", "negative_infinite_dt_flag",
+            "infinite_sample_count", "sample_count_beyond_intp"])
     def test_config_error_writes_nothing(self, tmp_path, capsys, text, flags, message):
         out = tmp_path / "o"
         out.mkdir()

@@ -12,6 +12,7 @@ from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
                        linear_frequencies, make_policy,
                        rhs, rk4_step, simulate, step)
 from piezobeam import dynamics
+from piezobeam.dynamics import compute_metrics
 from piezobeam.assembly import StateOperator
 
 
@@ -377,22 +378,38 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(SimConfig(Omega=0.0, dt=1e-3, t_final=0.1), mats, basis2)
 
-    def test_blowup_reported_with_time(self, beam, piezo, basis2):
-        m = assemble(beam, piezo, basis2)
-        ic = tip_release_state(basis2, tip_w0=0.5)  # absurd release
-        cfg = SimConfig(Omega=0.0, dt=3e-5, t_final=0.5, initial_state=ic)
-        with pytest.raises(IntegrationBlowupError) as info:
-            simulate(cfg, m, basis2)
+    @pytest.mark.parametrize("last", [False, True], ids=["mid_run", "last_sample"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["release", "forced_release"])
+    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
+                             ids=["no_law", "clipped_law", "unclipped_law"])
+    def test_blowup_reported_with_time(self, beam, piezo, basis2, v_max, forced, last):
         # the first sample at which the rk4_step loop's right-hand side is
-        # not finite: a non-finite state or cubic force
-        f = closed_loop(m, 0.0)
+        # not finite: a non-finite state or cubic force; with last, that
+        # sample ends the run, so only the probe after the step loop sees it
+        m = assemble(beam, piezo, basis2)
+        law = None
+        if v_max is not None:
+            om_f, _ = linear_frequencies(m, 0.0)
+            k0, k1 = design_gains(om_f[0], 0.8)
+            law = make_policy(m, ControllerConfig(
+                k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
+                v_max=None if v_max == math.inf else v_max), 0.0)
+        dist = Disturbance(amplitude=1e3, frequency=40.0, target=1) if forced else None
+        ic = tip_release_state(basis2, tip_w0=0.5)  # absurd release
+        dt = 3e-5
+        f = closed_loop(m, 0.0, law, dist)
         x, i = ic, 0
         with np.errstate(over="ignore", invalid="ignore"):
-            while np.isfinite(f(x, i * cfg.dt)[0]).all():
-                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * cfg.dt, cfg.dt)
+            while np.isfinite(f(x, i * dt)[0]).all():
+                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * dt, dt)
                 i += 1
         assert i > 0
-        assert info.value.t == i * cfg.dt
+        cfg = SimConfig(Omega=0.0, dt=dt, t_final=i * dt if last else 0.5, initial_state=ic,
+                        disturbance=dist, controller_on=law is not None)
+        assert (cfg.nsteps == i) == last
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(cfg, m, basis2, controller=law)
+        assert info.value.t == i * dt
 
     def test_blowup_under_an_unclipped_law(self, mats, basis2, monkeypatch):
         # the closed loop stepped with no law in the maps is still checked at
@@ -487,6 +504,30 @@ class TestClosedLoopKernel:
         if v_max is not None:
             assert np.any(np.abs(voltage) == v_max)  # the release saturates
 
+    @pytest.mark.parametrize("nsteps", [255, 256, 257, 600])
+    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
+                             ids=["no_law", "clipped_law", "unclipped_law"])
+    def test_forcing_blocks_match_reference_loop(self, mats, basis2, v_max, nsteps):
+        # the disturbance is evaluated one block of samples at a time; runs
+        # that end inside, at and past a block's end see the same forcing
+        assert dynamics._FORCE_BLOCK == 256
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        ctrl = None if v_max is None else ControllerConfig(
+            k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
+            v_max=None if v_max == math.inf else v_max)
+        dt = 2e-5
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, controller_on=ctrl is not None,
+                        initial_state=tip_release_state(basis2, 1e-3),
+                        disturbance=Disturbance(amplitude=0.5, frequency=150.0, target=1))
+        tr = simulate(cfg, mats, basis2,
+                      controller=None if ctrl is None else make_policy(mats, ctrl, 20.0))
+        states, voltage = reference_run(cfg, mats, ctrl)
+        assert tr.times.size == nsteps + 1
+        assert_within_peaks(tr, states, voltage)  # exact zeros without a law
+        if v_max == 50.0:
+            assert np.any(np.abs(voltage) == 50.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["controller_off", "unsaturated_disturbance",
                                       "saturated_release"])
@@ -578,6 +619,63 @@ class TestClosedLoopKernel:
         assert len(pickle.dumps(mats)) == size
 
 
+def plain_metrics(times, tip_w, voltage, period1):
+    """compute_metrics' definitions, written out as they first read."""
+    peak = np.max(np.abs(tip_w))
+    if peak == 0.0:
+        settling = 0.0
+    else:
+        above = np.abs(tip_w) >= 0.01 * peak
+        t_last = times[np.nonzero(above)[0][-1]] if above.any() else times[0]
+        settling = float(t_last) if times[-1] - t_last >= 5.0 * period1 else None
+    half = times >= 0.5 * times[-1] if times.size > 1 else slice(None)
+    return {"settling_time_s": settling,
+            "peak_tip_m": float(np.max(np.abs(tip_w))),
+            "rms_tip_after_transient_m": float(np.sqrt(np.mean(tip_w[half] ** 2))),
+            "peak_voltage_V": float(np.max(np.abs(voltage)))}
+
+
+def bits(metrics):
+    """Each metric as its exact bits (None stays None)."""
+    return {k: v if v is None else (type(v), float(v).hex()) for k, v in metrics.items()}
+
+
+class TestMetrics:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_histories(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 3000))
+        times = np.arange(size) * 2e-5
+        decay = np.exp(-times / rng.uniform(1e-3, 0.02))
+        tip_w = rng.normal(size=size) * decay * rng.uniform(1e-6, 1e-2)
+        voltage = rng.normal(size=size) * 100.0
+        period1 = rng.uniform(1e-4, 5e-3)
+        assert bits(compute_metrics(times, tip_w, voltage, period1)) == \
+            bits(plain_metrics(times, tip_w, voltage, period1))
+
+    # (times, tip_w, period1, settling time): exact binary times; the tail's
+    # last sample at or above 1 % of its peak is at t = 0.5, 2.0 s before
+    # the end
+    _T, _TAIL = np.arange(11) * 0.25, np.r_[1.0, 0.5, 0.2, np.zeros(8)]
+    EDGE_CASES = {
+        "zero_peak": (_T, np.zeros(11), 0.1, 0.0),
+        "single_sample": (np.zeros(1), np.array([3e-3]), 0.1, None),
+        "single_zero_sample": (np.zeros(1), np.zeros(1), 0.1, 0.0),
+        "never_settles": (_T, np.r_[np.zeros(10), 1.0], 0.1, None),
+        "tail_short_of_five_periods": (_T, _TAIL, 0.4001, None),
+        "tail_of_exactly_five_periods": (_T, _TAIL, 0.4, 0.5),  # settles at the end
+        "negative_peak": (_T, -_TAIL, 0.01, 0.5),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases(self, case):
+        times, tip_w, period1, settling = self.EDGE_CASES[case]
+        voltage = np.linspace(-3.0, 2.0, times.size)
+        ours = compute_metrics(times, tip_w, voltage, period1)
+        assert bits(ours) == bits(plain_metrics(times, tip_w, voltage, period1))
+        assert ours["settling_time_s"] == settling
+
+
 class TestStateLayout:
     def test_bad_length(self, mats, basis2):
         with pytest.raises(ValueError, match="initial_state"):
@@ -598,6 +696,19 @@ class TestRunValues:
     def test_sim_config_rejects_nonfinite(self, kwargs, name):
         with pytest.raises(ValueError, match=f"SimConfig.{name} must be finite"):
             SimConfig(**{"Omega": 20.0, "dt": 2e-5, "t_final": 0.01, **kwargs})
+
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1e300, 2e-5), (2.0 ** 63, 1.0)],
+                             ids=["infinite_count", "count_beyond_intp", "count_of_2_63"])
+    def test_sim_config_rejects_sample_counts_beyond_intp(self, t_final, dt):
+        # rejected when built, before simulate allocates nsteps + 1 samples
+        with pytest.raises(ValueError, match="SimConfig.t_final must be below"):
+            SimConfig(Omega=20.0, dt=dt, t_final=t_final)
+
+    def test_nsteps_rounds_down_unless_within_1e_9(self):
+        assert SimConfig(Omega=0.0, dt=2e-5, t_final=0.002).nsteps == 100
+        assert SimConfig(Omega=0.0, dt=0.1, t_final=0.3).nsteps == 3  # 0.3 / 0.1 < 3
+        assert SimConfig(Omega=0.0, dt=0.1, t_final=0.35).nsteps == 3
+        assert SimConfig(Omega=0.0, dt=2e-5, t_final=0.0).nsteps == 0
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"amplitude": math.nan}, "amplitude"), ({"amplitude": math.inf}, "amplitude"),
