@@ -92,14 +92,11 @@ def closed_loop_matrices(A, b, law):
     beta, on the operator A and voltage column b: h = -(g + c A_flex) / beta,
     A_cl is A with b h added to its flexural rows A_flex, and cubic = -(I -
     b c / beta) maps N(p, p, p) into them.  law.v_max is not read."""
-    n = b.size
-    flex = slice(2 * n, 3 * n)
-    h = (law.g + law.c.dot(A[flex])) / -law.beta
+    flex = slice(2 * b.size, 3 * b.size)
+    h = -(law.g + law.c.dot(A[flex])) / law.beta
     A_cl = A.copy()
     A_cl[flex] += b[:, None] * h
-    cubic = b[:, None] * (law.c / law.beta)
-    cubic.ravel()[::n + 1] -= 1.0  # minus I
-    return h, A_cl, cubic
+    return h, A_cl, b[:, None] * (law.c / law.beta) - np.eye(b.size)
 
 
 def make_policy(mats, ctrl, omega):

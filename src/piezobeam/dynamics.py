@@ -60,6 +60,9 @@ class Disturbance:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)
 
 
+_MAX_STEPS = np.iinfo(np.intp).max  # the nsteps + 1 samples must be indexable
+
+
 @dataclass
 class SimConfig:
     """One run; the run defaults live in the CLI config, not here."""
@@ -78,10 +81,9 @@ class SimConfig:
                       ("t_final", 0 <= self.t_final < math.inf, "finite and >= 0"),
                       ("integrator", self.integrator in INTEGRATORS,
                        f"one of {sorted(INTEGRATORS)}, got {self.integrator!r}")))
-        # the nsteps + 1 samples must be indexable
-        steps, most = self.t_final / self.dt, np.iinfo(np.intp).max
-        _check(self, (("t_final", steps < most,
-                       f"below {most} steps of dt, got t_final / dt = {steps:.6g}"),))
+        steps = self.t_final / self.dt
+        _check(self, (("t_final", steps < _MAX_STEPS,
+                       f"below {_MAX_STEPS} steps of dt, got t_final / dt = {steps:.6g}"),))
 
     @property
     def nsteps(self):
@@ -109,9 +111,8 @@ def _contract3(T, p):
 def _contract3_rows(T, P):
     """_contract3 at every row p of P, shape (samples, n)."""
     n = P.shape[1]
-    col = P[:, :, None]
-    TP = (P @ T.T).reshape(-1, n * n, n) @ col
-    return (TP.reshape(-1, n, n) @ col).reshape(-1, n)
+    TP = np.einsum("tak,tk->ta", P.dot(T.T).reshape(-1, n * n, n), P)
+    return np.einsum("tak,tk->ta", TP.reshape(-1, n, n), P)
 
 
 def _modal_terms(mats, omega, disturbance):
@@ -394,23 +395,22 @@ def _run_rk4(mats, config, law, x, states, voltage):
     v_max = law.v_max if clipped else math.inf
     z = np.zeros(F.shape[1])
     head = z[:d + 4]
-    S1, S2, S3, S4 = S
-    a1, a2, a3, a4 = range(d + 4, d + 4 + 4 * m, m)  # where u_s starts in z
-    z1, z2, z3, z4 = z[:a1], z[:a2], z[:a3], z[:a4]  # what each stage reads
-    u1, u2, u3, u4 = z[a1:a1 + q], z[a2:a2 + q], z[a3:a3 + q], z[a4:a4 + q]
-    v1, v2, v3, v4 = a1 + n, a2 + n, a3 + n, a4 + n  # v_s in z
-    probe = S1.shape[0]  # the row after S1's, S2's last
+    probe = S[0].shape[0]  # S[1]'s last row
     w = np.empty(probe + 1)  # the stages' outputs, in turn
-    w_ = w[:probe]  # for all stages but the second
     p = w[:n]
     Np = w[n:n + q * n * n].reshape(q * n, n)
     h_at = n + q * n * n  # the law's row h
     contracted = np.empty(q * n)
     contracted_nn = contracted.reshape(q, n)
+    # per stage: its map, the prefix of z it reads, its output, where u_s
+    # goes, where v_s is, and whether it holds the probe row
+    stages = [(maps, z[:a], w[:maps.shape[0]], z[a:a + q], a + n, s == 1)
+              for s, (maps, a) in enumerate(zip(S, range(d + 4, d + 4 + 4 * m, m)))]
+    v1 = stages[0][4]  # the logged voltage
     nsteps = states.shape[0] - 1
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
-    for start in range(0, nsteps + 1, _FORCE_BLOCK):
+    for start in range(0, max(nsteps, 1), _FORCE_BLOCK):
         stop = min(start + _FORCE_BLOCK, nsteps)  # steps start .. stop - 1
         if column is not None:
             times = np.add.outer(np.arange(start, stop + 1) * dt, _RK4_NODES * dt)
@@ -418,39 +418,28 @@ def _run_rk4(mats, config, law, x, states, voltage):
         head[...] = rows[0]
         # each dot's out goes by position: as a keyword it costs ~0.2 us more
         for i, new_x, new_row in zip(range(start, stop), rows[1:, :d], rows[1:]):
-            S1.dot(z1, w_)
-            Np.dot(p, contracted)
-            contracted_nn.dot(p, u1)
-            if clipped:  # z[v_s] holds c N(p, p, p) / beta
-                z[v1] = voltage[i] = min(max(w.item(h_at) + z.item(v1), -v_max), v_max)
-            S2.dot(z2, w)
-            if w.item(probe) != 0.0:
-                raise IntegrationBlowupError(i * dt)
-            Np.dot(p, contracted)
-            contracted_nn.dot(p, u2)
+            for maps, prefix, out, u, v_at, probed in stages:
+                maps.dot(prefix, out)
+                if probed and w.item(probe) != 0.0:
+                    raise IntegrationBlowupError(i * dt)
+                Np.dot(p, contracted)
+                contracted_nn.dot(p, u)
+                if clipped:  # z[v_at] holds c N(p, p, p) / beta
+                    z[v_at] = min(max(w.item(h_at) + z.item(v_at), -v_max), v_max)
             if clipped:
-                z[v2] = min(max(w.item(h_at) + z.item(v2), -v_max), v_max)
-            S3.dot(z3, w_)
-            Np.dot(p, contracted)
-            contracted_nn.dot(p, u3)
-            if clipped:
-                z[v3] = min(max(w.item(h_at) + z.item(v3), -v_max), v_max)
-            S4.dot(z4, w_)
-            Np.dot(p, contracted)
-            contracted_nn.dot(p, u4)
-            if clipped:
-                z[v4] = min(max(w.item(h_at) + z.item(v4), -v_max), v_max)
+                voltage[i] = z.item(v1)
             F.dot(z, new_x)
             head[...] = new_row
         states[start + 1:stop + 1] = rows[1:stop - start + 1, :d]
-        if stop < nsteps:
-            rows[0] = rows[-1]  # the next block's first sample
-    S1.dot(z1, w_)  # the last sample: its voltage and its probe
+        rows[0] = rows[stop - start]  # the next block's first sample, or the last
+    maps, prefix, out, u, _, _ = stages[0]  # the last sample: its voltage and its probe
+    maps.dot(prefix, out)
     Np.dot(p, contracted)
-    contracted_nn.dot(p, u1)
+    contracted_nn.dot(p, u)
     if clipped:
         z[v1] = voltage[nsteps] = min(max(w.item(h_at) + z.item(v1), -v_max), v_max)
-    if S2[probe].dot(z2) != 0.0:
+    maps, prefix = stages[1][:2]
+    if maps[probe].dot(prefix) != 0.0:
         raise IntegrationBlowupError(nsteps * dt)
     if unclipped:
         voltage[...] = states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)

@@ -411,6 +411,43 @@ class TestSimulate:
             simulate(cfg, m, basis2, controller=law)
         assert info.value.t == i * dt
 
+    @pytest.mark.parametrize("nsteps", [256, 512])
+    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
+                             ids=["no_law", "clipped_law", "unclipped_law"])
+    def test_blowup_at_a_block_end_is_reported(self, mats, basis2, v_max, nsteps):
+        # a finite kick in the middle stages of the second-to-last step
+        # overflows the last stage's cubic force, so the run's last sample,
+        # which ends a block of forcing values, is the first non-finite one
+        assert nsteps % dynamics._FORCE_BLOCK == 0
+        dt = 2e-5
+        kick_at = (nsteps - 1) * dt + 0.5 * dt
+
+        class Kick(Disturbance):
+            def force(self, t):
+                return np.where(t == kick_at, self.amplitude, 0.0)
+
+        law = None
+        if v_max is not None:
+            om_f, _ = linear_frequencies(mats, 0.0)
+            k0, k1 = design_gains(om_f[0], 0.8)
+            law = make_policy(mats, ControllerConfig(
+                k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
+                v_max=None if v_max == math.inf else v_max), 20.0)
+        kick = Kick(amplitude=1e200, frequency=1.0, target=1)
+        ic = tip_release_state(basis2, 1e-3)
+        f = closed_loop(mats, 20.0, law, kick)
+        x, i = ic, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(f(x, i * dt)[0]).all():
+                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * dt, dt)
+                i += 1
+        assert i == nsteps
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, initial_state=ic,
+                        disturbance=kick, controller_on=law is not None)
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(cfg, mats, basis2, controller=law)
+        assert info.value.t == nsteps * dt
+
     def test_blowup_under_an_unclipped_law(self, mats, basis2, monkeypatch):
         # the closed loop stepped with no law in the maps is still checked at
         # every sample, and a failed run never computes the logged voltage
@@ -504,12 +541,14 @@ class TestClosedLoopKernel:
         if v_max is not None:
             assert np.any(np.abs(voltage) == v_max)  # the release saturates
 
-    @pytest.mark.parametrize("nsteps", [255, 256, 257, 600])
-    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
-                             ids=["no_law", "clipped_law", "unclipped_law"])
+    @pytest.mark.parametrize("nsteps", [255, 256, 257, 512, 600])
+    @pytest.mark.parametrize("v_max", [None, 50.0, 1e6, math.inf],
+                             ids=["no_law", "clipped_law", "unsaturated_clipped_law",
+                                  "unclipped_law"])
     def test_forcing_blocks_match_reference_loop(self, mats, basis2, v_max, nsteps):
         # the disturbance is evaluated one block of samples at a time; runs
-        # that end inside, at and past a block's end see the same forcing
+        # that end inside, at and past a block's end see the same forcing,
+        # and the last sample's logged voltage is the law's at that sample
         assert dynamics._FORCE_BLOCK == 256
         om_f, _ = linear_frequencies(mats, 0.0)
         k0, k1 = design_gains(om_f[0], 0.8)
