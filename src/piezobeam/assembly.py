@@ -27,7 +27,8 @@ class SpinDestabilizedError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """A field, name, of a BeamSpec or PiezoSpec, kind, that breaks its rule."""
+    """A field, name, of a spec, kind (BeamSpec, PiezoSpec, dynamics.SimConfig
+    or dynamics.Disturbance), that breaks its rule."""
 
     def __init__(self, spec, name, rule):
         super().__init__(f"{type(spec).__name__}.{name}: {rule}")

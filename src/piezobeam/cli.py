@@ -108,6 +108,18 @@ def _schema():
 
 SCHEMA = dict(_schema())
 SECTIONS = {key.split(".")[0] for key in SCHEMA}
+SECTION_OF = {BeamSpec: "beam", PiezoSpec: "piezo", SimConfig: "sim",
+              Disturbance: "disturbance"}  # the YAML section of each SpecError kind
+
+
+def _named_by_key(exc):
+    """exc, or for a SpecError on a field that a YAML key sets, the
+    ConfigError that names the field by that key."""
+    if isinstance(exc, SpecError):
+        key = f"{SECTION_OF[exc.kind]}.{exc.name}"
+        if key in SCHEMA:
+            return ConfigError(f"{key}: {exc.rule}")
+    return exc
 
 
 def _parse(key, value, kind):
@@ -169,9 +181,8 @@ def load_config(path=None, overrides=None):
     try:
         beam = BeamSpec(**given["beam"])
         piezo = PiezoSpec(**{"w_p": beam.b, **given["piezo"]})
-    except SpecError as exc:  # named by its YAML key: the section holding that kind
-        section = next(f.name for f in fields(AppConfig) if f.type is exc.kind)
-        raise ConfigError(f"{section}.{exc.name}: {exc.rule}") from None
+    except SpecError as exc:
+        raise _named_by_key(exc) from None
     return AppConfig(beam=beam, piezo=piezo, **given[None])
 
 
@@ -330,7 +341,7 @@ def main(argv=None):
                   + json.dumps(metrics, sort_keys=True))
         return 0
     except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_named_by_key(exc)}", file=sys.stderr)
         return 2
     except (IntegrationBlowupError, SpinDestabilizedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

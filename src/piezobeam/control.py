@@ -70,9 +70,9 @@ class VoltageLaw:
     the output's acceleration per volt; g and c are read-only.
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
-    does not read t.  simulate's RK4 runs do not call it: they fold it into
-    their stage maps (see dynamics._rk4_stage_maps), without v_max as its
-    closed loop (closed_loop_matrices).
+    does not read t.  simulate's RK4 runs do not call it: they step its
+    closed loop (closed_loop_matrices) and, with v_max, add only the clip's
+    excess sat(v) - v through b (see dynamics._run_rk4).
     """
 
     g: np.ndarray
@@ -88,15 +88,18 @@ class VoltageLaw:
 
 
 def closed_loop_matrices(A, b, law):
-    """(h, A_cl, cubic) of the law without its limit, v = h x + c N(p, p, p) /
-    beta, on the operator A and voltage column b: h = -(g + c A_flex) / beta,
-    A_cl is A with b h added to its flexural rows A_flex, and cubic = -(I -
-    b c / beta) maps N(p, p, p) into them.  law.v_max is not read."""
+    """(h, A_cl, cubic, c_beta) of the law without its limit, v = h x +
+    c_beta N(p, p, p), on the operator A and voltage column b: h = -(g + c
+    A_flex) / beta, c_beta = c / beta, A_cl is A with b h added to its
+    flexural rows A_flex, and cubic = -(I - b c_beta) maps N(p, p, p) into
+    them.  law.v_max is not read: a clipped law adds b (sat(v) - v), the
+    clip's excess, to the closed loop."""
     flex = slice(2 * b.size, 3 * b.size)
+    c_beta = law.c / law.beta
     h = -(law.g + law.c.dot(A[flex])) / law.beta
     A_cl = A.copy()
     A_cl[flex] += b[:, None] * h
-    return h, A_cl, b[:, None] * (law.c / law.beta) - np.eye(b.size)
+    return h, A_cl, b[:, None] * c_beta - np.eye(b.size), c_beta
 
 
 def make_policy(mats, ctrl, omega):

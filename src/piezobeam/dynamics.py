@@ -8,14 +8,10 @@ The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
 the cubic force, the piezo voltage and the disturbance value.  closed_loop
 evaluates them once per call, calling the voltage policy; rhs, step and
 every simulate run that calls a policy step it.  A simulate run under RK4
-with no policy or with a control.VoltageLaw calls none: it steps the stage
-maps of _rk4_stage_maps, with the law (without v_max, its closed loop)
-folded into them.  That step loop, _run_rk4, works on one operand z = [x;
-d1 .. d4; u1 .. u4], the state, the four stages' disturbance values and
-their u_s = [N(p, p, p); v], and a step is 14 numpy calls: three per stage
-and two for the new state.  A zero row of the second stage's map probes
-[x; d1 .. d4; u1] for a NaN or infinity, and the disturbance values are
-filled one block of samples at a time.
+with no policy or with a control.VoltageLaw calls none: _run_rk4 steps the
+stage maps of _rk4_stage_maps, 14 numpy calls a step, on A or on the law's
+closed loop (control.closed_loop_matrices), to which a law with v_max adds
+only the clip's excess sat(v) - v, through b.
 """
 
 import math
@@ -23,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import StateOperator
+from .assembly import SpecError, StateOperator
 from .control import VoltageLaw, closed_loop_matrices
 
 
@@ -34,10 +30,10 @@ class IntegrationBlowupError(RuntimeError):
 
 
 def _check(obj, rules):
-    """Raise ValueError for the first (field, holds, rule) that does not hold."""
+    """Raise SpecError for the first (field, holds, rule) that does not hold."""
     for name, ok, rule in rules:
         if not ok:
-            raise ValueError(f"{type(obj).__name__}.{name} must be {rule}")
+            raise SpecError(obj, name, f"must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class Disturbance:
 _MAX_STEPS = np.iinfo(np.intp).max  # the nsteps + 1 samples must be indexable
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One run; the run defaults live in the CLI config, not here."""
 
@@ -202,11 +198,11 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _FORCE_BLOCK = 256  # samples per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, N, E, dt, law=None):
+def _rk4_stage_maps(A, N, E, dt, readout=None):
     """Classical RK4 on x' = A x + [0; 0; E [u; d]; 0] as linear maps of one
     step's operand z = [x; d1 .. d4; u1 .. u4], where d_s is stage s's
     disturbance value and u_s = [N(p_s, p_s, p_s); v_s] its cubic force and
-    voltage, and E (n, n + 2) maps [u; d] into the flexural-acceleration
+    voltage entry, and E (n, n + 2) maps [u; d] into the flexural-acceleration
     rows: -I, b and the disturbance column for the open loop.
 
     Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s (n + 1)]
@@ -219,23 +215,22 @@ def _rk4_stage_maps(A, N, E, dt, law=None):
     contractions, then F z and one copy (see _run_rk4, which also fills the
     d_s one block of samples at a time).
 
-    Given a control.VoltageLaw (g, c, beta), S[s] maps to [p; N' p; h]
-    instead: N' is N with its first index extended by the row (c / beta) N,
-    so the two remaining contractions give [N(p, p, p); c N(p, p, p) /
-    beta], and h = -(g y + c A_flex y) / beta is the law's voltage row,
-    A_flex the flexural-acceleration rows of A; the unclipped voltage is h
-    plus c N(p, p, p) / beta.  The maps read no other policy (see simulate);
-    a law without v_max comes as its closed loop (A_cl, E_cl), with no law.
+    Given readout rows (r, h), r of length n and h of length 4n, S[s] maps to
+    [p; N' p; h y] instead: N' is N with its first index extended by the row
+    r N, so the two remaining contractions give [N(p, p, p); r N(p, p, p)].
+    For a clipped law these are c / beta and h of
+    control.closed_loop_matrices, whose sum is the law's unclipped voltage.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
     flex = slice(2 * n, 3 * n)
     eye = np.eye(d, d + 4 + 4 * m)
     extended = [eye[:n, :n], N]  # p -> [p; N' p]
-    if law is not None:
-        extended.append((law.c / law.beta).dot(N.reshape(n, -1)).reshape(-1, n))
+    if readout is not None:
+        r, h = readout
+        extended.append(r.dot(N.reshape(n, -1)).reshape(-1, n))
     extended = np.concatenate(extended)
-    rows = extended.shape[0]  # the law's h, if any, and the probe come after these
+    rows = extended.shape[0]  # h, if read out, and the probe come after these
     K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
     E_u, E_d = E[:, :m], E[:, m]
     nodes = (_RK4_NODES * dt).tolist()
@@ -243,13 +238,11 @@ def _rk4_stage_maps(A, N, E, dt, law=None):
     y = eye  # y1 = x
     for s, k in enumerate(K):
         u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
-        maps = np.zeros((rows + (law is not None) + (s == 1), u))
+        maps = np.zeros((rows + (readout is not None) + (s == 1), u))
         extended.dot(y[:n, :u], maps[:rows])  # out by position, as in _run_rk4
+        if readout is not None:
+            h.dot(y[:, :u], maps[rows])
         A.dot(y, k)
-        if law is not None:
-            h = law.g.dot(y[:, :u], maps[rows])
-            h += law.c.dot(k[flex, :u])
-            h /= -law.beta
         k[flex, u:u + m] = E_u  # A y_s does not read u_s or d_s
         k[flex, d + s] = E_d
         if s < 3:
@@ -355,7 +348,7 @@ def compute_metrics(times, tip_w, voltage, period1):
 def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
-    None or a control.VoltageLaw, folded into the maps and never called.
+    None or a control.VoltageLaw, which is never called.
 
     A step is 14 numpy calls in every case: per stage, one matvec with a
     prefix of z and the two remaining contractions, which write u_s; then F
@@ -365,15 +358,17 @@ def _run_rk4(mats, config, law, x, states, voltage):
     and copying that row into z's head sets both the state and the forcing
     of the next step.  The rows go to states once per block.
 
-    A clipped law's voltage v_s is h plus c N(p, p, p) / beta, clipped on
-    Python floats; its first-stage value, closed_loop's at the sample, is
-    logged.  Without v_max the maps step the law's closed loop
-    (control.closed_loop_matrices), and its voltage h x + c N(p, p, p) /
-    beta is filled after the last step; without a law it is 0.
+    A law is stepped as its closed loop (A_cl, E_cl) of
+    control.closed_loop_matrices.  With v_max the maps also read out the
+    unclipped v_s = h y_s + c N(p_s, p_s, p_s) / beta, and stage s writes
+    the clip's excess sat(v_s) - v_s into u_s's voltage entry, which E maps
+    through b.  The voltage is filled after the last step, as sat(h x + c
+    N(p, p, p) / beta) at every sample; without a law it is 0.
 
     The probe row of the second stage raises IntegrationBlowupError at the
-    first sample whose [x; d1 .. d4; u1] is not finite; the last sample,
-    which has no second stage, is probed after the loop.
+    first sample whose [x; d1 .. d4; u1] is not finite, so also where a
+    demand that overflows at a finite state makes the excess non-finite; the
+    last sample, which has no second stage, is checked after the loop.
     """
     A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
     dt = float(config.dt)
@@ -383,30 +378,27 @@ def _run_rk4(mats, config, law, x, states, voltage):
     E[:, n] = b
     if column is not None:
         E[:, n + 1] = column
-    unclipped = law is not None and law.v_max is None
-    if unclipped:  # linear feedback: the maps step its closed loop, with no law
-        h, A, E[:, :n] = closed_loop_matrices(A, b, law)
-        c_beta, law = law.c / law.beta, None
-    else:
+    if law is None:
         E.flat[::n + 3] = -1.0  # -I on the cubic force
-    S, F = _rk4_stage_maps(A, N, E, dt, law)
-    clipped = law is not None
+    else:
+        h, A, E[:, :n], c_beta = closed_loop_matrices(A, b, law)
+    clipped = law is not None and law.v_max is not None
+    S, F = _rk4_stage_maps(A, N, E, dt, (c_beta, h) if clipped else None)
     q = n + clipped  # N(p, p, p), and c N(p, p, p) / beta
-    v_max = law.v_max if clipped else math.inf
+    v_max = clipped and law.v_max
     z = np.zeros(F.shape[1])
     head = z[:d + 4]
     probe = S[0].shape[0]  # S[1]'s last row
     w = np.empty(probe + 1)  # the stages' outputs, in turn
     p = w[:n]
     Np = w[n:n + q * n * n].reshape(q * n, n)
-    h_at = n + q * n * n  # the law's row h
+    h_at = n + q * n * n  # the read-out h y
     contracted = np.empty(q * n)
     contracted_nn = contracted.reshape(q, n)
     # per stage: its map, the prefix of z it reads, its output, where u_s
-    # goes, where v_s is, and whether it holds the probe row
+    # goes, where its voltage entry is, and whether it holds the probe row
     stages = [(maps, z[:a], w[:maps.shape[0]], z[a:a + q], a + n, s == 1)
               for s, (maps, a) in enumerate(zip(S, range(d + 4, d + 4 + 4 * m, m)))]
-    v1 = stages[0][4]  # the logged voltage
     nsteps = states.shape[0] - 1
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
@@ -418,33 +410,28 @@ def _run_rk4(mats, config, law, x, states, voltage):
         head[...] = rows[0]
         # each dot's out goes by position: as a keyword it costs ~0.2 us more
         for i, new_x, new_row in zip(range(start, stop), rows[1:, :d], rows[1:]):
-            for maps, prefix, out, u, v_at, probed in stages:
+            for maps, prefix, out, u, e_at, probed in stages:
                 maps.dot(prefix, out)
                 if probed and w.item(probe) != 0.0:
                     raise IntegrationBlowupError(i * dt)
                 Np.dot(p, contracted)
                 contracted_nn.dot(p, u)
-                if clipped:  # z[v_at] holds c N(p, p, p) / beta
-                    z[v_at] = min(max(w.item(h_at) + z.item(v_at), -v_max), v_max)
-            if clipped:
-                voltage[i] = z.item(v1)
+                if clipped:  # z[e_at] holds c N(p, p, p) / beta
+                    v = w.item(h_at) + z.item(e_at)
+                    z[e_at] = min(max(v, -v_max), v_max) - v
             F.dot(z, new_x)
             head[...] = new_row
         states[start + 1:stop + 1] = rows[1:stop - start + 1, :d]
         rows[0] = rows[stop - start]  # the next block's first sample, or the last
-    maps, prefix, out, u, _, _ = stages[0]  # the last sample: its voltage and its probe
-    maps.dot(prefix, out)
-    Np.dot(p, contracted)
-    contracted_nn.dot(p, u)
-    if clipped:
-        z[v1] = voltage[nsteps] = min(max(w.item(h_at) + z.item(v1), -v_max), v_max)
-    maps, prefix = stages[1][:2]
-    if maps[probe].dot(prefix) != 0.0:
+    last = states[nsteps]  # the last sample, which no second stage probes
+    N3 = _contract3(N, last[:n])
+    demand = last.dot(h) + N3.dot(c_beta) if clipped else 0.0
+    if not (np.isfinite(last).all() and np.isfinite(N3).all() and math.isfinite(demand)):
         raise IntegrationBlowupError(nsteps * dt)
-    if unclipped:
-        voltage[...] = states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)
-    elif not clipped:
-        voltage[...] = 0.0
+    voltage[...] = 0.0 if law is None else \
+        states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)
+    if clipped:
+        np.clip(voltage, -v_max, v_max, out=voltage)
 
 
 def _run_called(mats, config, policy, x, states, voltage):
@@ -475,23 +462,20 @@ def simulate(config, mats, basis, controller=None):
 
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set.  An RK4
-    run folds a control.VoltageLaw (without v_max, its closed loop) into its
-    stage maps; any other callable, and every AVF run, takes the step loop,
-    which calls the policy at every right-hand side (4 nsteps + 1 times under
-    RK4).  The voltage logged at each sample is the policy's at that sample.
-
-    The stage maps step the operand z = [x; d1 .. d4; u1 .. u4] in 14 numpy
-    calls a step, with the disturbance values d_s filled one block of
-    samples at a time (see _run_rk4).  Either loop raises
-    IntegrationBlowupError at the first sample whose right-hand side is not
-    finite; the stage maps tell that from a probe of [x; d1 .. d4; u1].
+    run steps a control.VoltageLaw as its closed loop in its stage maps and
+    feeds a clipped law's excess sat(v) - v through b (see _run_rk4); any
+    other callable, and every AVF run, takes the step loop, which calls the
+    policy at every right-hand side (4 nsteps + 1 times under RK4).  The
+    voltage logged at each sample is the policy's at that sample.  Either
+    loop raises IntegrationBlowupError at the first sample whose right-hand
+    side is not finite.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
     f_max = max(om_f[-1], om_t[-1]) / (2.0 * math.pi)
     if config.dt > 1.0 / (20.0 * f_max):
-        raise ValueError(f"SimConfig.dt = {config.dt} too coarse for highest "
-                         f"retained frequency {f_max:.1f} Hz (need dt <= {1.0 / (20.0 * f_max):.3g})")
+        raise SpecError(config, "dt", f"{config.dt} too coarse for highest retained frequency "
+                        f"{f_max:.1f} Hz (need dt <= {1.0 / (20.0 * f_max):.3g})")
 
     if config.controller_on != (controller is not None):
         raise ValueError("SimConfig.controller_on must be set exactly when a control "

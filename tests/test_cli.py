@@ -361,6 +361,22 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tfinal", "1e300"], "sim.t_final: must be below"),
+        (["--dt", "1e-3"], "sim.dt: 0.001 too coarse"),
+    ], ids=["sample_count_beyond_intp", "coarse_dt"])
+    def test_run_rules_name_their_yaml_key(self, tmp_path, capsys, flags, message):
+        # the SimConfig and simulate rules report the key the value came from,
+        # as the AppConfig rules do
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = main(["--scenario", "all", "--out", str(out)] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "SimConfig" not in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("text, message", [
         ("controller: {v_max: -5}\n", "controller.v_max"),
         ("controller: {v_max: 0}\n", "controller.v_max"),

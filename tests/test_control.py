@@ -1,12 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (ControlAuthorityError, ControllerConfig, ModalBasis,
-                       SimConfig, assemble, closed_loop, design_gains,
+from piezobeam import (ControlAuthorityError, ControllerConfig, IntegrationBlowupError,
+                       ModalBasis, SimConfig, assemble, closed_loop, design_gains,
                        linear_frequencies, make_policy, output, simulate)
 from piezobeam import dynamics
-from piezobeam.control import VoltageLaw
+from piezobeam.assembly import StateOperator
+from piezobeam.control import VoltageLaw, closed_loop_matrices
 
 from test_dynamics import tip_release_state
 
@@ -17,6 +21,48 @@ def build_controller(mats, basis, zeta_cl=0.8, v_max=None):
     return ControllerConfig(k0=k0, k1=k1,
                             output_weights=basis.flexural_tip_values(),
                             v_max=v_max)
+
+
+def record_stage_map_rows(monkeypatch):
+    """The list to which each later _rk4_stage_maps call appends its first
+    stage map's row count."""
+    built = []
+    stage_maps = dynamics._rk4_stage_maps
+
+    def recording(*args):
+        S, F = stage_maps(*args)
+        built.append(S[0].shape[0])
+        return S, F
+    monkeypatch.setattr(dynamics, "_rk4_stage_maps", recording)
+    return built
+
+
+class TestClosedLoopMatrices:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    def test_flexural_rows_are_the_law(self, beam, piezo, n, clip):
+        # A_cl x + cubic N(p, p, p), plus b (sat(v) - v) for a clipped law,
+        # is closed_loop's flexural acceleration, and h x + c_beta N(p, p, p)
+        # the unclipped voltage v
+        basis = ModalBasis.build(n, beam.L)
+        mats = assemble(beam, piezo, basis)
+        law = make_policy(mats, build_controller(mats, basis), 20.0)
+        A = StateOperator.build(mats, 20.0).A
+        h, A_cl, cubic, c_beta = closed_loop_matrices(A, mats.b, law)
+        flex = slice(2 * n, 3 * n)
+        assert np.array_equal(np.delete(A_cl, flex, axis=0), np.delete(A, flex, axis=0))
+        rng = np.random.default_rng(18 + n)
+        xs = rng.normal(size=(50, 4 * n)) * np.repeat([1e-3, 1e-4, 0.3, 0.03], n)
+        N3s = [dynamics._contract3(mats.N, x[:n]) for x in xs]
+        vs = np.array([h @ x + c_beta @ N3 for x, N3 in zip(xs, N3s)])
+        v_max = float(np.median(np.abs(vs))) if clip else math.inf
+        f = closed_loop(mats, 20.0, dataclasses.replace(law, v_max=v_max if clip else None))
+        for x, N3, v in zip(xs, N3s, vs):
+            out, logged = f(x, 0.0)
+            excess = min(max(v, -v_max), v_max) - v
+            got = A_cl[flex] @ x + cubic @ N3 + mats.b * excess
+            assert_allclose(got, out[flex], rtol=1e-12, atol=0.0)
+            assert_allclose(v + excess, logged, rtol=1e-12, atol=0.0)
 
 
 class TestDesignGains:
@@ -201,12 +247,9 @@ class TestPolicy:
     def test_logged_unclipped_voltage_is_the_law_to_round_off(self, mats, basis2,
                                                               monkeypatch):
         # without v_max the law is linear feedback: RK4 steps its closed loop
-        # on maps with no law row and logs h x + c N(p, p, p) / beta after
-        # the run, another order of the law's terms than closed_loop's
-        built = []
-        stage_maps = dynamics._rk4_stage_maps
-        monkeypatch.setattr(dynamics, "_rk4_stage_maps",
-                            lambda *args: built.append(args[4:]) or stage_maps(*args))
+        # on maps with no readout rows and logs h x + c N(p, p, p) / beta
+        # after the run, another order of the law's terms than closed_loop's
+        built = record_stage_map_rows(monkeypatch)
         ctrl = build_controller(mats, basis2)
         ic = tip_release_state(basis2, 1e-3)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
@@ -214,9 +257,27 @@ class TestPolicy:
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
         law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
-        assert built == [(None,)]
+        assert built == [2 + 2 ** 3]  # [p; N p]
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("t_final", [0.0, 2e-5], ids=["last_sample", "in_a_step"])
+    def test_overflowing_demand_at_a_finite_state_is_a_blowup(self, mats, basis2, t_final):
+        # the clip's excess v_max - inf is not finite, so the run ends at that
+        # sample; the called law clips the demand and runs on
+        law = make_policy(mats, build_controller(mats, basis2, v_max=50.0), 20.0)
+        g = np.zeros(8)
+        g[0] = -1e307 * law.beta
+        huge = VoltageLaw(g, law.c, law.beta, 50.0)
+        x = np.zeros(8)
+        x[0] = 100.0  # h x = 1e309
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=t_final, initial_state=x,
+                        controller_on=True)
+        called = simulate(cfg, mats, basis2, controller=lambda x, t, a0: huge(x, t, a0))
+        assert called.voltage[0] == 50.0
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(cfg, mats, basis2, controller=huge)
+        assert info.value.t == 0.0
 
     @pytest.mark.parametrize("v_max", [50.0, None])
     def test_rk4_folds_the_law_and_avf_calls_it(self, mats, basis2, monkeypatch, v_max):
@@ -228,10 +289,15 @@ class TestPolicy:
 
         law = make_policy(mats, build_controller(mats, basis2, v_max=v_max), 20.0)
         monkeypatch.setattr(VoltageLaw, "__call__", refuse)
+        built = record_stage_map_rows(monkeypatch)
         run = dict(Omega=20.0, dt=2e-5, t_final=0.002, controller_on=True,
                    initial_state=tip_release_state(basis2, 1e-3))
+        simulate(SimConfig(**{**run, "controller_on": False}), mats, basis2)
         tr = simulate(SimConfig(**run), mats, basis2, controller=law)
         assert np.any(tr.voltage != 0.0)
+        # every law steps its closed loop on [p; N p]; only a clipped one
+        # also reads out c N / beta and h, for the clip's excess
+        assert built == [2 + 2 ** 3, 2 + 2 ** 3 + (v_max is not None) * (2 ** 2 + 1)]
         with pytest.raises(Called):
             simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
 

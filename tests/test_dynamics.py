@@ -733,15 +733,22 @@ class TestRunValues:
         ({"Omega": math.nan}, "Omega"), ({"Omega": -math.inf}, "Omega"),
     ])
     def test_sim_config_rejects_nonfinite(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"SimConfig.{name} must be finite"):
+        with pytest.raises(ValueError, match=f"SimConfig.{name}: must be finite"):
             SimConfig(**{"Omega": 20.0, "dt": 2e-5, "t_final": 0.01, **kwargs})
 
     @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1e300, 2e-5), (2.0 ** 63, 1.0)],
                              ids=["infinite_count", "count_beyond_intp", "count_of_2_63"])
     def test_sim_config_rejects_sample_counts_beyond_intp(self, t_final, dt):
         # rejected when built, before simulate allocates nsteps + 1 samples
-        with pytest.raises(ValueError, match="SimConfig.t_final must be below"):
+        with pytest.raises(ValueError, match="SimConfig.t_final: must be below"):
             SimConfig(Omega=20.0, dt=dt, t_final=t_final)
+
+    def test_sim_config_is_frozen(self):
+        # its rules hold for its life: a value assigned later would skip them
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.t_final = 1e300
+        assert cfg.nsteps == 500
 
     def test_nsteps_rounds_down_unless_within_1e_9(self):
         assert SimConfig(Omega=0.0, dt=2e-5, t_final=0.002).nsteps == 100
@@ -756,7 +763,7 @@ class TestRunValues:
         ({"target": 1.0}, "target"), ({"target": True}, "target"),
     ])
     def test_disturbance_rejects_bad_values(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"Disturbance.{name} must be"):
+        with pytest.raises(ValueError, match=f"Disturbance.{name}: must be"):
             Disturbance(**{"amplitude": 0.001, "frequency": 24.0, "target": 1, **kwargs})
 
     @pytest.mark.parametrize("amplitude, frequency", [(0.001, 24.0), (2.5, 149.7)])
