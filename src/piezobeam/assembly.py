@@ -197,7 +197,7 @@ class SystemMatrices:
     M2inv: np.ndarray = field(default=None, repr=False, compare=False)
     b: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 F1
     N: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
-    # (A0, A1, A2): StateOperator's A(Omega) = A0 + Omega A1 + Omega^2 A2
+    # (A0, A1, A2): StateOperator's open-loop A(Omega) = A0 + Omega A1 + Omega^2 A2
     A_parts: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -236,26 +236,51 @@ class SystemMatrices:
 
 @dataclass(frozen=True)
 class StateOperator:
-    """First-order form of the modal equations at one base rotation Omega.
+    """The linear model at one base rotation Omega, open loop or closed by a
+    voltage law.  With x = [p; q; pdot; qdot] and u = [N(p, p, p); v; d], the
+    cubic force (N the field of SystemMatrices), piezo voltage and
+    disturbance value, the modal equations read
 
-    With x = [p; q; pdot; qdot] the equations of motion read
+        x' = A x + [0; 0; E u; 0].
 
-        x' = A x + [0; 0; M1^-1 (F1 v + f - G1(p, p, p)); 0]
-
-    for piezo voltage v and generalized flexural force f.  A carries the
-    kinematic identities and every linear term (stiffness, centrifugal,
-    damping, gyroscopic), already multiplied through by M1^-1 or M2^-1.
-    Only A depends on Omega; M1^-1, M1^-1 F1 and M1^-1 G1 are the fields
-    M1inv, b and N of SystemMatrices.
+    A carries the kinematic identities and every linear term (stiffness,
+    centrifugal, damping, gyroscopic), multiplied through by M1^-1 or M2^-1;
+    E = [-I | b | M1^-1 e_target], with b = M1^-1 F1 (a zero last column
+    without a disturbance).  A law's unclipped voltage v = h x + (c / beta)
+    N(p, p, p), h = -(g + c A_flex) / beta, is folded in: b h is added to
+    A's flexural rows A_flex, E's cubic block is -(I - b c / beta), and
+    readout is (c / beta, h).  A clipped law's excess sat(v) - v is then
+    the entry v of u.
     """
 
     A: np.ndarray        # (4n, 4n)
+    E: np.ndarray        # (n, n + 2)
+    readout: tuple = None  # (c / beta, h) of the law, or None
 
     @classmethod
-    def build(cls, mats, omega):
-        """A at omega from the Omega-independent parts mats.A_parts."""
+    def build(cls, mats, omega, disturbance=None, law=None):
+        """The operator at omega from mats.A_parts, for a dynamics.Disturbance
+        and a control.VoltageLaw (g, c and beta read) or None; ValueError for
+        a disturbance target outside the flexural equations 1..n."""
         A0, A1, A2 = mats.A_parts
-        return cls(A=A0 + omega * A1 + omega ** 2 * A2)
+        A = A0 + omega * A1 + omega ** 2 * A2
+        n, b = mats.n, mats.b
+        E = np.zeros((n, n + 2))
+        E[:, n] = b
+        if disturbance is not None:
+            if not 1 <= disturbance.target <= n:
+                raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
+                                 f"the model's flexural equations 1..{n}")
+            E[:, n + 1] = mats.M1inv[:, disturbance.target - 1]
+        if law is None:
+            E.flat[::n + 3] = -1.0  # -I on the cubic force
+            return cls(A, E)
+        flex = slice(2 * n, 3 * n)
+        c_beta = law.c / law.beta
+        h = -(law.g + law.c.dot(A[flex])) / law.beta
+        A[flex] += b[:, None] * h
+        E[:, :n] = b[:, None] * c_beta - np.eye(n)
+        return cls(A, E, (c_beta, h))
 
 
 GAUSS_RULE = leggauss(32)  # (nodes, weights) on [-1, 1] of every panel
@@ -327,11 +352,15 @@ def _root_frequencies(vals):
 def linear_frequencies(mats, omega=0.0):
     """(flexural, torsional) natural frequencies in rad/s, ascending.  Only
     the flexural ones depend on omega; at omega = 0 both are the read-only
-    mats.natural_frequencies."""
+    mats.natural_frequencies.  At omega != 0 the flexural ones are those of
+    StateOperator's stiffness block -A[pdot, p] = M1^-1 (K1 + omega^2 D1),
+    without the gyroscopic C1/C2 coupling that A also carries."""
     if omega == 0.0:
         return mats.natural_frequencies
-    # D1 is not symmetric, so the effective pencil is general
-    vals_f = np.linalg.eigvals(np.linalg.solve(mats.M1, mats.K1 + omega ** 2 * mats.D1))
+    n = mats.n
+    # D1 is not symmetric, so the effective stiffness is a general matrix
+    A = StateOperator.build(mats, omega).A
+    vals_f = np.linalg.eigvals(-A[2 * n:3 * n, :n])
     if np.max(np.abs(vals_f.imag)) > 1e-6 * max(1.0, np.max(np.abs(vals_f.real))):
         raise SpinDestabilizedError(complex(vals_f[np.argmax(np.abs(vals_f.imag))]))
     return _root_frequencies(np.sort(vals_f.real)), mats.natural_frequencies[1]

@@ -38,10 +38,10 @@ def _key(key, default):
     return field(default=default, metadata={"key": key})
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppConfig:
-    """The resolved run configuration, validated on construction; every run
-    default is written here or in BeamSpec/PiezoSpec, and nowhere else.
+    """The resolved run configuration, validated on construction (and frozen);
+    every run default is written here or in BeamSpec/PiezoSpec, and nowhere else.
 
     The `beam` and `piezo` YAML sections hold the BeamSpec and PiezoSpec
     fields under their own names; every other field names its YAML key.  A
@@ -71,6 +71,7 @@ class AppConfig:
                 ("sim.n_modes", n >= 1, "must be >= 1"),
                 ("sim.dt", self.dt > 0, "must be > 0"),
                 ("sim.t_final", self.t_final >= 0, "must be >= 0"),
+                ("sim.tip_w0", math.isfinite(self.tip_w0), "must be finite"),
                 ("disturbance.amplitude", self.dist_amplitude >= 0, "must be >= 0"),
                 ("disturbance.frequency", self.dist_frequency > 0, "must be > 0"),
                 ("disturbance.target", 1 <= self.dist_target <= n, "outside 1..n_modes"),

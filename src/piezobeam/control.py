@@ -34,8 +34,10 @@ def design_gains(omega_cl, zeta_cl):
     return k0, k1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
+    """The law's gains, weights and limit; frozen, so its rules always hold."""
+
     k0: float
     k1: float
     output_weights: np.ndarray
@@ -45,7 +47,8 @@ class ControllerConfig:
         if not (0 < self.k0 < math.inf and 0 < self.k1 < math.inf):
             raise ValueError("closed-loop polynomial must be Hurwitz (k0, k1 finite "
                              "and > 0)")
-        self.output_weights = np.asarray(self.output_weights, dtype=float)
+        object.__setattr__(self, "output_weights",
+                           np.asarray(self.output_weights, dtype=float))
         if not (np.isfinite(self.output_weights).all() and np.any(self.output_weights)):
             raise ValueError("output_weights must be finite and not all zero, "
                              f"got {self.output_weights}")
@@ -71,8 +74,8 @@ class VoltageLaw:
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
     does not read t.  simulate's RK4 runs do not call it: they step its
-    closed loop (closed_loop_matrices) and, with v_max, add only the clip's
-    excess sat(v) - v through b (see dynamics._run_rk4).
+    closed loop (assembly.StateOperator.build) and, with v_max, add only the
+    clip's excess sat(v) - v through b (see dynamics._run_rk4).
     """
 
     g: np.ndarray
@@ -85,21 +88,6 @@ class VoltageLaw:
         if self.v_max is not None:
             v = min(max(v, -self.v_max), self.v_max)
         return v
-
-
-def closed_loop_matrices(A, b, law):
-    """(h, A_cl, cubic, c_beta) of the law without its limit, v = h x +
-    c_beta N(p, p, p), on the operator A and voltage column b: h = -(g + c
-    A_flex) / beta, c_beta = c / beta, A_cl is A with b h added to its
-    flexural rows A_flex, and cubic = -(I - b c_beta) maps N(p, p, p) into
-    them.  law.v_max is not read: a clipped law adds b (sat(v) - v), the
-    clip's excess, to the closed loop."""
-    flex = slice(2 * b.size, 3 * b.size)
-    c_beta = law.c / law.beta
-    h = -(law.g + law.c.dot(A[flex])) / law.beta
-    A_cl = A.copy()
-    A_cl[flex] += b[:, None] * h
-    return h, A_cl, b[:, None] * c_beta - np.eye(b.size), c_beta
 
 
 def make_policy(mats, ctrl, omega):

@@ -10,8 +10,8 @@ evaluates them once per call, calling the voltage policy; rhs, step and
 every simulate run that calls a policy step it.  A simulate run under RK4
 with no policy or with a control.VoltageLaw calls none: _run_rk4 steps the
 stage maps of _rk4_stage_maps, 14 numpy calls a step, on A or on the law's
-closed loop (control.closed_loop_matrices), to which a law with v_max adds
-only the clip's excess sat(v) - v, through b.
+closed loop; assembly.StateOperator.build forms both, with E.  A law with
+v_max adds only the clip's excess sat(v) - v, through b.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import SpecError, StateOperator
-from .control import VoltageLaw, closed_loop_matrices
+from .control import VoltageLaw
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -111,24 +111,6 @@ def _contract3_rows(T, P):
     return np.einsum("tak,tk->ta", TP.reshape(-1, n, n), P)
 
 
-def _modal_terms(mats, omega, disturbance):
-    """The pieces of the modal equations that every kernel reads: the
-    Omega-dependent operator A, the flattened cubic tensor N, the voltage
-    column b = M1^-1 F1 and the disturbance column M1^-1 e_target (None
-    without a disturbance).
-
-    With them, x' = A x + [0; 0; -N(p, p, p) + b v + column d; 0].  A target
-    outside the model's flexural equations 1..n raises ValueError.
-    """
-    column = None
-    if disturbance is not None:
-        if not 1 <= disturbance.target <= mats.n:
-            raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
-                             f"the model's flexural equations 1..{mats.n}")
-        column = mats.M1inv[:, disturbance.target - 1]
-    return StateOperator.build(mats, omega).A, mats.N, mats.b, column
-
-
 def closed_loop(mats, omega, policy=None, disturbance=None):
     """The modal equations at base rotation omega under a voltage policy, as
     f(x, t) -> (x', v); the Omega-dependent operator is built once, here.
@@ -141,8 +123,9 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
     disturbance force are then added.  No finiteness check is made; a
     disturbance target outside 1..n raises ValueError here.
     """
-    A, N, b, column = _modal_terms(mats, omega, disturbance)
     n = mats.n
+    op = StateOperator.build(mats, omega, disturbance)
+    A, N, b, column = op.A, mats.N, mats.b, op.E[:, n + 1]
     flex = slice(2 * n, 3 * n)
     force = None if disturbance is None else disturbance.force
 
@@ -153,7 +136,7 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
         v = policy(x, t, acc) if policy is not None else 0.0
         if v:
             acc += b * v
-        if column is not None:
+        if force is not None:
             acc += column * force(t)
         return out, v
     return f
@@ -218,8 +201,8 @@ def _rk4_stage_maps(A, N, E, dt, readout=None):
     Given readout rows (r, h), r of length n and h of length 4n, S[s] maps to
     [p; N' p; h y] instead: N' is N with its first index extended by the row
     r N, so the two remaining contractions give [N(p, p, p); r N(p, p, p)].
-    For a clipped law these are c / beta and h of
-    control.closed_loop_matrices, whose sum is the law's unclipped voltage.
+    For a clipped law these are the readout (c / beta, h) of
+    assembly.StateOperator.build, whose sum is the law's unclipped voltage.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
@@ -358,8 +341,8 @@ def _run_rk4(mats, config, law, x, states, voltage):
     and copying that row into z's head sets both the state and the forcing
     of the next step.  The rows go to states once per block.
 
-    A law is stepped as its closed loop (A_cl, E_cl) of
-    control.closed_loop_matrices.  With v_max the maps also read out the
+    A law is stepped as its closed loop (A, E) of
+    assembly.StateOperator.build.  With v_max the maps also read out the
     unclipped v_s = h y_s + c N(p_s, p_s, p_s) / beta, and stage s writes
     the clip's excess sat(v_s) - v_s into u_s's voltage entry, which E maps
     through b.  The voltage is filled after the last step, as sat(h x + c
@@ -370,20 +353,14 @@ def _run_rk4(mats, config, law, x, states, voltage):
     demand that overflows at a finite state makes the excess non-finite; the
     last sample, which has no second stage, is checked after the loop.
     """
-    A, N, b, column = _modal_terms(mats, config.Omega, config.disturbance)
+    op = StateOperator.build(mats, config.Omega, config.disturbance, law)
+    N = mats.N
     dt = float(config.dt)
     n = mats.n
     d, m = 4 * n, n + 1
-    E = np.zeros((n, n + 2))
-    E[:, n] = b
-    if column is not None:
-        E[:, n + 1] = column
-    if law is None:
-        E.flat[::n + 3] = -1.0  # -I on the cubic force
-    else:
-        h, A, E[:, :n], c_beta = closed_loop_matrices(A, b, law)
+    c_beta, h = op.readout or (None, None)
     clipped = law is not None and law.v_max is not None
-    S, F = _rk4_stage_maps(A, N, E, dt, (c_beta, h) if clipped else None)
+    S, F = _rk4_stage_maps(op.A, N, op.E, dt, op.readout if clipped else None)
     q = n + clipped  # N(p, p, p), and c N(p, p, p) / beta
     v_max = clipped and law.v_max
     z = np.zeros(F.shape[1])
@@ -404,7 +381,7 @@ def _run_rk4(mats, config, law, x, states, voltage):
     rows[0, :d] = states[0] = x
     for start in range(0, max(nsteps, 1), _FORCE_BLOCK):
         stop = min(start + _FORCE_BLOCK, nsteps)  # steps start .. stop - 1
-        if column is not None:
+        if config.disturbance is not None:
             times = np.add.outer(np.arange(start, stop + 1) * dt, _RK4_NODES * dt)
             rows[:stop - start + 1, d:] = config.disturbance.force(times)
         head[...] = rows[0]

@@ -12,6 +12,7 @@ conservative structure of the modal equations (a cubic tensor without
 index symmetry fails it; see test_dynamics.py).
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -139,7 +140,7 @@ def test_criterion_6_disturbance_rejection(tmp_path):
     # stiffer-than-default loop: the drive sits near the default closed-loop
     # frequency, so the default gains barely attenuate; 20 dB needs the
     # closed-loop stiffness well above the drive
-    cfg.ctrl_omega_cl = 700.0
+    cfg = dataclasses.replace(cfg, ctrl_omega_cl=700.0)
     metrics = run_scenario("disturbance", cfg, *build_model(cfg), tmp_path,
                            controller_on=True)["disturbance"]
     elapsed = time.time() - t0
@@ -170,8 +171,7 @@ def test_criterion_7_convergence_order(mats, basis2):
 
 
 def test_criterion_8_determinism_and_format(tmp_path):
-    cfg = load_config(None)
-    cfg.t_final = 0.05
+    cfg = dataclasses.replace(load_config(None), t_final=0.05)
     # each run on its own model, so a rebuild must reproduce it too
     m1 = run_scenario("free", cfg, *build_model(cfg), tmp_path / "r1", controller_on=True)
     m2 = run_scenario("free", cfg, *build_model(cfg), tmp_path / "r2", controller_on=True)

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,18 @@ class TestLoadConfig:
         blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
         assert len(blocks) == 1
         assert load_config(write(tmp_path, blocks[0])) == load_config(None)
+
+    def test_config_is_frozen(self):
+        # its rules hold for its life: a NaN release assigned later would end
+        # the run as a numerical failure at t = 0, not as a config error
+        cfg = load_config(None)
+        with pytest.raises(FrozenInstanceError):
+            cfg.tip_w0 = float("nan")
+        assert cfg.tip_w0 == 5e-3
+        with pytest.raises(ConfigError, match="controller.v_max"):
+            replace(cfg, ctrl_v_max=-5.0)
+        with pytest.raises(ConfigError, match="sim.tip_w0: must be finite"):
+            replace(cfg, tip_w0=float("nan"))
 
     def test_zero_spin_propagates_to_decoupling(self, tmp_path):
         from piezobeam.cli import _sim_config

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (ControlAuthorityError, ControllerConfig, IntegrationBlowupError,
-                       ModalBasis, SimConfig, assemble, closed_loop, design_gains,
-                       linear_frequencies, make_policy, output, simulate)
+from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance,
+                       IntegrationBlowupError, ModalBasis, SimConfig, assemble, closed_loop,
+                       design_gains, linear_frequencies, make_policy, output, simulate)
 from piezobeam import dynamics
 from piezobeam.assembly import StateOperator
-from piezobeam.control import VoltageLaw, closed_loop_matrices
+from piezobeam.control import VoltageLaw
 
 from test_dynamics import tip_release_state
 
@@ -37,30 +37,37 @@ def record_stage_map_rows(monkeypatch):
     return built
 
 
-class TestClosedLoopMatrices:
-    @pytest.mark.parametrize("n", [1, 2])
+class TestClosedLoopOperator:
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_flexural_rows_are_the_law(self, beam, piezo, n, clip):
-        # A_cl x + cubic N(p, p, p), plus b (sat(v) - v) for a clipped law,
-        # is closed_loop's flexural acceleration, and h x + c_beta N(p, p, p)
-        # the unclipped voltage v
+        # A x + E [N(p, p, p); sat(v) - v; d] of the operator closed by the
+        # law, with the clip's excess 0 for an unclipped law, is closed_loop's
+        # flexural acceleration, and h x + (c / beta) N(p, p, p) the
+        # unclipped voltage v
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
+                                   zeta_tors=(0.01, 0.0033, 0.004)[:n])
         basis = ModalBasis.build(n, beam.L)
-        mats = assemble(beam, piezo, basis)
+        mats = assemble(spec, piezo, basis)
         law = make_policy(mats, build_controller(mats, basis), 20.0)
+        dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
+        op = StateOperator.build(mats, 20.0, dist, law=law)
+        c_beta, h = op.readout
         A = StateOperator.build(mats, 20.0).A
-        h, A_cl, cubic, c_beta = closed_loop_matrices(A, mats.b, law)
         flex = slice(2 * n, 3 * n)
-        assert np.array_equal(np.delete(A_cl, flex, axis=0), np.delete(A, flex, axis=0))
+        assert np.array_equal(np.delete(op.A, flex, axis=0), np.delete(A, flex, axis=0))
         rng = np.random.default_rng(18 + n)
         xs = rng.normal(size=(50, 4 * n)) * np.repeat([1e-3, 1e-4, 0.3, 0.03], n)
+        ts = rng.uniform(0.0, 0.1, size=50)
         N3s = [dynamics._contract3(mats.N, x[:n]) for x in xs]
         vs = np.array([h @ x + c_beta @ N3 for x, N3 in zip(xs, N3s)])
         v_max = float(np.median(np.abs(vs))) if clip else math.inf
-        f = closed_loop(mats, 20.0, dataclasses.replace(law, v_max=v_max if clip else None))
-        for x, N3, v in zip(xs, N3s, vs):
-            out, logged = f(x, 0.0)
+        f = closed_loop(mats, 20.0, dataclasses.replace(law, v_max=v_max if clip else None),
+                        dist)
+        for x, t, N3, v in zip(xs, ts, N3s, vs):
+            out, logged = f(x, t)
             excess = min(max(v, -v_max), v_max) - v
-            got = A_cl[flex] @ x + cubic @ N3 + mats.b * excess
+            got = op.A[flex] @ x + op.E @ np.concatenate((N3, [excess, dist.force(t)]))
             assert_allclose(got, out[flex], rtol=1e-12, atol=0.0)
             assert_allclose(v + excess, logged, rtol=1e-12, atol=0.0)
 
@@ -330,14 +337,14 @@ class TestPolicy:
         a0s = rng.normal(scale=300.0, size=(200, 2))
         if case == "nan":  # p1, pd2 or a0_2 is NaN, in turn; saturation keeps it
             xs[0::3, 0] = xs[1::3, 5] = a0s[2::3, 1] = np.nan
-            ctrl.v_max = 50.0
+            ctrl = dataclasses.replace(ctrl, v_max=50.0)
         expected = []
         for x, a0 in zip(xs, a0s):
             y, yd = output(x, c)
             expected.append((-ctrl.k0 * y - ctrl.k1 * yd - float(c @ a0)) / beta)
         expected = np.array(expected)
         if case == "clipped":
-            ctrl.v_max = float(np.median(np.abs(expected)))
+            ctrl = dataclasses.replace(ctrl, v_max=float(np.median(np.abs(expected))))
             expected = np.clip(expected, -ctrl.v_max, ctrl.v_max)
         law = make_policy(mats, ctrl, 20.0)
         got = np.array([law(x, 0.0, a0) for x, a0 in zip(xs, a0s)])
@@ -385,3 +392,13 @@ class TestControllerConfig:
     def test_rejects_nonpositive_v_max(self, v_max):
         with pytest.raises(ValueError, match="v_max"):
             ControllerConfig(k0=1.0, k1=1.0, output_weights=[1.0], v_max=v_max)
+
+    def test_is_frozen(self):
+        # its rules hold for its life: a value assigned later would skip them,
+        # and a law built from it would log -5 V at every sample
+        ctrl = ControllerConfig(k0=1.0, k1=1.0, output_weights=[1.0], v_max=50.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctrl.v_max = -5.0
+        assert ctrl.v_max == 50.0
+        with pytest.raises(ValueError, match="v_max"):
+            dataclasses.replace(ctrl, v_max=-5.0)

@@ -89,3 +89,44 @@ def test_the_cli_matrix():
         scenario, state = name.split("_")
         assert argv == ["--scenario", scenario, "--controller", state,
                         "--tfinal", "0.05", "--out", "."]
+
+
+@pytest.mark.parametrize("change", [None, "feature"], ids=["working_tree", "change_ref"])
+def test_sides_to_compare(tmp_path, monkeypatch, change):
+    # --change REF extracts the change side as the parent side is; without
+    # it the change side is the checkout.  No CLI runs: each fake matrix
+    # writes the name of the tree it ran in.
+    commits = {"base": "1" * 40, "feature": "2" * 40}
+    extracted, ran = {}, []
+
+    def git(*args):
+        assert args[:2] == ("rev-parse", "--verify")
+        return (commits[args[2].removesuffix("^{commit}")] + "\n").encode()
+
+    def extract(ref, into):
+        extracted[ref] = Path(into)
+        tree(Path(into), {"NAME": ref[:1]})
+
+    def run_matrix(root, into):
+        ran.append(Path(root))
+        name = (Path(root) / "NAME").read_text() if root != tmp_path else "checkout"
+        tree(Path(into), {"free_on/stdout.txt": name + "\n", "export/matrices.txt": "M\n"})
+        return {"free_on": 0, "export": 0}
+
+    for name, fake in (("git", git), ("extract", extract), ("run_matrix", run_matrix),
+                       ("ROOT", tmp_path)):
+        monkeypatch.setattr(diff_outputs, name, fake)
+    argv = ["--parent", "base", "--pr", "7"] + (["--change", change] if change else [])
+    assert diff_outputs.main(argv) == 0
+    out = json.loads((tmp_path / "ROUNDOFF_7.json").read_text())
+    assert out["parent_commit"] == commits["base"]
+    assert out["change_commit"] == (commits[change] if change else None)
+    assert list(extracted) == [commits["base"]] + ([commits[change]] if change else [])
+    assert ran == [extracted[commits["base"]],
+                   extracted[commits[change]] if change else tmp_path]
+    changed = "2" if change else "checkout"
+    assert out["identical"] == ["export/matrices.txt"]
+    assert out["different"] == {"free_on/stdout.txt": [[1, "1", changed]]}
+    assert out["exit_codes"] == {side: {"free_on": 0, "export": 0}
+                                 for side in ("parent", "change")}
+    assert not any(p.exists() for p in extracted.values())  # the temporary trees are gone

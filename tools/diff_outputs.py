@@ -1,10 +1,11 @@
-"""Diff the CLI outputs of a parent commit against the working tree and write ROUNDOFF_<pr>.json.
+"""Diff the CLI outputs of a parent commit against a change and write ROUNDOFF_<pr>.json.
 
-    python3 tools/diff_outputs.py --parent REF --pr N
+    python3 tools/diff_outputs.py --parent REF --pr N [--change REF]
 
 The parent ref is extracted with `git archive` into a temporary directory
 outside the repository (removed at the end, with both sides' outputs); the
-change side is this checkout's working tree.  Each side runs the same CLI
+change side is the --change ref, extracted the same way, or without it this
+checkout's working tree.  Each side runs the same CLI
 matrix, one call at a time, with its own `src` on PYTHONPATH:
 `--scenario {free, disturbance, all} x --controller {on, off}` at
 `--tfinal TFINAL` and the default config, each call into its own directory
@@ -141,21 +142,26 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--pr", required=True, type=int, help="N of the ROUNDOFF_N.json written")
+    ap.add_argument("--change", help="git ref of the change commit (default: the working tree)")
     args = ap.parse_args(argv)
 
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    commits = {name: git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+               for name, ref in (("parent", args.parent), ("change", args.change)) if ref}
     tmp = Path(tempfile.mkdtemp(prefix="diff-outputs-"))
     try:
-        tree = tmp / "parent_tree"
-        extract(parent_commit, tree)
-        sides = {"parent": tree, "change": ROOT}
+        sides = {"parent": tmp / "parent_tree",
+                 "change": ROOT if args.change is None else tmp / "change_tree"}
+        for name, commit in commits.items():
+            extract(commit, sides[name])
         codes = {name: run_matrix(root, tmp / name) for name, root in sides.items()}
+        change = "the working tree" if args.change is None else "a change commit (a git archive)"
         out = {"what": ("piezobeam CLI outputs, parent commit (a git archive) against "
-                        "the working tree: every --scenario x --controller case at "
+                        f"{change}: every --scenario x --controller case at "
                         f"--tfinal {TFINAL:g} and the default config, and "
                         "--export-matrices. CSV shifts are per column, largest "
                         "|change - parent| over the column's peak |parent|."),
-               "parent_commit": parent_commit, "cases": cases(), "exit_codes": codes,
+               "parent_commit": commits["parent"], "change_commit": commits.get("change"),
+               "cases": cases(), "exit_codes": codes,
                "matrices_sha256": {name: shas(tmp / name) for name in sides},
                **compare(tmp / "parent", tmp / "change")}
     finally:
