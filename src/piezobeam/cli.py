@@ -10,6 +10,7 @@ control authority.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -217,26 +218,174 @@ def _sim_config(cfg, basis, scenario, controller_on):
                      initial_state=x0, disturbance=dist, controller_on=controller_on)
 
 
-CSV_BLOCK_ROWS = 256  # rows per % operation: few Python calls, little transient memory
+CSV_BLOCK_ROWS = 512  # rows per formatting pass: few numpy calls, ~2.3 MB of temporaries
+
+# The source row of one value in _format_block: the 16 digits after the
+# first (bytes 0-15), the 3 digits of |exponent| (16-18), then these bytes.
+_FIRST, _POINT, _SIGN, _E, _ZERO, _NUL, _SEP, _MINUS = range(19, 27)
+_SOURCE = 28  # bytes per value in the source
+_TEXT = 24  # the longest "%.17g" text, as -2.2250738585071999e-308
+_E_MIN, _E_MAX = -284, 16  # the decimal exponents the tables cover
+_TIE = 0.5 - 1e-9  # |fraction| beyond which the rounding is left to "%.17g"
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+@functools.cache
+def _csv_tables():
+    """The tables of _format_block, by index:
+      quad:    the 4 ASCII digits of 0..9999, one uint32 each;
+      sig:     at 10 000 k + g, for g as the k-th group of 4 digits after
+               the first (k from 0), the count of digits after the first up
+               to g's last non-zero one, 0 for g = 0;
+      pow10:   row e - _E_MIN: 10**(16 - e) as hi + lo, exact to 2**-106
+               relative, and hi's two Dekker halves;
+      expo:    at e - _E_MIN, the 3 ASCII digits of |e|, one uint32;
+      cls:     at e - _E_MIN, the layout class of exponent e times 17, less 1;
+      layouts: at 17 class + kept digits - 1, the source bytes of the text
+               and its separator, NUL-padded to _TEXT.
+    The classes are e = 0..16 (fixed), 17..20 for e = -1..-4 (fixed with
+    leading zeros), 21 and 22 for a 2- and a 3-digit exponent."""
+    groups = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    quad = np.ascontiguousarray((groups + ord("0")).T).view(np.uint32).ravel()
+    last = ((groups != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    sig = np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0)
+    pow10, power = [], 10 ** (16 - _E_MAX)
+    for _ in range(_E_MAX - _E_MIN + 1):  # e from _E_MAX down
+        hi = float(power)
+        pow10.append((hi, float(power - int(hi))))
+        power *= 10
+    hi, lo = np.array(pow10[::-1]).T
+    split = hi * _SPLITTER
+    hh = split - (split - hi)
+    es = np.arange(_E_MIN, _E_MAX + 1)
+    ex = np.abs(es)
+    expo = np.zeros((es.size, 4), np.uint8)
+    expo[:, :3] = np.stack((ex // 100, ex // 10 % 10, ex % 10), axis=1) + ord("0")
+    cls = np.select([es >= 0, es >= -4, es >= -99], [es, 16 - es, 21], 22) * 17 - 1
+    # each class's text at all 17 digits, as (source byte, rank): a digit's
+    # rank is its index from 0, the point's the count of digits before it,
+    # other bytes' -1; the text with k digits kept has NUL for rank >= k
+    digit = [(_FIRST, 0)] + [(j, j + 1) for j in range(16)]
+    full = []
+    for c in range(23):
+        if c <= 16:
+            text = digit[:c + 1] + [(_POINT, c + 1)] + digit[c + 1:]
+        elif c <= 20:
+            text = [(_ZERO, -1), (_POINT, -1)] + [(_ZERO, -1)] * (c - 17) + digit
+        else:
+            text = (digit[:1] + [(_POINT, 1)] + digit[1:] + [(_E, -1), (_MINUS, -1)]
+                    + [(j, -1) for j in range(38 - c, 19)])
+        full.append([(_SIGN, -1)] + text + [(_NUL, -1)] * (_TEXT - 1 - len(text))
+                    + [(_SEP, -1)])
+    byte, rank = np.array(full).transpose(2, 0, 1)
+    layouts = np.where(rank[:, None] >= np.arange(1, 18)[:, None], _NUL, byte[:, None])
+    tables = (quad, sig.astype(np.uint8).ravel(), np.stack((hi, lo, hh, hi - hh), axis=1),
+              expo.view(np.uint32).ravel(), cls, layouts.reshape(-1, _TEXT + 1))
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, e, pow10):
+    """(D, d): a 10**(16 - e) = D + d to about 1e-14, with D an int64 and
+    |d| <= 1/2, for a in [1e-280, 1e16) and e within one of its exponent.
+    The product is the double-double p + t of Dekker's exact a * hi plus
+    a * lo; where it is at least 2**53, p is an integer."""
+    hi, lo, hh, hl = pow10.take(e - _E_MIN, axis=0).T
+    split = a * _SPLITTER
+    ah = split - (split - a)
+    al = a - ah
+    p = a * hi
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    n = np.rint(t)
+    D = p.astype(np.int64)
+    D += n.astype(np.int64)
+    return D, t - n
+
+
+def _format_block(x, source):
+    """The "%.17g" texts of the float64 values x, each followed by its
+    separator byte in source (an array from _csv_source), as bytes."""
+    quad, sig, pow10, expo, cls, layouts = _csv_tables()
+    size = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e16)
+    plain = fast | (a == 0.0)
+    a = np.where(fast, a, 1.0)  # the rest are laid out as 1, then replaced
+    e = np.floor(np.log10(a)).astype(np.intp)
+    D, d = _scaled(a, e, pow10)
+    # e is one off near powers of ten, and rounding can carry into an 18th
+    # digit: a * 10**(16 - e) must lie in [1e16 - 0.05, 1e17 - 0.5)
+    odd = np.flatnonzero((D <= 10 ** 16) | (D >= 10 ** 17))
+    if odd.size:
+        Do, do = D[odd], d[odd]
+        edge = Do == 10 ** 16
+        tie = odd[edge & (np.abs(do + 0.05) < 1e-9)]  # a tie one digit further
+        step = (Do >= 10 ** 17).astype(np.intp) - ((Do < 10 ** 16) | (edge & (do < -0.05)))
+        odd = odd[step != 0]
+        e[odd] += step[step != 0]
+        D[odd], d[odd] = _scaled(a[odd], e[odd], pow10)
+        # d = 1/2 leaves a value to "%.17g"
+        d[odd[(D[odd] < 10 ** 16) | (D[odd] >= 10 ** 17)]] = 0.5
+        d[tie] = 0.5
+    head, tail = np.divmod(D, 10 ** 8)
+    first, head = np.divmod(head, 10 ** 8)
+    groups = np.empty((4, size), np.intp)
+    np.divmod(head, 10 ** 4, out=(groups[0], groups[1]))
+    np.divmod(tail, 10 ** 4, out=(groups[2], groups[3]))
+    src = source[:size]
+    words = src.view(np.uint32)
+    words[:, :4] = quad.take(groups).T
+    eo = e - _E_MIN
+    words[:, 4] = expo.take(eo)
+    src[:, _FIRST] = first * fast + ord("0")
+    src[:, _SIGN] = np.signbit(x) * ord("-")
+    groups += np.arange(0, 40000, 10000)[:, None]
+    keep = np.maximum(sig.take(groups).max(axis=0) + 1, e + 1)
+    at = layouts.take(cls.take(eo) + keep, axis=0)
+    at += np.arange(0, size * _SOURCE, _SOURCE)[:, None]
+    out = source.ravel().take(at)
+    for i in np.flatnonzero(~plain | (np.abs(d) > _TIE)).tolist():
+        text = b"%.17g" % x.item(i)
+        out[i, :_TEXT] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0")
+
+
+def _csv_source(rows, cols):
+    """_format_block's source for up to rows rows of cols values, with its
+    constant bytes set."""
+    source = np.zeros((rows * cols, _SOURCE), np.uint8)
+    for at, char in ((_POINT, "."), (_E, "e"), (_ZERO, "0"), (_SEP, ","), (_MINUS, "-")):
+        source[:, at] = ord(char)
+    source[cols - 1::cols, _SEP] = ord("\n")
+    return source
 
 
 def write_csv(path, traj, n):
     """The trajectory as CSV, every value "%.17g" (what np.savetxt with that
     fmt writes, byte for byte), formatted and written CSV_BLOCK_ROWS rows at
-    a time."""
+    a time.
+
+    The texts are made in numpy (_format_block): each |x| in [1e-280, 1e16)
+    is scaled to a 17-digit integer in double-double arithmetic, correctly
+    rounded, and its digits are laid out by the %g rules; zeros are written
+    as 0 and -0.  Python's own "%.17g" writes the rest (non-finite values,
+    |x| < 1e-280 including subnormals, |x| >= 1e16) and every value whose
+    rounding fraction lies within 1e-9 of a tie."""
     cols = (["t"] + [f"p{i}" for i in range(1, n + 1)]
             + [f"q{i}" for i in range(1, n + 1)]
             + [f"dp{i}" for i in range(1, n + 1)]
             + [f"dq{i}" for i in range(1, n + 1)]
             + ["w_tip", "theta_tip", "v_p"])
-    table = np.column_stack((traj.times, traj.states, traj.tip_w,
-                             traj.tip_theta, traj.voltage))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    columns = (traj.times, traj.states, traj.tip_w, traj.tip_theta, traj.voltage)
+    rows = len(traj.times)
+    source = _csv_source(min(rows, CSV_BLOCK_ROWS), len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write(_format_block(block.ravel(), source))
 
 
 def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):

@@ -345,8 +345,9 @@ def _run_rk4(mats, config, law, x, states, voltage):
     assembly.StateOperator.build.  With v_max the maps also read out the
     unclipped v_s = h y_s + c N(p_s, p_s, p_s) / beta, and stage s writes
     the clip's excess sat(v_s) - v_s into u_s's voltage entry, which E maps
-    through b.  The voltage is filled after the last step, as sat(h x + c
-    N(p, p, p) / beta) at every sample; without a law it is 0.
+    through b.  The voltage is filled after the last step, _FORCE_BLOCK
+    samples at a time, as sat(h x + c N(p, p, p) / beta) at every sample;
+    without a law it is 0.
 
     The probe row of the second stage raises IntegrationBlowupError at the
     first sample whose [x; d1 .. d4; u1] is not finite, so also where a
@@ -395,7 +396,8 @@ def _run_rk4(mats, config, law, x, states, voltage):
                 contracted_nn.dot(p, u)
                 if clipped:  # z[e_at] holds c N(p, p, p) / beta
                     v = w.item(h_at) + z.item(e_at)
-                    z[e_at] = min(max(v, -v_max), v_max) - v
+                    z[e_at] = 0.0 if -v_max <= v <= v_max else \
+                        min(max(v, -v_max), v_max) - v
             F.dot(z, new_x)
             head[...] = new_row
         states[start + 1:stop + 1] = rows[1:stop - start + 1, :d]
@@ -405,8 +407,13 @@ def _run_rk4(mats, config, law, x, states, voltage):
     demand = last.dot(h) + N3.dot(c_beta) if clipped else 0.0
     if not (np.isfinite(last).all() and np.isfinite(N3).all() and math.isfinite(demand)):
         raise IntegrationBlowupError(nsteps * dt)
-    voltage[...] = 0.0 if law is None else \
-        states.dot(h) + _contract3_rows(N, states[:, :n]).dot(c_beta)
+    if law is None:
+        voltage[...] = 0.0
+    else:  # a block at a time, which bounds _contract3_rows' temporaries
+        for start in range(0, nsteps + 1, _FORCE_BLOCK):
+            block = states[start:start + _FORCE_BLOCK]
+            voltage[start:start + _FORCE_BLOCK] = \
+                block.dot(h) + _contract3_rows(N, block[:, :n]).dot(c_beta)
     if clipped:
         np.clip(voltage, -v_max, v_max, out=voltage)
 

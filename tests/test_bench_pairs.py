@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,50 @@ def test_traced_entry_of_a_canned_run():
                    "operations": {"attempted": 196, "failed": 0, "all_correct": True}}
     with pytest.raises(KeyError):
         bench_pairs.traced(result, ["dynamics.steps"])
+
+
+def test_default_call_in_a_fresh_process():
+    # DEFAULT_CALL itself, on this checkout, shortened to 101 samples
+    record = bench_pairs.default_call(bench_pairs.ROOT, "--tfinal", "0.002")
+    assert record["exit_code"] == 0
+    assert record["write_csv_calls"] == 3
+    assert 0.0 < record["write_csv_s"] < record["wall_s"]
+    assert record["peak_rss_mb"] > 0.0
+    assert sorted(record["csv_sha256"]) == ["disturbance_off.csv", "disturbance_on.csv",
+                                            "free_on.csv"]
+
+
+def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
+    # no benchmark runs: run_once and default_call give canned records
+    bench = {"workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "run_s", "better": "lower"}],
+             "per_layer": [{"name": "cli.csv_bytes"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    parent_trees, calls = [], []
+
+    def extract(ref, into):
+        parent_trees.append(Path(into))
+
+    def run_once(root, workload, seed, seconds, trace=0):
+        result = last_line(1.0, 2.0 if root == tmp_path else 3.0, 5)
+        result["metrics"]["cli.csv_bytes"] = {"value": 9.0, "unit": "B"}
+        return result
+
+    def default_call(root):
+        calls.append(Path(root))
+        return {"exit_code": 0, "wall_s": 4.0 if root == tmp_path else 6.0,
+                "csv_sha256": {"free_on.csv": "ab"}}
+
+    for name, fake in (("git", lambda *args: b"1" * 40 + b"\n"), ("extract", extract),
+                       ("run_once", run_once), ("default_call", default_call),
+                       ("ROOT", tmp_path)):
+        monkeypatch.setattr(bench_pairs, name, fake)
+    assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1", "2"]) == 0
+    out = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert calls == [parent_trees[0], tmp_path]
+    assert out["default_call"] == {
+        "parent": {"exit_code": 0, "wall_s": 6.0, "csv_sha256": {"free_on.csv": "ab"}},
+        "change": {"exit_code": 0, "wall_s": 4.0, "csv_sha256": {"free_on.csv": "ab"}},
+        "same_csv_bytes": True}
+    assert out["workloads"]["w"]["metrics"]["run_s"]["change_wins"] == 2
+    assert out["traced"]["w"]["change"]["cli.csv_bytes"] == 9.0

@@ -192,6 +192,42 @@ class TestRunScenario:
         assert written.count(b"\n") == rows + 1
         assert written == (tmp_path / "savetxt.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["bit_patterns", "scaled_mantissas", "decades",
+                                      "ties_and_specials"])
+    def test_csv_is_percent_17g_byte_for_byte(self, tmp_path, kind):
+        # write_csv's numpy formatter against Python's "%.17g" on values that
+        # probe each of its paths; the last column stays all zero, like the
+        # companion run's v_p, and the rows straddle two block edges
+        rows, n = 3 * CSV_BLOCK_ROWS + 77, 2
+        rng = np.random.default_rng(7)
+        count = rows * (4 * n + 3)
+        if kind == "bit_patterns":
+            values = rng.integers(-2 ** 63, 2 ** 63, count, dtype=np.int64).view(np.float64)
+        elif kind == "scaled_mantissas":
+            values = rng.uniform(-10.0, 10.0, count) * 10.0 ** rng.uniform(-320, 20, count)
+        elif kind == "decades":
+            powers = np.array([float(f"1e{k}") for k in range(-300, 17)])
+            values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                     np.nextafter(powers, np.inf), -powers,
+                                     0.5 * powers, 5.0 * powers, 9.5 * powers])
+        else:
+            odd = 2 * np.arange(64) + 1  # M / 4 with M odd: ties of the 17th digit
+            values = np.concatenate([
+                1e15 + odd / 4, 2.0 ** 50 + odd / 4, -(2.0 ** 49 + odd / 8), odd / 4,
+                [1000000000000000.25, 0.0, -0.0, np.inf, -np.inf, np.nan,
+                 1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 2.225073858507201e-308, 1e-280, 9.99e-281,
+                 1e16, 9999999999999998.0, 1e-4, 9.9999999999999995e-5]])
+        table = np.zeros((rows, 4 * n + 4))
+        table[:, :-1] = np.resize(values, (rows, 4 * n + 3))
+        traj = Trajectory(times=table[:, 0], states=table[:, 1:4 * n + 1],
+                          tip_w=table[:, -3], tip_theta=table[:, -2], voltage=table[:, -1])
+        write_csv(tmp_path / "t.csv", traj, n)
+        row = ",".join(["%.17g"] * (4 * n + 4)) + "\n"
+        expected = "".join(row % tuple(r) for r in table.tolist())
+        header = b"t,p1,p2,q1,q2,dp1,dp2,dq1,dq2,w_tip,theta_tip,v_p\n"
+        assert (tmp_path / "t.csv").read_bytes() == header + expected.encode()
+
     def test_manifest_written_and_determinism(self, short_cfg, tmp_path):
         # each run on its own model, so a rebuild must reproduce it too
         run_scenario("free", short_cfg, *build_model(short_cfg), tmp_path / "a",

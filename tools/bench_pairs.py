@@ -13,8 +13,11 @@ file written holds, per workload and end-to-end metric of BENCHMARK.json,
 every run, the median and quartiles of each side, the pairs the change won
 and the ratio of the medians; the operations attempted and failed per side;
 under "traced", each side's per-layer metrics of BENCHMARK.json and
-operations from its traced run; nproc and the Python and numpy versions.
-Standard library only.
+operations from its traced run; under "default_call", each side's record
+of one default-length `piezobeam --scenario all --controller on`
+(DEFAULT_CALL), which the workloads' short rounds cannot show, and whether
+the two sides' CSVs are the same bytes; nproc and the Python and numpy
+versions.  Standard library only.
 """
 
 import argparse
@@ -32,6 +35,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
 TRACE_SECONDS = 10.0
+
+# One default-length call to cli.main in process, in a fresh interpreter with
+# a checkout's src first on sys.path (argv[1]) and argv[2:] appended to the
+# CLI's arguments.  It prints one JSON line: the exit code, the call's wall
+# time, the summed time and count of its cli.write_csv calls, the peak RSS
+# after the call, and the SHA-256 of each CSV written.
+DEFAULT_CALL = """
+import contextlib, hashlib, io, json, resource, sys, tempfile, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from piezobeam import cli
+write_csv, spent = cli.write_csv, []
+def timed(*args):
+    start = time.perf_counter()
+    write_csv(*args)
+    spent.append(time.perf_counter() - start)
+cli.write_csv = timed
+argv = ["--scenario", "all", "--controller", "on", *sys.argv[2:]]
+with tempfile.TemporaryDirectory() as out:
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(argv + ["--out", out])
+        wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    sha = {}
+    for path in sorted(Path(out).glob("*.csv")):
+        with open(path, "rb") as fh:
+            sha[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
+print(json.dumps({"exit_code": code, "wall_s": wall, "write_csv_s": sum(spent),
+                  "write_csv_calls": len(spent), "peak_rss_mb": peak, "csv_sha256": sha}))
+"""
 
 
 def side(runs):
@@ -76,15 +110,26 @@ def traced(result, names):
             "operations": tally([result])}
 
 
-def run_once(root, workload, seed, seconds, trace=0):
-    """run.py's last-line JSON for one run in checkout root."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
+def last_json(argv, root):
+    """The JSON object on the last line that argv, run in root, prints."""
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_once(root, workload, seed, seconds, trace=0):
+    """run.py's last-line JSON for one run in checkout root."""
+    return last_json([sys.executable, "perfbench/run.py", "--workload", workload,
+                      "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)],
+                     root)
+
+
+def default_call(root, *extra):
+    """DEFAULT_CALL's record for checkout root, with extra CLI arguments."""
+    return last_json([sys.executable, "-c", DEFAULT_CALL, str(Path(root) / "src"), *extra],
+                     root)
 
 
 def git(*args):
@@ -125,7 +170,10 @@ def main(argv=None):
                     "Each value is the metric's 'value' from the last-line JSON that "
                     "run.py prints. Quartiles are linearly interpolated, as numpy's "
                     "default percentiles. Then, per side, one run of the first seed at "
-                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'."),
+                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'. Last, per "
+                    "side, one default-length in-process `--scenario all --controller on` "
+                    "call under 'default_call', wall time and summed write_csv time in s, "
+                    "peak RSS in MB."),
            "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
            "workloads": {}, "traced": {}}
     tmp = tempfile.mkdtemp(prefix="bench-parent-")
@@ -152,6 +200,11 @@ def main(argv=None):
                 out["traced"][workload][name] = traced(result, layers)
                 print(f"{workload} traced seed {seed} {name}: "
                       f"{json.dumps(out['traced'][workload][name])}", file=sys.stderr)
+        calls = out["default_call"] = {}
+        for name in ("parent", "change"):
+            calls[name] = default_call(roots[name])
+            print(f"default call {name}: {json.dumps(calls[name])}", file=sys.stderr)
+        calls["same_csv_bytes"] = calls["parent"]["csv_sha256"] == calls["change"]["csv_sha256"]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     path = ROOT / f"BENCH_{args.pr}.json"
