@@ -8,8 +8,7 @@ from .assembly import (AssemblyError, BeamSpec, PiezoSpec, SectionProperties,
 from .dynamics import (Disturbance, IntegrationBlowupError, SimConfig, Trajectory,
                        avf_step, closed_loop, energy, rhs, rk4_step, simulate,
                        step)
-from .control import (ControlAuthorityError, ControllerConfig, design_gains,
-                      make_policy, output)
+from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
 
 __all__ = [
     "ModalBasis", "flexural_eigenvalues",
@@ -19,6 +18,5 @@ __all__ = [
     "Disturbance", "IntegrationBlowupError", "SimConfig", "Trajectory",
     "avf_step", "closed_loop", "energy", "rhs", "rk4_step", "simulate", "step",
     "ControlAuthorityError", "ControllerConfig", "design_gains", "make_policy",
-    "output",
 ]
 __version__ = "0.1.0"

@@ -27,18 +27,18 @@ class SpinDestabilizedError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """A field, name, of a spec, kind (BeamSpec, PiezoSpec, dynamics.SimConfig
-    or dynamics.Disturbance), that breaks its rule."""
+    """A field, name, of a spec, kind, that breaks its rule (see check)."""
 
     def __init__(self, spec, name, rule):
         super().__init__(f"{type(spec).__name__}.{name}: {rule}")
         self.kind, self.name, self.rule = type(spec), name, rule
 
 
-def _positive(spec, names):
-    for name in names:
-        if not 0 < getattr(spec, name) < np.inf:
-            raise SpecError(spec, name, "must be finite and > 0")
+def check(spec, rules):
+    """Raise SpecError for the first (field, holds, rule) of spec that does not hold."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise SpecError(spec, name, rule)
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,10 @@ class BeamSpec:
     zeta_tors: tuple = (0.01, 0.0033)
 
     def __post_init__(self):
-        _positive(self, ("L", "t_b", "b", "rho_b", "E_b", "G_b"))
-        for name in ("zeta_flex", "zeta_tors"):
-            for z in getattr(self, name):
-                if not 0.0 <= z < 1.0:
-                    raise SpecError(self, name, "damping ratio out of [0,1)")
+        check(self, [(name, 0 < getattr(self, name) < math.inf, "must be finite and > 0")
+                     for name in ("L", "t_b", "b", "rho_b", "E_b", "G_b")]
+              + [(name, all(0.0 <= z < 1.0 for z in getattr(self, name)),
+                  "damping ratio out of [0,1)") for name in ("zeta_flex", "zeta_tors")])
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,9 @@ class PiezoSpec:
     d31: float = -320e-12
 
     def __post_init__(self):
-        _positive(self, ("t_p", "w_p", "E_p", "G_p", "rho_p"))
-        if not 0.0 <= self.l1 <= self.l2:
-            raise SpecError(self, "l1", "need 0 <= l1 <= l2")
+        check(self, [(name, 0 < getattr(self, name) < math.inf, "must be finite and > 0")
+                     for name in ("t_p", "w_p", "E_p", "G_p", "rho_p")]
+              + [("l1", 0.0 <= self.l1 <= self.l2, "need 0 <= l1 <= l2")])
 
 
 @dataclass(frozen=True)
@@ -186,19 +185,16 @@ class SystemMatrices:
     G1: np.ndarray
     F1: np.ndarray
     Mp0: float
-    # Derived from the fields above by __post_init__, which replaces any value
-    # passed in, so a copy built from another instance's fields is consistent,
-    # damping included.  The matrices are read-only once assembled.
+    # Derived from the fields above by __post_init__.
     # (flexural, torsional) linear frequencies at Omega = 0 in rad/s
-    natural_frequencies: tuple = field(default=None, repr=False, compare=False)
-    CB: np.ndarray = field(default=None, repr=False, compare=False)  # diag 2 zeta omega M1_ii
-    CT: np.ndarray = field(default=None, repr=False, compare=False)  # diag 2 zeta omega M2_ii
-    M1inv: np.ndarray = field(default=None, repr=False, compare=False)
-    M2inv: np.ndarray = field(default=None, repr=False, compare=False)
-    b: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 F1
-    N: np.ndarray = field(default=None, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
+    natural_frequencies: tuple = field(init=False, repr=False, compare=False)
+    CB: np.ndarray = field(init=False, repr=False, compare=False)  # diag 2 zeta omega M1_ii
+    CT: np.ndarray = field(init=False, repr=False, compare=False)  # diag 2 zeta omega M2_ii
+    M1inv: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)   # M1^-1 F1
+    N: np.ndarray = field(init=False, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
     # (A0, A1, A2): StateOperator's open-loop A(Omega) = A0 + Omega A1 + Omega^2 A2
-    A_parts: tuple = field(default=None, repr=False, compare=False)
+    A_parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -214,8 +210,8 @@ class SystemMatrices:
         self.CB = np.diag(2.0 * np.asarray(self.zeta_flex) * om_f * np.diag(self.M1))
         self.CT = np.diag(2.0 * np.asarray(self.zeta_tors) * om_t * np.diag(self.M2))
         # M^-1 = L^-T L^-1 by a second triangular solve, as LAPACK's potrs does
-        self.M1inv, self.M2inv = M1inv, M2inv = (np.linalg.solve(L1.T, L1inv),
-                                                 np.linalg.solve(L2.T, L2inv))
+        self.M1inv = M1inv = np.linalg.solve(L1.T, L1inv)
+        M2inv = np.linalg.solve(L2.T, L2inv)
         self.b = M1inv @ self.F1
         self.N = (M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
         p, q, pd, qd = (slice(k * n, (k + 1) * n) for k in range(4))
@@ -263,7 +259,7 @@ class StateOperator:
         and a control.VoltageLaw (g, c and beta read) or None; ValueError for
         a disturbance target outside the flexural equations 1..n."""
         A0, A1, A2 = mats.A_parts
-        A = A0 + omega * A1 + omega ** 2 * A2
+        A = A0 + omega * A1 + omega * omega * A2
         n, b = mats.n, mats.b
         E = np.zeros((n, n + 2))
         E[:, n] = b

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, export_matrices,
+from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, check, export_matrices,
                        SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
@@ -47,7 +47,10 @@ class AppConfig:
     The `beam` and `piezo` YAML sections hold the BeamSpec and PiezoSpec
     fields under their own names; every other field names its YAML key.  A
     key that is absent or null keeps its default.  One default follows
-    another field: piezo.w_p is beam.b.
+    another field: piezo.w_p is beam.b.  Each value meets the rules of the
+    BeamSpec, PiezoSpec, SimConfig or Disturbance that runs it; here are only
+    the rules that tie values together or that no such object states.  A
+    broken rule raises ConfigError naming the YAML key.
     """
 
     beam: BeamSpec
@@ -67,25 +70,23 @@ class AppConfig:
 
     def __post_init__(self):
         n = self.n_modes
-        for key, ok, rule in (
-                ("piezo.l2", self.piezo.l2 <= self.beam.L, "patch end beyond beam length"),
-                ("sim.n_modes", n >= 1, "must be >= 1"),
-                ("sim.dt", self.dt > 0, "must be > 0"),
-                ("sim.t_final", self.t_final >= 0, "must be >= 0"),
-                ("sim.tip_w0", math.isfinite(self.tip_w0), "must be finite"),
-                ("disturbance.amplitude", self.dist_amplitude >= 0, "must be >= 0"),
-                ("disturbance.frequency", self.dist_frequency > 0, "must be > 0"),
-                ("disturbance.target", 1 <= self.dist_target <= n, "outside 1..n_modes"),
-                ("beam.zeta_flex", len(self.beam.zeta_flex) >= n,
-                 "need one damping ratio per mode"),
-                ("beam.zeta_tors", len(self.beam.zeta_tors) >= n,
-                 "need one damping ratio per mode"),
-                ("controller.omega_cl", self.ctrl_omega_cl is None or self.ctrl_omega_cl > 0,
-                 "must be null or > 0"),
-                ("controller.zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
-                ("controller.v_max", self.ctrl_v_max > 0, "must be > 0")):
-            if not ok:
-                raise ConfigError(f"{key}: {rule}")
+        try:
+            SimConfig(self.Omega, self.dt, self.t_final)
+            Disturbance(self.dist_amplitude, self.dist_frequency, self.dist_target)
+            check(self, (("n_modes", n >= 1, "must be >= 1"),
+                         ("tip_w0", math.isfinite(self.tip_w0), "must be finite"),
+                         ("dist_target", self.dist_target <= n, "outside 1..n_modes"),
+                         ("ctrl_omega_cl", self.ctrl_omega_cl is None or self.ctrl_omega_cl > 0,
+                          "must be null or > 0"),
+                         ("ctrl_zeta_cl", self.ctrl_zeta_cl > 0, "must be > 0"),
+                         ("ctrl_v_max", self.ctrl_v_max > 0, "must be > 0")))
+            check(self.piezo, (("l2", self.piezo.l2 <= self.beam.L,
+                                "patch end beyond beam length"),))
+            check(self.beam, ((name, len(getattr(self.beam, name)) >= n,
+                               "need one damping ratio per mode")
+                              for name in ("zeta_flex", "zeta_tors")))
+        except SpecError as exc:
+            raise _named_by_key(exc) from None
 
     def as_dict(self):
         """Every value under its YAML key: the config block of the manifest,
@@ -110,18 +111,20 @@ def _schema():
 
 SCHEMA = dict(_schema())
 SECTIONS = {key.split(".")[0] for key in SCHEMA}
-SECTION_OF = {BeamSpec: "beam", PiezoSpec: "piezo", SimConfig: "sim",
-              Disturbance: "disturbance"}  # the YAML section of each SpecError kind
+KIND_OF = {"beam": BeamSpec, "piezo": PiezoSpec, "sim": SimConfig,
+           "disturbance": Disturbance}  # the kind that runs each YAML section
+# the YAML key of each (SpecError kind, field name) a key sets: an AppConfig
+# field by its key metadata, a field of a section's kind by its name there
+# (kind None for the controller section, which no kind runs)
+KEY_OF = {**{(KIND_OF.get(key.split(".")[0]), key.split(".")[1]): key for key in SCHEMA},
+          **{(AppConfig, f.name): key for key, (owner, f) in SCHEMA.items() if owner is None}}
 
 
 def _named_by_key(exc):
     """exc, or for a SpecError on a field that a YAML key sets, the
     ConfigError that names the field by that key."""
-    if isinstance(exc, SpecError):
-        key = f"{SECTION_OF[exc.kind]}.{exc.name}"
-        if key in SCHEMA:
-            return ConfigError(f"{key}: {exc.rule}")
-    return exc
+    key = KEY_OF.get((exc.kind, exc.name)) if isinstance(exc, SpecError) else None
+    return exc if key is None else ConfigError(f"{key}: {exc.rule}")
 
 
 def _parse(key, value, kind):
@@ -362,7 +365,7 @@ def _csv_source(rows, cols):
     return source
 
 
-def write_csv(path, traj, n):
+def write_csv(path, traj):
     """The trajectory as CSV, every value "%.17g" (what np.savetxt with that
     fmt writes, byte for byte), formatted and written CSV_BLOCK_ROWS rows at
     a time.
@@ -373,6 +376,7 @@ def write_csv(path, traj, n):
     as 0 and -0.  Python's own "%.17g" writes the rest (non-finite values,
     |x| < 1e-280 including subnormals, |x| >= 1e16) and every value whose
     rounding fraction lies within 1e-9 of a tie."""
+    n = traj.states.shape[1] // 4  # the state is [p; q; pdot; qdot]
     cols = (["t"] + [f"p{i}" for i in range(1, n + 1)]
             + [f"q{i}" for i in range(1, n + 1)]
             + [f"dp{i}" for i in range(1, n + 1)]
@@ -427,7 +431,7 @@ def run_scenario(name, cfg, basis, mats, out_dir, controller_on=True):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for tag, traj in runs.items():
-        write_csv(out_dir / f"{tag}.csv", traj, cfg.n_modes)
+        write_csv(out_dir / f"{tag}.csv", traj)
     for path, doc in docs.items():
         with open(out_dir / path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

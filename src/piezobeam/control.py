@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import check
+
 AUTHORITY_TOLERANCE = 1e-12  # least |beta|, the output's acceleration per volt
 
 
@@ -44,33 +46,24 @@ class ControllerConfig:
     v_max: float = None
 
     def __post_init__(self):
-        if not (0 < self.k0 < math.inf and 0 < self.k1 < math.inf):
-            raise ValueError("closed-loop polynomial must be Hurwitz (k0, k1 finite "
-                             "and > 0)")
-        object.__setattr__(self, "output_weights",
-                           np.asarray(self.output_weights, dtype=float))
-        if not (np.isfinite(self.output_weights).all() and np.any(self.output_weights)):
-            raise ValueError("output_weights must be finite and not all zero, "
-                             f"got {self.output_weights}")
-        if self.v_max is not None and not self.v_max > 0:
-            raise ValueError("v_max must be > 0, or None for no saturation")
-
-
-def output(x, weights):
-    """(y, ydot) of the weighted flexural output; x has 4n entries for n weights."""
-    c = np.asarray(weights, dtype=float)
-    n = c.size
-    if np.size(x) != 4 * n:
-        raise ValueError(f"output_weights has {n} entries for a state of {np.size(x)}")
-    return float(c @ x[:n]), float(c @ x[2 * n:3 * n])
+        w = np.asarray(self.output_weights, dtype=float)
+        object.__setattr__(self, "output_weights", w)
+        hurwitz = "closed-loop polynomial must be Hurwitz (k0, k1 finite and > 0)"
+        check(self, (("k0", 0 < self.k0 < math.inf, hurwitz),
+                     ("k1", 0 < self.k1 < math.inf, hurwitz),
+                     ("output_weights", np.isfinite(w).all() and np.any(w),
+                      "must be finite and not all zero"),
+                     ("v_max", self.v_max is None or self.v_max > 0,
+                      "must be > 0, or None for no saturation")))
 
 
 @dataclass(frozen=True, eq=False)
 class VoltageLaw:
     """The linearizing voltage law as data: v = -(g . x + c . a0) / beta,
-    clipped to +-v_max unless v_max is None.  g is k0*y + k1*yd (see
-    output) as one row on the state, c the output weights and beta = c b
-    the output's acceleration per volt; g and c are read-only.
+    clipped to +-v_max unless v_max is None.  g is k0*y + k1*yd, for the
+    output y = c . p and its rate yd = c . pdot, as one row on the state, c
+    the output weights and beta = c b the output's acceleration per volt; g
+    and c are read-only.
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
     does not read t.  simulate's RK4 runs do not call it: they step its

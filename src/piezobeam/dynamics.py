@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SpecError, StateOperator
+from .assembly import StateOperator, check
 from .control import VoltageLaw
 
 
@@ -27,13 +27,6 @@ class IntegrationBlowupError(RuntimeError):
     def __init__(self, t, reason="non-finite state"):
         super().__init__(f"{reason} at t = {t:.6g} s")
         self.t = t
-
-
-def _check(obj, rules):
-    """Raise SpecError for the first (field, holds, rule) that does not hold."""
-    for name, ok, rule in rules:
-        if not ok:
-            raise SpecError(obj, name, f"must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -45,11 +38,11 @@ class Disturbance:
     target: int       # 1-based flexural equation index
 
     def __post_init__(self):
-        _check(self, (("amplitude", 0 <= self.amplitude < math.inf, "finite and >= 0"),
-                      ("frequency", 0 < self.frequency < math.inf, "finite and > 0"),
-                      ("target", isinstance(self.target, (int, np.integer))
-                       and not isinstance(self.target, bool) and self.target >= 1,
-                       "an integer >= 1")))
+        check(self, (("amplitude", 0 <= self.amplitude < math.inf, "must be finite and >= 0"),
+                     ("frequency", 0 < self.frequency < math.inf, "must be finite and > 0"),
+                     ("target", isinstance(self.target, (int, np.integer))
+                      and not isinstance(self.target, bool) and self.target >= 1,
+                      "must be an integer >= 1")))
 
     def force(self, t):
         """The force at time t, a float or an array of times."""
@@ -72,14 +65,14 @@ class SimConfig:
     integrator: str = "rk4"  # key of INTEGRATORS
 
     def __post_init__(self):
-        _check(self, (("Omega", math.isfinite(self.Omega), "finite"),
-                      ("dt", 0 < self.dt < math.inf, "finite and > 0"),
-                      ("t_final", 0 <= self.t_final < math.inf, "finite and >= 0"),
-                      ("integrator", self.integrator in INTEGRATORS,
-                       f"one of {sorted(INTEGRATORS)}, got {self.integrator!r}")))
-        steps = self.t_final / self.dt
-        _check(self, (("t_final", steps < _MAX_STEPS,
-                       f"below {_MAX_STEPS} steps of dt, got t_final / dt = {steps:.6g}"),))
+        check(self, (("Omega", math.isfinite(self.Omega), "must be finite"),
+                     ("dt", 0 < self.dt < math.inf, "must be finite and > 0"),
+                     ("t_final", 0 <= self.t_final < math.inf, "must be finite and >= 0"),
+                     ("integrator", self.integrator in INTEGRATORS,
+                      f"must be one of {sorted(INTEGRATORS)}, got {self.integrator!r}")))
+        steps = self.t_final / self.dt  # dt > 0 holds from here on
+        check(self, (("t_final", steps < _MAX_STEPS, f"must be below {_MAX_STEPS} steps "
+                      f"of dt, got t_final / dt = {steps:.6g}"),))
 
     @property
     def nsteps(self):
@@ -457,9 +450,9 @@ def simulate(config, mats, basis, controller=None):
     n = mats.n
     om_f, om_t = mats.natural_frequencies
     f_max = max(om_f[-1], om_t[-1]) / (2.0 * math.pi)
-    if config.dt > 1.0 / (20.0 * f_max):
-        raise SpecError(config, "dt", f"{config.dt} too coarse for highest retained frequency "
-                        f"{f_max:.1f} Hz (need dt <= {1.0 / (20.0 * f_max):.3g})")
+    dt_max = 1.0 / (20.0 * f_max)
+    check(config, (("dt", config.dt <= dt_max, f"{config.dt} too coarse for highest "
+                    f"retained frequency {f_max:.1f} Hz (need dt <= {dt_max:.3g})"),))
 
     if config.controller_on != (controller is not None):
         raise ValueError("SimConfig.controller_on must be set exactly when a control "

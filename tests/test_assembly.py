@@ -203,7 +203,7 @@ class TestAssemble:
     def test_indefinite_mass_matrix_named(self, mats, name):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(AssemblyError, match=name):
-            mats.__class__(**{**mats.__dict__, name: indefinite})
+            dataclasses.replace(mats, **{name: indefinite})
 
 
 class TestLinearFrequencies:
@@ -234,7 +234,7 @@ class TestLinearFrequencies:
 
     def test_spin_term_vanishes_at_zero(self, mats):
         a = linear_frequencies(mats, 0.0)
-        m_noD = mats.__class__(**{**mats.__dict__, "D1": np.zeros_like(mats.D1)})
+        m_noD = dataclasses.replace(mats, D1=np.zeros_like(mats.D1))
         b = linear_frequencies(m_noD, 0.0)
         assert_allclose(a[0], b[0], rtol=1e-12)
 
@@ -252,7 +252,7 @@ class TestLinearFrequencies:
 
     def test_spin_destabilized_error(self, mats):
         # doctored effective stiffness: strongly negative D1 at high spin
-        bad = mats.__class__(**{**mats.__dict__, "D1": -np.eye(2) * 1.0})
+        bad = dataclasses.replace(mats, D1=-np.eye(2) * 1.0)
         with pytest.raises(SpinDestabilizedError) as info:
             linear_frequencies(bad, 1000.0)
         assert info.value.eigenvalue is not None
@@ -311,4 +311,4 @@ def test_public_names():
         "SectionProperties", "SimConfig", "SpinDestabilizedError", "SystemMatrices",
         "Trajectory", "assemble", "avf_step", "closed_loop", "design_gains", "energy",
         "export_matrices", "flexural_eigenvalues", "linear_frequencies", "make_policy",
-        "output", "rhs", "rk4_step", "section_properties", "simulate", "step"}
+        "rhs", "rk4_step", "section_properties", "simulate", "step"}

@@ -90,7 +90,9 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
 
     def default_call(root):
         calls.append(Path(root))
-        return {"exit_code": 0, "wall_s": 4.0 if root == tmp_path else 6.0,
+        parent = root != tmp_path
+        return {"exit_code": 0, "wall_s": (6.0 if parent else 4.0) + len(calls),
+                "write_csv_s": 1.0, "write_csv_calls": 3, "peak_rss_mb": 80.0,
                 "csv_sha256": {"free_on.csv": "ab"}}
 
     for name, fake in (("git", lambda *args: b"1" * 40 + b"\n"), ("extract", extract),
@@ -99,10 +101,37 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
         monkeypatch.setattr(bench_pairs, name, fake)
     assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1", "2"]) == 0
     out = json.loads((tmp_path / "BENCH_7.json").read_text())
-    assert calls == [parent_trees[0], tmp_path]
-    assert out["default_call"] == {
-        "parent": {"exit_code": 0, "wall_s": 6.0, "csv_sha256": {"free_on.csv": "ab"}},
-        "change": {"exit_code": 0, "wall_s": 4.0, "csv_sha256": {"free_on.csv": "ab"}},
-        "same_csv_bytes": True}
+    # three calls a side, alternating, the parent first on odd calls
+    parent = parent_trees[0]
+    assert calls == [parent, tmp_path, tmp_path, parent, parent, tmp_path]
+    calls_out = out["default_call"]
+    assert calls_out["parent"]["exit_codes"] == [0, 0, 0]
+    assert calls_out["parent"]["wall_s"] == {"median": 10.0, "q1": 8.5, "q3": 10.5,
+                                             "runs": [7.0, 10.0, 11.0]}
+    assert calls_out["change"]["wall_s"] == {"median": 7.0, "q1": 6.5, "q3": 8.5,
+                                             "runs": [6.0, 7.0, 10.0]}
+    assert calls_out["change"]["write_csv_calls"]["runs"] == [3, 3, 3]
+    assert calls_out["same_csv_bytes"] is True
     assert out["workloads"]["w"]["metrics"]["run_s"]["change_wins"] == 2
     assert out["traced"]["w"]["change"]["cli.csv_bytes"] == 9.0
+
+
+def test_one_differing_csv_clears_same_csv_bytes(tmp_path, monkeypatch):
+    bench = {"workloads": [], "end_to_end": [], "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def default_call(root):
+        calls.append(root)
+        sha = "cd" if len(calls) == 5 else "ab"
+        return {"exit_code": 0, "wall_s": 1.0, "write_csv_s": 0.5, "write_csv_calls": 3,
+                "peak_rss_mb": 80.0, "csv_sha256": {"free_on.csv": sha}}
+
+    for name, fake in (("git", lambda *args: b"1" * 40 + b"\n"),
+                       ("extract", lambda ref, into: None),
+                       ("default_call", default_call), ("ROOT", tmp_path)):
+        monkeypatch.setattr(bench_pairs, name, fake)
+    assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1"]) == 0
+    out = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert len(calls) == 6
+    assert out["default_call"]["same_csv_bytes"] is False

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam.cli import (CSV_BLOCK_ROWS, ConfigError, build_model, load_config, main,
-                           run_scenario, write_csv)
+from piezobeam.cli import (CSV_BLOCK_ROWS, ConfigError, _named_by_key, build_model,
+                           load_config, main, run_scenario, write_csv)
+from piezobeam.control import ControllerConfig
 from piezobeam.dynamics import Trajectory, compute_metrics
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -114,6 +115,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sim.tip_w0: must be finite"):
             replace(cfg, tip_w0=float("nan"))
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("dt", math.inf, "sim.dt"), ("t_final", math.inf, "sim.t_final"),
+        ("Omega", math.nan, "sim.Omega"), ("dist_amplitude", math.inf, "disturbance.amplitude"),
+        ("dist_frequency", math.inf, "disturbance.frequency"),
+        ("dt", 1e-300, "sim.t_final: must be below"), ("n_modes", 0, "sim.n_modes"),
+        ("dist_target", 3, "disturbance.target: outside 1..n_modes"),
+        ("dist_target", 1.0, "disturbance.target: must be an integer")])
+    def test_run_rules_hold_from_load(self, field, value, key):
+        # SimConfig's and Disturbance's own rules, finiteness and the sample
+        # count included, hold for the resolved config, named by YAML key
+        with pytest.raises(ConfigError, match="^" + re.escape(key)):
+            replace(load_config(None), **{field: value})
+
+    def test_error_of_a_kind_without_a_section_passes_through(self):
+        with pytest.raises(ValueError, match="Hurwitz") as info:
+            ControllerConfig(k0=-1.0, k1=1.0, output_weights=[1.0])
+        assert _named_by_key(info.value) is info.value
+
     def test_zero_spin_propagates_to_decoupling(self, tmp_path):
         from piezobeam.cli import _sim_config
         from piezobeam.dynamics import simulate
@@ -166,13 +185,28 @@ class TestRunScenario:
                                            [tiny, -2.2250738585072e-308, 1 / 3, -1e300]]),
                           tip_w=np.array([-0.0, 0.1]), tip_theta=np.array([np.nan, -tiny]),
                           voltage=np.array([-np.inf, 200.0]))
-        write_csv(tmp_path / "s.csv", traj, 1)
+        write_csv(tmp_path / "s.csv", traj)
         assert (tmp_path / "s.csv").read_bytes() == (
             b"t,p1,q1,dp1,dq1,w_tip,theta_tip,v_p\n"
             b"0,-0,nan,inf,-inf,-0,nan,-inf\n"
             b"2.0000000000000002e-05,4.9406564584124654e-324,-2.2250738585071999e-308,"
             b"0.33333333333333331,-1.0000000000000001e+300,0.10000000000000001,"
             b"-4.9406564584124654e-324,200\n")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_csv_header_follows_the_trajectory(self, tmp_path, n):
+        # the header names as many modal columns as the states hold
+        rows = 3
+        traj = Trajectory(times=np.arange(rows) * 2e-5,
+                          states=np.arange(rows * 4.0 * n).reshape(rows, 4 * n),
+                          tip_w=np.ones(rows), tip_theta=np.ones(rows), voltage=np.ones(rows))
+        write_csv(tmp_path / "n.csv", traj)
+        header, *lines = (tmp_path / "n.csv").read_text().splitlines()
+        modes = range(1, n + 1)
+        assert header.split(",") == (["t"] + [f"{f}{i}" for f in ("p", "q", "dp", "dq")
+                                              for i in modes]
+                                     + ["w_tip", "theta_tip", "v_p"])
+        assert [len(line.split(",")) for line in lines] == [4 * n + 4] * rows
 
     def test_csv_blocks_match_savetxt_byte_for_byte(self, tmp_path):
         # two full blocks and a partial one, against np.savetxt on the same table
@@ -183,7 +217,7 @@ class TestRunScenario:
         table[CSV_BLOCK_ROWS - 3:CSV_BLOCK_ROWS + 3, 3] = special  # across a block edge
         traj = Trajectory(times=table[:, 0], states=table[:, 1:4 * n + 1],
                           tip_w=table[:, -3], tip_theta=table[:, -2], voltage=table[:, -1])
-        write_csv(tmp_path / "blocks.csv", traj, n)
+        write_csv(tmp_path / "blocks.csv", traj)
         header = ",".join(["t", "p1", "p2", "q1", "q2", "dp1", "dp2", "dq1", "dq2",
                            "w_tip", "theta_tip", "v_p"])
         with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
@@ -222,7 +256,7 @@ class TestRunScenario:
         table[:, :-1] = np.resize(values, (rows, 4 * n + 3))
         traj = Trajectory(times=table[:, 0], states=table[:, 1:4 * n + 1],
                           tip_w=table[:, -3], tip_theta=table[:, -2], voltage=table[:, -1])
-        write_csv(tmp_path / "t.csv", traj, n)
+        write_csv(tmp_path / "t.csv", traj)
         row = ",".join(["%.17g"] * (4 * n + 4)) + "\n"
         expected = "".join(row % tuple(r) for r in table.tolist())
         header = b"t,p1,p2,q1,q2,dp1,dp2,dq1,dq2,w_tip,theta_tip,v_p\n"
@@ -353,6 +387,26 @@ class TestMainExitCodes:
         for doc in (printed.split(": ", 1)[1],
                     (out / "disturbance_on_metrics.json").read_text()):
             assert json.loads(doc, parse_constant=no_constant)["attenuation_db"] is None
+
+    def test_overflowing_omega_is_a_numerical_failure(self, tmp_path, capsys):
+        # Omega^2 overflows to inf: the run blows up at t = 0
+        out = tmp_path / "o"
+        rc = main(["--omega", "1e200", "--tfinal", "0.01", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tfinal", "1e300"], "sim.t_final: must be below"),
+        (["--dt", "-1"], "sim.dt: must be finite and > 0"),
+    ], ids=["sample_count_beyond_intp", "negative_dt"])
+    def test_export_checks_the_run_rules(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "mats.txt"
+        rc = main(["--export-matrices", str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
 
     def test_export_matrices(self, tmp_path):
         out = tmp_path / "mats.txt"

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance,
                        IntegrationBlowupError, ModalBasis, SimConfig, assemble, closed_loop,
-                       design_gains, linear_frequencies, make_policy, output, simulate)
+                       design_gains, linear_frequencies, make_policy, simulate)
 from piezobeam import dynamics
 from piezobeam.assembly import StateOperator
 from piezobeam.control import VoltageLaw
@@ -98,25 +98,6 @@ class TestDesignGains:
 
 
 class TestOutput:
-    def test_zero_state(self, basis2):
-        y, yd = output(np.zeros(8), basis2.flexural_tip_values())
-        assert y == 0.0 and yd == 0.0
-
-    def test_n1_tip_scaling(self, beam, piezo):
-        basis = ModalBasis.build(1, beam.L)
-        a = 3.2e-4
-        x = np.array([a, 0.0, 0.0, 0.0])
-        y, _ = output(x, basis.flexural_tip_values())
-        assert abs(y - basis.flexural_tip_values()[0] * a) < 1e-18
-        assert abs(y - 2 * a) < 1e-9  # phi_1(L) ~ 2
-
-    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0, 0.0]])
-    def test_weights_must_match_the_state(self, weights):
-        # n comes from the state, not the weights: one weight on an n = 2
-        # state would read its ydot from q1
-        with pytest.raises(ValueError, match="output_weights"):
-            output(np.arange(8.0), weights)
-
     def test_ydot_consistency_with_trajectory(self, mats, basis2):
         ic = tip_release_state(basis2, 1e-4)
         tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.02,
@@ -328,7 +309,7 @@ class TestPolicy:
 
     @pytest.mark.parametrize("case", ["unsaturated", "clipped", "nan"])
     def test_law_is_the_textbook_law(self, mats, basis2, case):
-        # v = (-k0*y - k1*yd - c.a0)/beta with (y, yd) from output(), at
+        # v = (-k0*y - k1*yd - c.a0)/beta with y = c.p and yd = c.pdot, at
         # random states and drifts of the sizes a release produces
         ctrl = build_controller(mats, basis2)
         c, beta = ctrl.output_weights, float(ctrl.output_weights @ mats.b)
@@ -340,7 +321,7 @@ class TestPolicy:
             ctrl = dataclasses.replace(ctrl, v_max=50.0)
         expected = []
         for x, a0 in zip(xs, a0s):
-            y, yd = output(x, c)
+            y, yd = float(c @ x[:2]), float(c @ x[4:6])
             expected.append((-ctrl.k0 * y - ctrl.k1 * yd - float(c @ a0)) / beta)
         expected = np.array(expected)
         if case == "clipped":

@@ -13,11 +13,12 @@ file written holds, per workload and end-to-end metric of BENCHMARK.json,
 every run, the median and quartiles of each side, the pairs the change won
 and the ratio of the medians; the operations attempted and failed per side;
 under "traced", each side's per-layer metrics of BENCHMARK.json and
-operations from its traced run; under "default_call", each side's record
-of one default-length `piezobeam --scenario all --controller on`
-(DEFAULT_CALL), which the workloads' short rounds cannot show, and whether
-the two sides' CSVs are the same bytes; nproc and the Python and numpy
-versions.  Standard library only.
+operations from its traced run; under "default_call", DEFAULT_CALLS
+default-length `piezobeam --scenario all --controller on` calls per side
+(DEFAULT_CALL), alternating as the pairs do, which the workloads' short
+rounds cannot show: each side's exit codes and the runs, median and
+quartiles of each timed value, and whether every call wrote the same CSV
+bytes; nproc and the Python and numpy versions.  Standard library only.
 """
 
 import argparse
@@ -35,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
 TRACE_SECONDS = 10.0
+DEFAULT_CALLS = 3  # DEFAULT_CALL runs per side
+DEFAULT_TIMED = ("wall_s", "write_csv_s", "write_csv_calls", "peak_rss_mb")
 
 # One default-length call to cli.main in process, in a fresh interpreter with
 # a checkout's src first on sys.path (argv[1]) and argv[2:] appended to the
@@ -66,6 +69,13 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps({"exit_code": code, "wall_s": wall, "write_csv_s": sum(spent),
                   "write_csv_calls": len(spent), "peak_rss_mb": peak, "csv_sha256": sha}))
 """
+
+
+def default_calls(records):
+    """One side's DEFAULT_CALL records: the exit codes, and side() of each
+    value in DEFAULT_TIMED."""
+    return {"exit_codes": [r["exit_code"] for r in records],
+            **{key: side([r[key] for r in records]) for key in DEFAULT_TIMED}}
 
 
 def side(runs):
@@ -170,10 +180,11 @@ def main(argv=None):
                     "Each value is the metric's 'value' from the last-line JSON that "
                     "run.py prints. Quartiles are linearly interpolated, as numpy's "
                     "default percentiles. Then, per side, one run of the first seed at "
-                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'. Last, per "
-                    "side, one default-length in-process `--scenario all --controller on` "
-                    "call under 'default_call', wall time and summed write_csv time in s, "
-                    "peak RSS in MB."),
+                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'. Last, "
+                    f"{DEFAULT_CALLS} default-length in-process `--scenario all "
+                    "--controller on` calls per side, alternating (parent first on odd "
+                    "calls), under 'default_call': wall time and summed write_csv time in "
+                    "s, peak RSS in MB, each side's runs with their median and quartiles."),
            "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
            "workloads": {}, "traced": {}}
     tmp = tempfile.mkdtemp(prefix="bench-parent-")
@@ -200,11 +211,16 @@ def main(argv=None):
                 out["traced"][workload][name] = traced(result, layers)
                 print(f"{workload} traced seed {seed} {name}: "
                       f"{json.dumps(out['traced'][workload][name])}", file=sys.stderr)
-        calls = out["default_call"] = {}
-        for name in ("parent", "change"):
-            calls[name] = default_call(roots[name])
-            print(f"default call {name}: {json.dumps(calls[name])}", file=sys.stderr)
-        calls["same_csv_bytes"] = calls["parent"]["csv_sha256"] == calls["change"]["csv_sha256"]
+        calls = {"parent": [], "change": []}
+        for k in range(DEFAULT_CALLS):
+            for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                calls[name].append(default_call(roots[name]))
+                print(f"default call {k + 1} {name}: {json.dumps(calls[name][-1])}",
+                      file=sys.stderr)
+        shas = [r["csv_sha256"] for r in calls["parent"] + calls["change"]]
+        out["default_call"] = {**{name: default_calls(records)
+                                  for name, records in calls.items()},
+                               "same_csv_bytes": all(sha == shas[0] for sha in shas)}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     path = ROOT / f"BENCH_{args.pr}.json"
