@@ -198,8 +198,8 @@ class SystemMatrices:
 
     def __post_init__(self):
         n = self.n
-        if len(self.zeta_flex) != n or len(self.zeta_tors) != n:
-            raise ValueError(f"need {n} damping ratios per field")
+        check(self, ((name, len(getattr(self, name)) == n, f"need {n} damping ratios")
+                     for name in ("zeta_flex", "zeta_tors")))
         (L1, L1inv), (L2, L2inv) = _cholesky(self.M1, "M1"), _cholesky(self.M2, "M2")
         # K v = lam M v reduced to the symmetric L^-1 K L^-T
         om_f = _root_frequencies(np.linalg.eigvalsh(L1inv @ self.K1 @ L1inv.T))

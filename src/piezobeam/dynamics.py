@@ -185,11 +185,7 @@ def _rk4_stage_maps(A, N, E, dt, readout=None):
     = [x; d1 .. d4; u1 .. u_s] to [p; N p] for the flexural coordinates p of
     stage s + 1's input y (x for the first); N p, N the flattened cubic
     tensor (n^3, n), is the first of the cubic force's three contractions.
-    S[1] ends in one zero row, the probe: it reads [x; d1 .. d4; u1] and
-    gives 0 unless an entry is NaN or infinite.  F maps z to the step's new
-    state.  So a step is 14 numpy calls: per stage the matvec and two
-    contractions, then F z and one copy (see _run_rk4, which also fills the
-    d_s one block of samples at a time).
+    F maps z to the step's new state; _run_rk4 steps the maps.
 
     Given readout rows (r, h), r of length n and h of length 4n, S[s] maps to
     [p; N' p; h y] instead: N' is N with its first index extended by the row
@@ -206,7 +202,7 @@ def _rk4_stage_maps(A, N, E, dt, readout=None):
         r, h = readout
         extended.append(r.dot(N.reshape(n, -1)).reshape(-1, n))
     extended = np.concatenate(extended)
-    rows = extended.shape[0]  # h, if read out, and the probe come after these
+    rows = extended.shape[0]  # h, if read out, comes after these
     K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
     E_u, E_d = E[:, :m], E[:, m]
     nodes = (_RK4_NODES * dt).tolist()
@@ -214,7 +210,7 @@ def _rk4_stage_maps(A, N, E, dt, readout=None):
     y = eye  # y1 = x
     for s, k in enumerate(K):
         u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
-        maps = np.zeros((rows + (readout is not None) + (s == 1), u))
+        maps = np.zeros((rows + (readout is not None), u))
         extended.dot(y[:n, :u], maps[:rows])  # out by position, as in _run_rk4
         if readout is not None:
             h.dot(y[:, :u], maps[rows])
@@ -321,6 +317,16 @@ def compute_metrics(times, tip_w, voltage, period1):
     }
 
 
+def _fails(row, N, readout):
+    """Whether a sample row [x; d1 .. d4] of _run_rk4 fails: x, d1, N(p, p, p)
+    or, given a law's readout (c / beta, h), its demand h x + c N(p, p, p) /
+    beta is not finite, as is then a clipped law's excess in u1."""
+    x = row[:-4]
+    N3 = _contract3(N, x[:x.size // 4])
+    demand = 0.0 if readout is None else x.dot(readout[1]) + N3.dot(readout[0])
+    return not (np.isfinite(row[:-3]).all() and np.isfinite(N3).all() and math.isfinite(demand))
+
+
 def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
@@ -332,20 +338,18 @@ def _run_rk4(mats, config, law, x, states, voltage):
     buffer of _FORCE_BLOCK + 1 rows, whose disturbance values come from one
     Disturbance.force call per block; F z writes x_i+1 into the next row,
     and copying that row into z's head sets both the state and the forcing
-    of the next step.  The rows go to states once per block.
+    of the next step.  The rows go to states once per block, after one
+    check of its last sample before a non-finite state, or of its end: a
+    failing sample (see _fails) makes the next state not finite, so
+    IntegrationBlowupError is raised there if it fails, else at the next.
+    That is where _run_called raises, and where a clipped demand overflows.
 
     A law is stepped as its closed loop (A, E) of
-    assembly.StateOperator.build.  With v_max the maps also read out the
-    unclipped v_s = h y_s + c N(p_s, p_s, p_s) / beta, and stage s writes
-    the clip's excess sat(v_s) - v_s into u_s's voltage entry, which E maps
-    through b.  The voltage is filled after the last step, _FORCE_BLOCK
-    samples at a time, as sat(h x + c N(p, p, p) / beta) at every sample;
+    assembly.StateOperator.build; with v_max, stage s writes the clip's
+    excess sat(v_s) - v_s of the read-out v_s into u_s's voltage entry,
+    which E maps through b.  The voltage is filled after the last step,
+    _FORCE_BLOCK samples at a time, as sat(h x + c N(p, p, p) / beta);
     without a law it is 0.
-
-    The probe row of the second stage raises IntegrationBlowupError at the
-    first sample whose [x; d1 .. d4; u1] is not finite, so also where a
-    demand that overflows at a finite state makes the excess non-finite; the
-    last sample, which has no second stage, is checked after the loop.
     """
     op = StateOperator.build(mats, config.Omega, config.disturbance, law)
     N = mats.N
@@ -359,17 +363,14 @@ def _run_rk4(mats, config, law, x, states, voltage):
     v_max = clipped and law.v_max
     z = np.zeros(F.shape[1])
     head = z[:d + 4]
-    probe = S[0].shape[0]  # S[1]'s last row
-    w = np.empty(probe + 1)  # the stages' outputs, in turn
+    w = np.empty(S[0].shape[0])  # the stages' outputs, in turn
     p = w[:n]
     Np = w[n:n + q * n * n].reshape(q * n, n)
-    h_at = n + q * n * n  # the read-out h y
     contracted = np.empty(q * n)
     contracted_nn = contracted.reshape(q, n)
-    # per stage: its map, the prefix of z it reads, its output, where u_s
-    # goes, where its voltage entry is, and whether it holds the probe row
-    stages = [(maps, z[:a], w[:maps.shape[0]], z[a:a + q], a + n, s == 1)
-              for s, (maps, a) in enumerate(zip(S, range(d + 4, d + 4 + 4 * m, m)))]
+    # per stage: its map, the prefix of z it reads, u_s and its voltage entry
+    stages = [(maps, z[:a], z[a:a + q], a + n)
+              for maps, a in zip(S, range(d + 4, d + 4 + 4 * m, m))]
     nsteps = states.shape[0] - 1
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
@@ -379,27 +380,26 @@ def _run_rk4(mats, config, law, x, states, voltage):
             times = np.add.outer(np.arange(start, stop + 1) * dt, _RK4_NODES * dt)
             rows[:stop - start + 1, d:] = config.disturbance.force(times)
         head[...] = rows[0]
+        block = rows[1:stop - start + 1]
         # each dot's out goes by position: as a keyword it costs ~0.2 us more
-        for i, new_x, new_row in zip(range(start, stop), rows[1:, :d], rows[1:]):
-            for maps, prefix, out, u, e_at, probed in stages:
-                maps.dot(prefix, out)
-                if probed and w.item(probe) != 0.0:
-                    raise IntegrationBlowupError(i * dt)
+        for new_x, new_row in zip(block[:, :d], block):
+            for maps, prefix, u, e_at in stages:
+                maps.dot(prefix, w)
                 Np.dot(p, contracted)
                 contracted_nn.dot(p, u)
                 if clipped:  # z[e_at] holds c N(p, p, p) / beta
-                    v = w.item(h_at) + z.item(e_at)
+                    v = w.item(-1) + z.item(e_at)  # w ends in the read-out h y
                     z[e_at] = 0.0 if -v_max <= v <= v_max else \
                         min(max(v, -v_max), v_max) - v
             F.dot(z, new_x)
             head[...] = new_row
-        states[start + 1:stop + 1] = rows[1:stop - start + 1, :d]
-        rows[0] = rows[stop - start]  # the next block's first sample, or the last
-    last = states[nsteps]  # the last sample, which no second stage probes
-    N3 = _contract3(N, last[:n])
-    demand = last.dot(h) + N3.dot(c_beta) if clipped else 0.0
-    if not (np.isfinite(last).all() and np.isfinite(N3).all() and math.isfinite(demand)):
-        raise IntegrationBlowupError(nsteps * dt)
+        # rows[k]: the last sample before a non-finite state, or the block's end
+        k = int(np.logical_and.accumulate(np.isfinite(block[:, :d]).all(axis=1)).sum())
+        fails = _fails(rows[k], N, op.readout)
+        if fails or k < stop - start:
+            raise IntegrationBlowupError((start + k + (not fails)) * dt)
+        states[start + 1:stop + 1] = block[:, :d]
+        rows[0] = rows[stop - start]  # the next block's first sample
     if law is None:
         voltage[...] = 0.0
     else:  # a block at a time, which bounds _contract3_rows' temporaries
@@ -445,7 +445,7 @@ def simulate(config, mats, basis, controller=None):
     policy at every right-hand side (4 nsteps + 1 times under RK4).  The
     voltage logged at each sample is the policy's at that sample.  Either
     loop raises IntegrationBlowupError at the first sample whose right-hand
-    side is not finite.
+    side is not finite (_run_rk4 also where a clipped demand overflows).
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from piezobeam import (AssemblyError, BeamSpec, ModalBasis, PiezoSpec, SpinDestabilizedError,
                        assemble, linear_frequencies, section_properties)
 from piezobeam import assembly
-from piezobeam.assembly import piezo_moment_coefficient
+from piezobeam.assembly import SpecError, piezo_moment_coefficient
 
 from conftest import trapezoid_panels
 
@@ -286,7 +286,7 @@ class TestDamping:
     def test_short_zeta_list_rejected(self, piezo):
         beam = BeamSpec(zeta_flex=(0.01,))
         basis = ModalBasis.build(2, beam.L)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match=r"^SystemMatrices\.zeta_flex: need 2 damping ratios$"):
             assemble(beam, piezo, basis)
 
 

@@ -48,11 +48,20 @@ def test_ledger_of_canned_trees(tmp_path):
     assert sorted(different) == ["all_on/disturbance_on.csv",
                                  "free_on/free_on_manifest.json", "free_on/stdout.txt"]
     shift = different["all_on/disturbance_on.csv"]
-    assert shift["t"] == 0.0 and shift["v_p"] is None
-    assert shift["p1"] == pytest.approx(0.5e-12, rel=1e-3)
+    assert shift["t"] == {"shift": 0.0, "first_row": None}
+    assert shift["v_p"] == {"shift": None, "first_row": 1}
+    assert shift["p1"]["shift"] == pytest.approx(0.5e-12, rel=1e-3)
     assert different["free_on/free_on_manifest.json"] == {"peak": [1.0, 1.5]}
     assert different["free_on/stdout.txt"] == [[1, "free: 1", "free: 2"],
                                                [3, None, "extra"]]
+
+
+def test_first_differing_row_of_each_column():
+    change = "t,p1,v_p\n0,1,0\n1,-4,1e-300\n2,2.5,-1e-300\n"
+    shift = diff_outputs.csv_shift(CSV, change)
+    assert {name: col["first_row"] for name, col in shift.items()} == \
+        {"t": None, "p1": 2, "v_p": 1}
+    assert shift["p1"]["shift"] == 0.5 / 4
 
 
 def test_tables_of_another_shape_are_not_compared():

@@ -23,6 +23,32 @@ def tip_release_state(basis, tip_w0=5e-3):
     return x
 
 
+def law_for(mats, basis, v_max, omega):
+    """None for v_max None, else make_policy's law at omega, clipped at
+    v_max unless it is inf."""
+    if v_max is None:
+        return None
+    om_f, _ = linear_frequencies(mats, 0.0)
+    k0, k1 = design_gains(om_f[0], 0.8)
+    return make_policy(mats, ControllerConfig(
+        k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
+        v_max=None if v_max == math.inf else v_max), omega)
+
+
+def blowup_times(cfg, mats, basis, law):
+    """The times at which simulate fails cfg's run under law (None for none)
+    on the stage maps and on the step loop, which calls the law, or a zero
+    voltage, behind a plain function."""
+    called = (lambda x, t, a0: 0.0) if law is None else (lambda x, t, a0: law(x, t, a0))
+    times = []
+    for controller in (law, called):
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(dataclasses.replace(cfg, controller_on=controller is not None),
+                     mats, basis, controller=controller)
+        times.append(info.value.t)
+    return times
+
+
 def kernel_cubic_force(mats, p):
     """G1(p, p, p) as the kernel applies it: at rest and Omega = 0 the
     flexural acceleration a of rhs solves M1 a = -(K1 p + G1(p, p, p))."""
@@ -380,23 +406,25 @@ class TestSimulate:
 
     @pytest.mark.parametrize("last", [False, True], ids=["mid_run", "last_sample"])
     @pytest.mark.parametrize("forced", [False, True], ids=["release", "forced_release"])
-    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
-                             ids=["no_law", "clipped_law", "unclipped_law"])
-    def test_blowup_reported_with_time(self, beam, piezo, basis2, v_max, forced, last):
+    # at n = 1 the unclipped law cancels the cubic force exactly, so its
+    # closed loop is linear and stable and no release blows it up
+    @pytest.mark.parametrize("v_max, n", [
+        pytest.param(v_max, n, id=f"{name}-n{n}") for n in (1, 2, 3)
+        for name, v_max in (("no_law", None), ("clipped_law", 50.0), ("unclipped_law", math.inf))
+        if (n, v_max) != (1, math.inf)])
+    def test_blowup_reported_with_time(self, beam, piezo, v_max, n, forced, last):
         # the first sample at which the rk4_step loop's right-hand side is
         # not finite: a non-finite state or cubic force; with last, that
-        # sample ends the run, so only the probe after the step loop sees it
-        m = assemble(beam, piezo, basis2)
-        law = None
-        if v_max is not None:
-            om_f, _ = linear_frequencies(m, 0.0)
-            k0, k1 = design_gains(om_f[0], 0.8)
-            law = make_policy(m, ControllerConfig(
-                k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
-                v_max=None if v_max == math.inf else v_max), 0.0)
+        # sample ends the run.  At n = 1 a law's closed-loop cubic block is
+        # zero, so a non-finite cubic force reaches the next state as 0 inf.
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
+                                   zeta_tors=(0.01, 0.0033, 0.004))
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        law = law_for(m, basis, v_max, 0.0)
         dist = Disturbance(amplitude=1e3, frequency=40.0, target=1) if forced else None
-        ic = tip_release_state(basis2, tip_w0=0.5)  # absurd release
-        dt = 3e-5
+        ic = tip_release_state(basis, tip_w0=0.5)  # absurd release
+        dt = 3e-5 if n < 3 else 1e-5  # the dt guard's bound falls below 3e-5 at n = 3
         f = closed_loop(m, 0.0, law, dist)
         x, i = ic, 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -405,11 +433,48 @@ class TestSimulate:
                 i += 1
         assert i > 0
         cfg = SimConfig(Omega=0.0, dt=dt, t_final=i * dt if last else 0.5, initial_state=ic,
-                        disturbance=dist, controller_on=law is not None)
+                        disturbance=dist)
         assert (cfg.nsteps == i) == last
-        with pytest.raises(IntegrationBlowupError) as info:
-            simulate(cfg, m, basis2, controller=law)
-        assert info.value.t == i * dt
+        assert blowup_times(cfg, m, basis, law) == [i * dt, i * dt]
+
+    @pytest.mark.parametrize("nsteps", [0, 1, 300])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
+                             ids=["no_law", "clipped_law", "unclipped_law"])
+    def test_nonfinite_initial_state_fails_at_t0(self, mats, basis2, v_max, bad, nsteps):
+        x0 = tip_release_state(basis2, 1e-3)
+        x0[-1] = bad  # the last torsional velocity
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=nsteps * 2e-5, initial_state=x0)
+        assert cfg.nsteps == nsteps
+        assert blowup_times(cfg, mats, basis2, law_for(mats, basis2, v_max, 20.0)) == [0.0, 0.0]
+
+    # dt = 2e-5: 24*dt + dt rounds above 25*dt, so the last stage of step 24
+    # and the first of sample 25 read the forcing at different times
+    @pytest.mark.parametrize("time_of", [lambda dt: 24 * dt + 0.5 * dt, lambda dt: 24 * dt + dt,
+                                         lambda dt: 25 * dt],
+                             ids=["mid_step", "step_end", "next_sample"])
+    @pytest.mark.parametrize("nsteps", [25, 300])
+    @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
+                             ids=["no_law", "clipped_law", "unclipped_law"])
+    def test_nonfinite_forcing_after_a_sample_fails_the_next(self, mats, basis2, v_max,
+                                                             nsteps, time_of):
+        # forcing that is infinite only at one stage time in (t_24, t_25]
+        # reaches no right-hand side at a sample before t_25 but does reach
+        # x_25 or sample 25's own, so both loops fail at t_25; with nsteps =
+        # 25 that is the run's last sample
+        dt = 2e-5
+        assert 24 * dt + dt != 25 * dt
+        at = time_of(dt)
+
+        class Spike(Disturbance):
+            def force(self, t):
+                return np.where(t == at, math.inf, 0.0)
+
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt,
+                        initial_state=tip_release_state(basis2, 1e-3),
+                        disturbance=Spike(amplitude=1.0, frequency=1.0, target=1))
+        law = law_for(mats, basis2, v_max, 20.0)
+        assert blowup_times(cfg, mats, basis2, law) == [25 * dt, 25 * dt]
 
     @pytest.mark.parametrize("nsteps", [256, 512])
     @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
@@ -448,21 +513,25 @@ class TestSimulate:
             simulate(cfg, mats, basis2, controller=law)
         assert info.value.t == nsteps * dt
 
-    def test_blowup_under_an_unclipped_law(self, mats, basis2, monkeypatch):
+    @pytest.mark.parametrize("n, tip_w0, dt", [(2, 0.1, 2e-5), (3, 1e-3, 1e-5)],
+                             ids=["n2", "n3"])
+    def test_blowup_under_an_unclipped_law(self, beam, piezo, monkeypatch, n, tip_w0, dt):
         # the closed loop stepped with no law in the maps is still checked at
-        # every sample, and a failed run never computes the logged voltage
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        law = make_policy(mats, ControllerConfig(
-            k0=k0, k1=k1, output_weights=basis2.flexural_tip_values()), 20.0)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.5, controller_on=True,
-                        initial_state=tip_release_state(basis2, tip_w0=0.1))
+        # every sample, and a failed run never computes the logged voltage;
+        # at n = 3 a 1 mm release grows through the law's unstable zero dynamics
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
+                                   zeta_tors=(0.01, 0.0033, 0.004))
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        law = law_for(m, basis, math.inf, 20.0)
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.5, controller_on=True,
+                        initial_state=tip_release_state(basis, tip_w0))
         with pytest.raises(IntegrationBlowupError) as called:
-            simulate(cfg, mats, basis2, controller=lambda x, t, a0: law(x, t, a0))
+            simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
         voltages = []
         monkeypatch.setattr(dynamics, "_contract3_rows", lambda *a: voltages.append(a))
         with pytest.raises(IntegrationBlowupError) as folded:
-            simulate(cfg, mats, basis2, controller=law)
+            simulate(cfg, m, basis, controller=law)
         assert called.value.t > 0.0
         assert folded.value.t == called.value.t
         assert voltages == []

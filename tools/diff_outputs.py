@@ -13,7 +13,9 @@ with its stdout kept there as `stdout.txt`, and one `--export-matrices`
 call.  The file written lists every output file as byte-identical,
 different, or present on one side only.  For a CSV that differs it gives
 each column's largest |change - parent| relative to the column's peak
-|parent| (null where that peak is 0 but the column moved); for a JSON file,
+|parent| (null where that peak is 0 but the column moved) and the first
+data row, counted from 0, where the column differs (null where it does
+not); for a JSON file,
 every value that differs, under its dotted key path; for any other file,
 the lines that differ.  It also records each call's exit code per side,
 the `matrices_sha256` values of each side's manifests and the SHA-256 of
@@ -71,17 +73,20 @@ def files(top):
 
 
 def csv_shift(parent, change):
-    """Each column's largest |change - parent| over its peak |parent|, from
-    two CSV texts with one header line; a table of another shape or header
-    gives {"shape": [parent's, change's]} instead."""
+    """{column: {"shift": its largest |change - parent| over its peak
+    |parent|, "first_row": its first differing data row}} from two CSV texts
+    with one header line; a table of another shape or header gives
+    {"shape": [parent's, change's]} instead."""
     heads = [text.split("\n", 1)[0].split(",") for text in (parent, change)]
     a, b = (np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
             for text in (parent, change))
     if heads[0] != heads[1] or a.shape != b.shape:
         return {"shape": [[heads[0], list(a.shape)], [heads[1], list(b.shape)]]}
     shift, peak = np.abs(b - a).max(axis=0), np.abs(a).max(axis=0)
-    return {name: (float(s / p) if p > 0 else (0.0 if s == 0 else None))
-            for name, s, p in zip(heads[0], shift, peak)}
+    first = [int(moved.argmax()) if moved.any() else None for moved in (b != a).T]
+    return {name: {"shift": float(s / p) if p > 0 else (0.0 if s == 0 else None),
+                   "first_row": row}
+            for name, s, p, row in zip(heads[0], shift, peak, first)}
 
 
 def flatten(doc, prefix=""):
@@ -159,7 +164,8 @@ def main(argv=None):
                         f"{change}: every --scenario x --controller case at "
                         f"--tfinal {TFINAL:g} and the default config, and "
                         "--export-matrices. CSV shifts are per column, largest "
-                        "|change - parent| over the column's peak |parent|."),
+                        "|change - parent| over the column's peak |parent|, "
+                        "and the first data row (from 0) where it differs."),
                "parent_commit": commits["parent"], "change_commit": commits.get("change"),
                "cases": cases(), "exit_codes": codes,
                "matrices_sha256": {name: shas(tmp / name) for name in sides},
