@@ -5,6 +5,8 @@ quadrature with the panels split at the piezo patch edges, so no integrand
 ever crosses the Heaviside jump in the section properties.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -156,6 +158,33 @@ def piezo_moment_coefficient(beam, piezo):
     return -0.5 * beam.b * piezo.E_p * piezo.d31 * (beam.t_b + piezo.t_p)
 
 
+@functools.lru_cache(maxsize=None)
+def cubic_lattice(n):
+    """(lattice, weights), read-only and shared by every model of n modes,
+    for the cubic forms in n variables as sums of cubes of fixed linear forms.
+
+    lattice (R, n), R = C(n + 2, 3), holds the principal-lattice directions
+    e_j + e_k + e_l (j <= k <= l, in lexicographic order); the R cubes
+    (lattice p)^3 are a basis of the cubic forms in p.  weights (n^3, R) maps
+    a tensor T, flattened in row-major (j, k, l) order, to the W with
+    sum_jkl T_jkl p_j p_k p_l = W . (lattice p)^3 for every p, so rows T_i
+    stacked into a matrix give the rows W_i.
+    """
+    triples = list(itertools.combinations_with_replacement(range(n), 3))
+    row = {t: a for a, t in enumerate(triples)}
+    of = np.array([row[tuple(sorted(jkl))]  # the triple that each (j, k, l) sorts to
+                   for jkl in itertools.product(range(n), repeat=3)])
+    triples = np.array(triples)
+    lattice = (triples[:, :, None] == np.arange(n)).sum(axis=1).astype(float)
+    # V[a, r]: the coefficient of the monomial of triple a in (lattice_r p)^3,
+    # the count of its orderings times the product of lattice_r over it
+    V = np.bincount(of)[:, None] * lattice[:, triples].prod(axis=-1).T
+    weights = np.linalg.solve(V, of == np.arange(len(triples))[:, None]).T.copy()
+    for a in (lattice, weights):
+        a.setflags(write=False)
+    return lattice, weights
+
+
 # the assembled matrices, in the order that tobytes and export_matrices write them
 MATRICES = ("M1", "M2", "CB", "CT", "C1", "C2", "K1", "K2", "D1", "G1", "F1")
 
@@ -192,7 +221,10 @@ class SystemMatrices:
     CT: np.ndarray = field(init=False, repr=False, compare=False)  # diag 2 zeta omega M2_ii
     M1inv: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)   # M1^-1 F1
-    N: np.ndarray = field(init=False, repr=False, compare=False)   # M1^-1 G1, (n^3, n)
+    # M1^-1 G1(p, p, p) = W (lattice p)^3: cubic_lattice(n)'s lattice on p
+    # scaled by s, s_j the power of two in (c, 2c], c = cbrt(G1_jjjj) (1 for 0)
+    lattice: np.ndarray = field(init=False, repr=False, compare=False)  # (R, n)
+    W: np.ndarray = field(init=False, repr=False, compare=False)        # (n, R)
     # (A0, A1, A2): StateOperator's open-loop A(Omega) = A0 + Omega A1 + Omega^2 A2
     A_parts: tuple = field(init=False, repr=False, compare=False)
 
@@ -213,7 +245,14 @@ class SystemMatrices:
         self.M1inv = M1inv = np.linalg.solve(L1.T, L1inv)
         M2inv = np.linalg.solve(L2.T, L2inv)
         self.b = M1inv @ self.F1
-        self.N = (M1inv @ self.G1.reshape(n, -1)).reshape(-1, n)
+        # scaling p_j by s_j, a power of two, is exact; unscaled, a force led
+        # by the first modes would be a difference of terms that carry the
+        # last modes' far larger coefficients
+        lattice, weights = cubic_lattice(n)
+        s = np.ldexp(1.0, np.frexp(np.cbrt(np.einsum("jjjj->j", self.G1)))[1])
+        self.lattice = lattice * s
+        weights = np.einsum("j,k,l->jkl", 1.0 / s, 1.0 / s, 1.0 / s).reshape(-1, 1) * weights
+        self.W = M1inv @ (self.G1.reshape(n, -1) @ weights)
         p, q, pd, qd = (slice(k * n, (k + 1) * n) for k in range(4))
         A0, A1, A2 = self.A_parts = tuple(np.zeros((3, 4 * n, 4 * n)))
         A0[:2 * n, 2 * n:] = np.eye(2 * n)
@@ -233,25 +272,27 @@ class SystemMatrices:
 @dataclass(frozen=True)
 class StateOperator:
     """The linear model at one base rotation Omega, open loop or closed by a
-    voltage law.  With x = [p; q; pdot; qdot] and u = [N(p, p, p); v; d], the
-    cubic force (N the field of SystemMatrices), piezo voltage and
-    disturbance value, the modal equations read
+    voltage law.  With x = [p; q; pdot; qdot] and u = [(lattice p)^3; v; d],
+    the cubes of cubic_lattice's R linear forms of p, the piezo voltage and
+    the disturbance value, the modal equations read
 
         x' = A x + [0; 0; E u; 0].
 
     A carries the kinematic identities and every linear term (stiffness,
     centrifugal, damping, gyroscopic), multiplied through by M1^-1 or M2^-1;
-    E = [-I | b | M1^-1 e_target], with b = M1^-1 F1 (a zero last column
-    without a disturbance).  A law's unclipped voltage v = h x + (c / beta)
-    N(p, p, p), h = -(g + c A_flex) / beta, is folded in: b h is added to
-    A's flexural rows A_flex, E's cubic block is -(I - b c / beta), and
-    readout is (c / beta, h).  A clipped law's excess sat(v) - v is then
-    the entry v of u.
+    E = [-W | b | M1^-1 e_target], with W (lattice p)^3 = M1^-1 G1(p, p, p)
+    the cubic force (W of SystemMatrices) and b = M1^-1 F1 (a zero last
+    column without a disturbance).  A law's unclipped voltage v = h x + rho
+    (lattice p)^3, h = -(g + c A_flex) / beta and rho = (c / beta) W, is
+    folded in: b h is added to A's flexural rows A_flex, E's cubic block is
+    -(I - b c / beta) W = b rho - W, and readout is (rho, h).  A clipped
+    law's excess sat(v) - v is then the entry v of u.
     """
 
     A: np.ndarray        # (4n, 4n)
-    E: np.ndarray        # (n, n + 2)
-    readout: tuple = None  # (c / beta, h) of the law, or None
+    E: np.ndarray        # (n, R + 2)
+    lattice: np.ndarray  # (R, n)
+    readout: tuple = None  # (rho, h) of the law, or None
 
     @classmethod
     def build(cls, mats, omega, disturbance=None, law=None):
@@ -260,23 +301,29 @@ class StateOperator:
         a disturbance target outside the flexural equations 1..n."""
         A0, A1, A2 = mats.A_parts
         A = A0 + omega * A1 + omega * omega * A2
-        n, b = mats.n, mats.b
-        E = np.zeros((n, n + 2))
-        E[:, n] = b
+        n, b, W = mats.n, mats.b, mats.W
+        R = W.shape[1]
+        E = np.zeros((n, R + 2))
+        E[:, R] = b
         if disturbance is not None:
             if not 1 <= disturbance.target <= n:
                 raise ValueError(f"Disturbance.target = {disturbance.target} is outside "
                                  f"the model's flexural equations 1..{n}")
-            E[:, n + 1] = mats.M1inv[:, disturbance.target - 1]
+            E[:, R + 1] = mats.M1inv[:, disturbance.target - 1]
         if law is None:
-            E.flat[::n + 3] = -1.0  # -I on the cubic force
-            return cls(A, E)
+            E[:, :R] = -W
+            return cls(A, E, mats.lattice)
         flex = slice(2 * n, 3 * n)
-        c_beta = law.c / law.beta
+        rho = (law.c / law.beta).dot(W)
         h = -(law.g + law.c.dot(A[flex])) / law.beta
         A[flex] += b[:, None] * h
-        E[:, :n] = b[:, None] * c_beta - np.eye(n)
-        return cls(A, E, (c_beta, h))
+        E[:, :R] = b[:, None] * rho - W
+        return cls(A, E, mats.lattice, (rho, h))
+
+    def cubes(self, p):
+        """(lattice p)^3 for the flexural coordinates p, or for each row of
+        a (samples, n) array of them."""
+        return np.float_power(p.dot(self.lattice.T), 3.0)
 
 
 GAUSS_RULE = leggauss(32)  # (nodes, weights) on [-1, 1] of every panel

@@ -24,7 +24,8 @@ import numpy as np
 from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, check, export_matrices,
                        SpinDestabilizedError)
 from .basis import ModalBasis
-from .control import ControlAuthorityError, ControllerConfig, design_gains, make_policy
+from .control import (ClosedLoopSpec, ControlAuthorityError, ControllerConfig, design_gains,
+                      make_policy)
 from .dynamics import Disturbance, IntegrationBlowupError, SimConfig, simulate
 
 SCENARIOS = ("free", "disturbance")
@@ -112,11 +113,11 @@ def _schema():
 SCHEMA = dict(_schema())
 SECTIONS = {key.split(".")[0] for key in SCHEMA}
 KIND_OF = {"beam": BeamSpec, "piezo": PiezoSpec, "sim": SimConfig,
-           "disturbance": Disturbance}  # the kind that runs each YAML section
+           "disturbance": Disturbance,
+           "controller": ClosedLoopSpec}  # the kind that runs each YAML section
 # the YAML key of each (SpecError kind, field name) a key sets: an AppConfig
 # field by its key metadata, a field of a section's kind by its name there
-# (kind None for the controller section, which no kind runs)
-KEY_OF = {**{(KIND_OF.get(key.split(".")[0]), key.split(".")[1]): key for key in SCHEMA},
+KEY_OF = {**{(KIND_OF[key.split(".")[0]], key.split(".")[1]): key for key in SCHEMA},
           **{(AppConfig, f.name): key for key, (owner, f) in SCHEMA.items() if owner is None}}
 
 
@@ -201,10 +202,7 @@ def build_model(cfg):
 def _build_controller(cfg, mats, basis):
     om_f, _ = mats.natural_frequencies
     omega_cl = om_f[0] if cfg.ctrl_omega_cl is None else cfg.ctrl_omega_cl
-    try:
-        k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)
-    except ValueError as exc:  # its message starts with the argument name
-        raise ConfigError(f"controller.{exc}") from None
+    k0, k1 = design_gains(omega_cl, cfg.ctrl_zeta_cl)  # main names a broken rule's key
     return ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
                             v_max=cfg.ctrl_v_max)
 

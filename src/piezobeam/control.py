@@ -22,18 +22,31 @@ class ControlAuthorityError(RuntimeError):
         self.beta = beta
 
 
-def design_gains(omega_cl, zeta_cl):
-    """Closed-loop polynomial s^2 + k1*s + k0 from (bandwidth, damping).
+@dataclass(frozen=True)
+class ClosedLoopSpec:
+    """A closed-loop bandwidth omega_cl and damping ratio zeta_cl, for the
+    polynomial s^2 + k1 s + k0 with k0 = omega_cl^2 and k1 = 2 zeta_cl
+    omega_cl; frozen, so its rules always hold."""
 
-    The ValueError for an argument that is not finite and > 0, or whose gain
-    (k0 for omega_cl, k1 for zeta_cl) is not, starts with the argument name.
-    """
-    k0, k1 = omega_cl * omega_cl, 2.0 * zeta_cl * omega_cl
-    for name, value, gain in (("omega_cl", omega_cl, k0), ("zeta_cl", zeta_cl, k1)):
-        if not (0 < value < math.inf and 0 < gain < math.inf):
-            raise ValueError(f"{name}: {value!r} must be finite and > 0 and give a "
-                             "finite closed-loop gain > 0")
-    return k0, k1
+    omega_cl: float
+    zeta_cl: float
+
+    def __post_init__(self):
+        k0, k1 = self.gains
+        rule = "must be finite and > 0 and give a finite closed-loop gain > 0"
+        check(self, (("omega_cl", 0 < self.omega_cl < math.inf and 0 < k0 < math.inf, rule),
+                     ("zeta_cl", 0 < self.zeta_cl < math.inf and 0 < k1 < math.inf, rule)))
+
+    @property
+    def gains(self):
+        return self.omega_cl * self.omega_cl, 2.0 * self.zeta_cl * self.omega_cl
+
+
+def design_gains(omega_cl, zeta_cl):
+    """Closed-loop polynomial s^2 + k1*s + k0 from (bandwidth, damping), as
+    (k0, k1); assembly.SpecError (a ValueError) unless ClosedLoopSpec's rules
+    hold."""
+    return ClosedLoopSpec(omega_cl, zeta_cl).gains
 
 
 @dataclass(frozen=True)

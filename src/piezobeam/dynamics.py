@@ -4,14 +4,17 @@ The state is one flat vector x = [p; q; pdot; qdot] of length 4n, with p the
 flexural and q the torsional modal coordinates; this is the layout of every
 x below, of SimConfig.initial_state and of each row of Trajectory.states.
 
-The modal equations read x' = A(Omega) x + E u, with u = [N(p, p, p); v; d]
-the cubic force, the piezo voltage and the disturbance value.  closed_loop
-evaluates them once per call, calling the voltage policy; rhs, step and
-every simulate run that calls a policy step it.  A simulate run under RK4
-with no policy or with a control.VoltageLaw calls none: _run_rk4 steps the
-stage maps of _rk4_stage_maps, 14 numpy calls a step, on A or on the law's
-closed loop; assembly.StateOperator.build forms both, with E.  A law with
-v_max adds only the clip's excess sat(v) - v, through b.
+The modal equations read x' = A(Omega) x + E u, with u = [(lattice p)^3; v;
+d]: the cubes of fixed linear forms of p, which E's first block combines
+into the cubic force, the piezo voltage and the disturbance value (see
+assembly.StateOperator).  closed_loop evaluates them once per call, calling
+the voltage policy; rhs, step and every simulate run that calls a policy
+step it.  A simulate run under RK4 with no policy or with a
+control.VoltageLaw calls none: _run_rk4 steps the stage maps of
+_rk4_stage_maps on A or on the law's closed loop, 10 numpy calls a step up
+to _FOLDED_MAX_MODES modes (one matvec and one power per stage) and 14
+above; assembly.StateOperator.build forms both, with E.  A law with v_max
+adds only the clip's excess sat(v) - v, through b.
 """
 
 import math
@@ -91,19 +94,6 @@ class Trajectory:
     metrics: dict = field(default_factory=dict)
 
 
-def _contract3(T, p):
-    """sum_jkl T_ijkl p_j p_k p_l for a tensor T flattened to shape (n^3, n)."""
-    n = p.size
-    return T.dot(p).reshape(n * n, n).dot(p).reshape(n, n).dot(p)
-
-
-def _contract3_rows(T, P):
-    """_contract3 at every row p of P, shape (samples, n)."""
-    n = P.shape[1]
-    TP = np.einsum("tak,tk->ta", P.dot(T.T).reshape(-1, n * n, n), P)
-    return np.einsum("tak,tk->ta", TP.reshape(-1, n, n), P)
-
-
 def closed_loop(mats, omega, policy=None, disturbance=None):
     """The modal equations at base rotation omega under a voltage policy, as
     f(x, t) -> (x', v); the Omega-dependent operator is built once, here.
@@ -118,14 +108,15 @@ def closed_loop(mats, omega, policy=None, disturbance=None):
     """
     n = mats.n
     op = StateOperator.build(mats, omega, disturbance)
-    A, N, b, column = op.A, mats.N, mats.b, op.E[:, n + 1]
+    A, cubes, b = op.A, op.cubes, mats.b
+    cubic, column = op.E[:, :-2], op.E[:, -1]
     flex = slice(2 * n, 3 * n)
     force = None if disturbance is None else disturbance.force
 
     def f(x, t):
         out = A.dot(x)
         acc = out[flex]
-        acc -= _contract3(N, x[:n])
+        acc += cubic.dot(cubes(x[:n]))
         v = policy(x, t, acc) if policy is not None else 0.0
         if v:
             acc += b * v
@@ -174,35 +165,24 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _FORCE_BLOCK = 256  # samples per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, N, E, dt, readout=None):
+def _rk4_stage_maps(A, lattice, E, dt, h=None):
     """Classical RK4 on x' = A x + [0; 0; E [u; d]; 0] as linear maps of one
     step's operand z = [x; d1 .. d4; u1 .. u4], where d_s is stage s's
-    disturbance value and u_s = [N(p_s, p_s, p_s); v_s] its cubic force and
-    voltage entry, and E (n, n + 2) maps [u; d] into the flexural-acceleration
-    rows: -I, b and the disturbance column for the open loop.
+    disturbance value and u_s the rest of its input, m entries that end in
+    its voltage v_s, and E (n, m + 1) maps [u_s; d_s] into the
+    flexural-acceleration rows.
 
-    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s (n + 1)]
-    = [x; d1 .. d4; u1 .. u_s] to [p; N p] for the flexural coordinates p of
-    stage s + 1's input y (x for the first); N p, N the flattened cubic
-    tensor (n^3, n), is the first of the cubic force's three contractions.
-    F maps z to the step's new state; _run_rk4 steps the maps.
-
-    Given readout rows (r, h), r of length n and h of length 4n, S[s] maps to
-    [p; N' p; h y] instead: N' is N with its first index extended by the row
-    r N, so the two remaining contractions give [N(p, p, p); r N(p, p, p)].
-    For a clipped law these are the readout (c / beta, h) of
-    assembly.StateOperator.build, whose sum is the law's unclipped voltage.
+    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s m] =
+    [x; d1 .. d4; u1 .. u_s] to lattice p, the (R, n) lattice's linear forms
+    of the flexural coordinates p of stage s + 1's input y (x for the first),
+    and given the row h of length 4n, to [lattice p; h y].  F maps z to the
+    step's new state; _run_rk4 steps the maps.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
+    R = lattice.shape[0]  # h, if read out, comes after these rows
     flex = slice(2 * n, 3 * n)
     eye = np.eye(d, d + 4 + 4 * m)
-    extended = [eye[:n, :n], N]  # p -> [p; N' p]
-    if readout is not None:
-        r, h = readout
-        extended.append(r.dot(N.reshape(n, -1)).reshape(-1, n))
-    extended = np.concatenate(extended)
-    rows = extended.shape[0]  # h, if read out, comes after these
     K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
     E_u, E_d = E[:, :m], E[:, m]
     nodes = (_RK4_NODES * dt).tolist()
@@ -210,10 +190,10 @@ def _rk4_stage_maps(A, N, E, dt, readout=None):
     y = eye  # y1 = x
     for s, k in enumerate(K):
         u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
-        maps = np.zeros((rows + (readout is not None), u))
-        extended.dot(y[:n, :u], maps[:rows])  # out by position, as in _run_rk4
-        if readout is not None:
-            h.dot(y[:, :u], maps[rows])
+        maps = np.zeros((R + (h is not None), u))
+        lattice.dot(y[:n, :u], maps[:R])  # out by position, as in _run_rk4
+        if h is not None:
+            h.dot(y[:, :u], maps[R])
         A.dot(y, k)
         k[flex, u:u + m] = E_u  # A y_s does not read u_s or d_s
         k[flex, d + s] = E_d
@@ -317,14 +297,27 @@ def compute_metrics(times, tip_w, voltage, period1):
     }
 
 
-def _fails(row, N, readout):
-    """Whether a sample row [x; d1 .. d4] of _run_rk4 fails: x, d1, N(p, p, p)
-    or, given a law's readout (c / beta, h), its demand h x + c N(p, p, p) /
-    beta is not finite, as is then a clipped law's excess in u1."""
+def _fails(row, op):
+    """Whether a sample row [x; d1 .. d4] of _run_rk4 on the StateOperator op
+    fails: x, d1, the cubic force E's cubic block makes of (lattice p)^3 or,
+    under a law with readout (rho, h), its demand h x + rho (lattice p)^3
+    is not finite, as is then a clipped law's excess in u1."""
     x = row[:-4]
-    N3 = _contract3(N, x[:x.size // 4])
-    demand = 0.0 if readout is None else x.dot(readout[1]) + N3.dot(readout[0])
-    return not (np.isfinite(row[:-3]).all() and np.isfinite(N3).all() and math.isfinite(demand))
+    cubes = op.cubes(x[:x.size // 4])
+    force = op.E[:, :cubes.size].dot(cubes)
+    demand = 0.0 if op.readout is None else x.dot(op.readout[1]) + cubes.dot(op.readout[0])
+    return not (np.isfinite(row[:-3]).all() and np.isfinite(force).all() and math.isfinite(demand))
+
+
+# Modes up to which a stage writes its cubes straight into z, for E's cubic
+# block to apply them within the maps.  Each map then has R = C(n + 2, 3) rows
+# and up to about 3 R columns, so its cost grows as R^2; above, a stage applies
+# the block with one more matvec, and the maps' columns grow as n only.
+# Measured on 2 cores (Python 3.11.7, numpy 2.4.6), us per step of an
+# uncontrolled disturbance run at the dt guard's limit, best of 7, folded
+# against unfolded, two sweeps: n = 4: 6.4-6.9 against 7.9-8.2; 5: 8.9-9.5
+# against 9.4-9.7; 6: 12.8-13.2 against 11.4-12.0; 8: 31-33 against 20-21.
+_FOLDED_MAX_MODES = 5
 
 
 def _run_rk4(mats, config, law, x, states, voltage):
@@ -332,45 +325,63 @@ def _run_rk4(mats, config, law, x, states, voltage):
     of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
     None or a control.VoltageLaw, which is never called.
 
-    A step is 14 numpy calls in every case: per stage, one matvec with a
-    prefix of z and the two remaining contractions, which write u_s; then F
-    z and one copy.  Samples are kept as rows [x_i; d_i1 .. d_i4] of a
-    buffer of _FORCE_BLOCK + 1 rows, whose disturbance values come from one
-    Disturbance.force call per block; F z writes x_i+1 into the next row,
-    and copying that row into z's head sets both the state and the forcing
-    of the next step.  The rows go to states once per block, after one
-    check of its last sample before a non-finite state, or of its end: a
-    failing sample (see _fails) makes the next state not finite, so
-    IntegrationBlowupError is raised there if it fails, else at the next.
-    That is where _run_called raises, and where a clipped demand overflows.
+    The cubic force is E's cubic block applied to (lattice p)^3 (see
+    assembly.StateOperator).  Up to _FOLDED_MAX_MODES modes u_s = [(lattice
+    p_s)^3; v_s], and E is the operator's: a stage is one matvec with a
+    prefix of z, which gives lattice p_s, and one float_power, which writes
+    its cubes into u_s, so a step is 10 numpy calls with F z and one copy.
+    Above, the maps' E has I for its cubic block, and u_s = [C (lattice
+    p_s)^3; v_s] with C the operator's: the cubes go to a scratch vector and
+    one more matvec writes u_s, 14 calls a step.  Samples are kept as rows
+    [x_i; d_i1 .. d_i4] of a buffer of _FORCE_BLOCK + 1 rows, whose
+    disturbance values come from one Disturbance.force call per block; F z
+    writes x_i+1 into the next row, and copying that row into z's head sets
+    both the state and the forcing of the next step.  The rows go to states
+    once per block, after one check of its last sample before a non-finite
+    state, or of its end: a failing sample (see _fails) makes the next state
+    not finite, so IntegrationBlowupError is raised there if it fails, else
+    at the next.  That is where _run_called raises, and where a clipped
+    demand overflows.
 
     A law is stepped as its closed loop (A, E) of
-    assembly.StateOperator.build; with v_max, stage s writes the clip's
-    excess sat(v_s) - v_s of the read-out v_s into u_s's voltage entry,
-    which E maps through b.  The voltage is filled after the last step,
-    _FORCE_BLOCK samples at a time, as sat(h x + c N(p, p, p) / beta);
-    without a law it is 0.
+    assembly.StateOperator.build; with v_max, the maps also read out h y_s,
+    a matvec adds rho (lattice p_s)^3 in u_s's voltage entry, and the stage
+    writes there the clip's excess sat(v_s) - v_s of that sum v_s, which E
+    maps through b.  The voltage is filled after the last step,
+    _FORCE_BLOCK samples at a time, as sat(h x + rho (lattice p)^3); without
+    a law it is 0.
     """
     op = StateOperator.build(mats, config.Omega, config.disturbance, law)
-    N = mats.N
     dt = float(config.dt)
     n = mats.n
-    d, m = 4 * n, n + 1
-    c_beta, h = op.readout or (None, None)
+    R = op.lattice.shape[0]
+    d = 4 * n
+    rho, h = op.readout or (None, None)
     clipped = law is not None and law.v_max is not None
-    S, F = _rk4_stage_maps(op.A, N, op.E, dt, op.readout if clipped else None)
-    q = n + clipped  # N(p, p, p), and c N(p, p, p) / beta
+    folded = n <= _FOLDED_MAX_MODES
+    # applied writes rho (lattice p_s)^3 for a clipped demand and, unfolded,
+    # the cubic force before it
+    if folded:
+        E, applied = op.E, rho[None] if clipped else None
+    else:
+        E = np.hstack((np.eye(n), op.E[:, R:]))
+        applied = np.vstack((op.E[:, :R],) + ((rho,) if clipped else ()))
+    m = E.shape[1] - 1  # entries of u_s, the last its voltage
+    S, F = _rk4_stage_maps(op.A, op.lattice, E, dt, h if clipped else None)
     v_max = clipped and law.v_max
+    power, three = np.float_power, np.array(3.0)  # a Python 3 costs ~0.8 us more
     z = np.zeros(F.shape[1])
     head = z[:d + 4]
     w = np.empty(S[0].shape[0])  # the stages' outputs, in turn
-    p = w[:n]
-    Np = w[n:n + q * n * n].reshape(q * n, n)
-    contracted = np.empty(q * n)
-    contracted_nn = contracted.reshape(q, n)
-    # per stage: its map, the prefix of z it reads, u_s and its voltage entry
-    stages = [(maps, z[:a], z[a:a + q], a + n)
-              for maps, a in zip(S, range(d + 4, d + 4 + 4 * m, m))]
+    forms = w[:R]
+    cubed = np.empty(R)
+    # per stage: its map's dot, the prefix of z it reads, where its cubes go,
+    # the entries of u_s that applied writes, and its voltage entry
+    stages = []
+    for maps, a in zip(S, range(d + 4, d + 4 + 4 * m, m)):
+        e_at = a + m - 1
+        stages.append((maps.dot, z[:a], z[a:e_at] if folded else cubed,
+                       z[e_at if folded else a:e_at + clipped], e_at))
     nsteps = states.shape[0] - 1
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
@@ -381,32 +392,32 @@ def _run_rk4(mats, config, law, x, states, voltage):
             rows[:stop - start + 1, d:] = config.disturbance.force(times)
         head[...] = rows[0]
         block = rows[1:stop - start + 1]
-        # each dot's out goes by position: as a keyword it costs ~0.2 us more
+        # each call's out goes by position: as a keyword it costs ~0.2 us more
         for new_x, new_row in zip(block[:, :d], block):
-            for maps, prefix, u, e_at in stages:
-                maps.dot(prefix, w)
-                Np.dot(p, contracted)
-                contracted_nn.dot(p, u)
-                if clipped:  # z[e_at] holds c N(p, p, p) / beta
-                    v = w.item(-1) + z.item(e_at)  # w ends in the read-out h y
-                    z[e_at] = 0.0 if -v_max <= v <= v_max else \
-                        min(max(v, -v_max), v_max) - v
+            for forms_of, prefix, cubes, out, e_at in stages:
+                forms_of(prefix, w)
+                power(forms, three, cubes)
+                if applied is not None:
+                    applied.dot(cubes, out)
+                    if clipped:  # z[e_at] holds rho (lattice p)^3
+                        v = w.item(-1) + z.item(e_at)  # w ends in the read-out h y
+                        z[e_at] = 0.0 if -v_max <= v <= v_max else \
+                            min(max(v, -v_max), v_max) - v
             F.dot(z, new_x)
             head[...] = new_row
         # rows[k]: the last sample before a non-finite state, or the block's end
         k = int(np.logical_and.accumulate(np.isfinite(block[:, :d]).all(axis=1)).sum())
-        fails = _fails(rows[k], N, op.readout)
+        fails = _fails(rows[k], op)
         if fails or k < stop - start:
             raise IntegrationBlowupError((start + k + (not fails)) * dt)
         states[start + 1:stop + 1] = block[:, :d]
         rows[0] = rows[stop - start]  # the next block's first sample
     if law is None:
         voltage[...] = 0.0
-    else:  # a block at a time, which bounds _contract3_rows' temporaries
+    else:  # a block at a time, which bounds the cubes' temporaries
         for start in range(0, nsteps + 1, _FORCE_BLOCK):
             block = states[start:start + _FORCE_BLOCK]
-            voltage[start:start + _FORCE_BLOCK] = \
-                block.dot(h) + _contract3_rows(N, block[:, :n]).dot(c_beta)
+            voltage[start:start + _FORCE_BLOCK] = block.dot(h) + op.cubes(block[:, :n]).dot(rho)
     if clipped:
         np.clip(voltage, -v_max, v_max, out=voltage)
 

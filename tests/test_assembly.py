@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -204,6 +205,53 @@ class TestAssemble:
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(AssemblyError, match=name):
             dataclasses.replace(mats, **{name: indefinite})
+
+
+def contract3(T, p):
+    """sum_jkl T_ijkl p_j p_k p_l for T of shape (n, n, n, n), as three
+    nested contractions."""
+    return T.dot(p).dot(p).dot(p)
+
+
+CUBIC_RTOL = 5e-13  # of the force's largest entry; measured up to 6.2e-14 (n = 8)
+
+
+class TestCubicLattice:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_principal_lattice(self, n):
+        lattice, weights = assembly.cubic_lattice(n)
+        R = math.comb(n + 2, 3)
+        assert lattice.shape == (R, n) and weights.shape == (n ** 3, R)
+        expected = sorted(tuple(np.bincount(t, minlength=n))
+                          for t in itertools.combinations_with_replacement(range(n), 3))
+        assert sorted(map(tuple, lattice.astype(int))) == expected
+        assert np.array_equal(lattice, lattice.astype(int))
+        assert assembly.cubic_lattice(n) is assembly.cubic_lattice(n)
+        assert not (lattice.flags.writeable or weights.flags.writeable)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weights_map_any_tensor_to_its_cubic_form(self, n):
+        # an arbitrary tensor, not symmetric, has only its symmetric part's form
+        rng = np.random.default_rng(n)
+        lattice, weights = assembly.cubic_lattice(n)
+        T = rng.normal(size=(n, n, n, n))
+        W = T.reshape(n, -1) @ weights
+        for p in rng.normal(size=(20, n)):
+            ref = contract3(T, p)
+            got = W @ (lattice @ p) ** 3
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
+    def test_cubic_force_is_the_nested_contraction(self, beam, piezo, n):
+        # M1^-1 G1(p, p, p) at modal amplitudes that fall 10x per mode
+        spec = dataclasses.replace(beam, zeta_flex=(0.01,) * n, zeta_tors=(0.01,) * n)
+        mats = assemble(spec, piezo, ModalBasis.build(n, beam.L))
+        T = np.einsum("ia,ajkl->ijkl", mats.M1inv, mats.G1)
+        rng = np.random.default_rng(24 + n)
+        for p in rng.normal(size=(50, n)) * 1e-3 * 10.0 ** -np.arange(n):
+            ref = contract3(T, p)
+            got = mats.W @ np.float_power(mats.lattice @ p, 3)
+            assert np.max(np.abs(got - ref)) <= CUBIC_RTOL * np.max(np.abs(ref))
 
 
 class TestLinearFrequencies:

@@ -9,8 +9,8 @@ from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance,
                        IntegrationBlowupError, ModalBasis, SimConfig, assemble, closed_loop,
                        design_gains, linear_frequencies, make_policy, simulate)
 from piezobeam import dynamics
-from piezobeam.assembly import StateOperator
-from piezobeam.control import VoltageLaw
+from piezobeam.assembly import SpecError, StateOperator
+from piezobeam.control import ClosedLoopSpec, VoltageLaw
 
 from test_dynamics import tip_release_state
 
@@ -41,10 +41,10 @@ class TestClosedLoopOperator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_flexural_rows_are_the_law(self, beam, piezo, n, clip):
-        # A x + E [N(p, p, p); sat(v) - v; d] of the operator closed by the
-        # law, with the clip's excess 0 for an unclipped law, is closed_loop's
-        # flexural acceleration, and h x + (c / beta) N(p, p, p) the
-        # unclipped voltage v
+        # A x + E [(lattice p)^3; sat(v) - v; d] of the operator closed by
+        # the law, with the clip's excess 0 for an unclipped law, is
+        # closed_loop's flexural acceleration, and h x + rho (lattice p)^3
+        # the unclipped voltage v
         spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
                                    zeta_tors=(0.01, 0.0033, 0.004)[:n])
         basis = ModalBasis.build(n, beam.L)
@@ -52,22 +52,22 @@ class TestClosedLoopOperator:
         law = make_policy(mats, build_controller(mats, basis), 20.0)
         dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
         op = StateOperator.build(mats, 20.0, dist, law=law)
-        c_beta, h = op.readout
+        rho, h = op.readout
         A = StateOperator.build(mats, 20.0).A
         flex = slice(2 * n, 3 * n)
         assert np.array_equal(np.delete(op.A, flex, axis=0), np.delete(A, flex, axis=0))
         rng = np.random.default_rng(18 + n)
         xs = rng.normal(size=(50, 4 * n)) * np.repeat([1e-3, 1e-4, 0.3, 0.03], n)
         ts = rng.uniform(0.0, 0.1, size=50)
-        N3s = [dynamics._contract3(mats.N, x[:n]) for x in xs]
-        vs = np.array([h @ x + c_beta @ N3 for x, N3 in zip(xs, N3s)])
+        cubes = [op.cubes(x[:n]) for x in xs]
+        vs = np.array([h @ x + rho @ c3 for x, c3 in zip(xs, cubes)])
         v_max = float(np.median(np.abs(vs))) if clip else math.inf
         f = closed_loop(mats, 20.0, dataclasses.replace(law, v_max=v_max if clip else None),
                         dist)
-        for x, t, N3, v in zip(xs, ts, N3s, vs):
+        for x, t, c3, v in zip(xs, ts, cubes, vs):
             out, logged = f(x, t)
             excess = min(max(v, -v_max), v_max) - v
-            got = op.A[flex] @ x + op.E @ np.concatenate((N3, [excess, dist.force(t)]))
+            got = op.A[flex] @ x + op.E @ np.concatenate((c3, [excess, dist.force(t)]))
             assert_allclose(got, out[flex], rtol=1e-12, atol=0.0)
             assert_allclose(v + excess, logged, rtol=1e-12, atol=0.0)
 
@@ -95,6 +95,15 @@ class TestDesignGains:
     def test_rejects_nonfinite(self, omega_cl, zeta_cl):
         with pytest.raises(ValueError, match="finite"):
             design_gains(omega_cl, zeta_cl)
+
+    @pytest.mark.parametrize("omega_cl, zeta_cl, name", [
+        (0.0, 0.8, "omega_cl"), (1e200, 0.8, "omega_cl"), (100.0, -1.0, "zeta_cl"),
+        (100.0, 1e308, "zeta_cl")])
+    def test_a_broken_rule_is_a_spec_error_on_its_argument(self, omega_cl, zeta_cl, name):
+        # cli names it by its YAML key, as every other rule
+        with pytest.raises(SpecError) as info:
+            design_gains(omega_cl, zeta_cl)
+        assert (info.value.kind, info.value.name) == (ClosedLoopSpec, name)
 
 
 class TestOutput:
@@ -235,7 +244,7 @@ class TestPolicy:
     def test_logged_unclipped_voltage_is_the_law_to_round_off(self, mats, basis2,
                                                               monkeypatch):
         # without v_max the law is linear feedback: RK4 steps its closed loop
-        # on maps with no readout rows and logs h x + c N(p, p, p) / beta
+        # on maps with no readout rows and logs h x + rho (lattice p)^3
         # after the run, another order of the law's terms than closed_loop's
         built = record_stage_map_rows(monkeypatch)
         ctrl = build_controller(mats, basis2)
@@ -245,7 +254,7 @@ class TestPolicy:
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
         law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
-        assert built == [2 + 2 ** 3]  # [p; N p]
+        assert built == [math.comb(2 + 2, 3)]  # lattice p
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -283,9 +292,10 @@ class TestPolicy:
         simulate(SimConfig(**{**run, "controller_on": False}), mats, basis2)
         tr = simulate(SimConfig(**run), mats, basis2, controller=law)
         assert np.any(tr.voltage != 0.0)
-        # every law steps its closed loop on [p; N p]; only a clipped one
-        # also reads out c N / beta and h, for the clip's excess
-        assert built == [2 + 2 ** 3, 2 + 2 ** 3 + (v_max is not None) * (2 ** 2 + 1)]
+        # every law steps its closed loop on the lattice's C(n + 2, 3) forms
+        # of p; only a clipped one also reads out h y, for the clip's excess
+        R = math.comb(2 + 2, 3)
+        assert built == [R, R + (v_max is not None)]
         with pytest.raises(Called):
             simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
 

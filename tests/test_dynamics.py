@@ -378,7 +378,7 @@ class TestSimulate:
         # without the cubic term one RK4 step is x -> P x, P = sum_k (dt A)^k / k!
         # for k = 0..4, whatever order the kernel sums its stages in
         linear = dataclasses.replace(mats, G1=np.zeros_like(mats.G1))
-        assert not np.any(linear.N)
+        assert not np.any(linear.W)
         omega, dt = 20.0, 2e-5
         hA = dt * StateOperator.build(linear, omega).A
         P = term = np.eye(8)
@@ -528,8 +528,10 @@ class TestSimulate:
                         initial_state=tip_release_state(basis, tip_w0))
         with pytest.raises(IntegrationBlowupError) as called:
             simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
-        voltages = []
-        monkeypatch.setattr(dynamics, "_contract3_rows", lambda *a: voltages.append(a))
+        voltages = []  # the after-loop fill is the only caller with rows of p
+        cubes = StateOperator.cubes
+        monkeypatch.setattr(StateOperator, "cubes", lambda op, p: voltages.append(p)
+                            if p.ndim == 2 else cubes(op, p))
         with pytest.raises(IntegrationBlowupError) as folded:
             simulate(cfg, m, basis, controller=law)
         assert called.value.t > 0.0
@@ -664,6 +666,39 @@ class TestClosedLoopKernel:
         assert np.any(voltage != 0.0) == (policy is not None)
         if case == "saturated_release":
             assert np.any(np.abs(voltage) == 50.0)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("case", ["controller_off", "unsaturated_disturbance",
+                                      "saturated_release"])
+    def test_unfolded_stages_match_reference_loop(self, beam, piezo, monkeypatch, n, case):
+        # above _FOLDED_MAX_MODES a stage applies E's cubic block with one
+        # more matvec, and the maps' E has I there; at n = 2 the fold is
+        # switched off to step that path
+        monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
+        shapes, stage_maps = [], dynamics._rk4_stage_maps
+        monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, dt, h=None:
+                            shapes.append(E.shape) or stage_maps(A, lattice, E, dt, h))
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
+                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        om_f, _ = linear_frequencies(m, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        ctrl = None if case == "controller_off" else ControllerConfig(
+            k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
+            v_max=50.0 if case == "saturated_release" else None)
+        saturated = case == "saturated_release"
+        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=1e-3, controller_on=ctrl is not None,
+                        initial_state=tip_release_state(basis) if saturated else np.zeros(4 * n),
+                        disturbance=None if saturated else
+                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        tr = simulate(cfg, m, basis, controller=None if ctrl is None else
+                      make_policy(m, ctrl, 20.0))
+        states, voltage = reference_run(cfg, m, ctrl)
+        assert shapes == [(n, n + 2)]
+        assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
+        assert np.any(voltage != 0.0) == (ctrl is not None)
+        assert np.any(np.abs(voltage) == 50.0) == saturated
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])
