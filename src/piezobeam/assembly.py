@@ -17,7 +17,8 @@ from .basis import ModalBasis
 
 
 class AssemblyError(RuntimeError):
-    """A mass matrix is not positive definite (quadrature/basis bug)."""
+    """A mass matrix is not positive definite: a quadrature or basis bug, or
+    densities so small that it rounds to 0."""
 
 
 class SpinDestabilizedError(RuntimeError):
@@ -334,8 +335,6 @@ def gauss_panels(breakpoints):
     xg, wg = GAUSS_RULE
     nodes, weights = [], []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b - a <= 0.0:
-            continue
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * xg)
         weights.append(half * wg)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (BeamSpec, PiezoSpec, SpecError, assemble, check, export_matrices,
-                       SpinDestabilizedError)
+from .assembly import (AssemblyError, BeamSpec, PiezoSpec, SpecError, assemble, check,
+                       export_matrices, SpinDestabilizedError)
 from .basis import ModalBasis
 from .control import (ClosedLoopSpec, ControlAuthorityError, ControllerConfig, design_gains,
                       make_policy)
@@ -495,7 +495,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"config error: {_named_by_key(exc)}", file=sys.stderr)
         return 2
-    except (IntegrationBlowupError, SpinDestabilizedError) as exc:
+    except (AssemblyError, IntegrationBlowupError, SpinDestabilizedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ControlAuthorityError as exc:

@@ -10,6 +10,14 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
+# TIMING's output for two cases, three pairs of calls each
+CALLS = {"uncontrolled_n2": {"n": 2, "dt": 2e-5, "steps": 2000,
+                             "parent": [6.0, 6.5, 7.0], "change": [5.0, 5.5, 4.5]},
+         "clipped_release_n2": {"n": 2, "dt": 2e-5, "steps": 2000,
+                                "parent": [9.0, 9.5, 9.0], "change": [9.0, 9.6, 8.0],
+                                "saturated": {"parent": True, "change": True}}}
+
+
 def last_line(steps_per_s, run_s, attempted, failed=0):
     """The last-line JSON object of one perfbench/run.py --trace 0 run."""
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
@@ -61,6 +69,63 @@ def test_traced_entry_of_a_canned_run():
         bench_pairs.traced(result, ["dynamics.steps"])
 
 
+def test_summary_of_canned_step_times():
+    cases = bench_pairs.summarize_steps(CALLS)
+    uncontrolled = cases["uncontrolled_n2"]
+    assert (uncontrolled["n"], uncontrolled["dt"], uncontrolled["steps"]) == (2, 2e-5, 2000)
+    assert uncontrolled["parent"]["runs"] == [6.0, 6.5, 7.0]
+    assert uncontrolled["change"]["median"] == 5.0
+    assert uncontrolled["change_wins"] == 3
+    assert uncontrolled["speedup_of_medians"] == pytest.approx(6.5 / 5.0, rel=1e-15)
+    assert "saturated" not in uncontrolled
+    # a tie counts for neither side
+    released = cases["clipped_release_n2"]
+    assert released["change_wins"] == 1
+    assert released["saturated"] == {"parent": True, "change": True}
+
+
+def test_cases_cover_the_mode_counts_and_the_clipped_law():
+    names = [name for name, _, _ in bench_pairs.CASES]
+    assert len(set(names)) == len(names)
+    assert [n for name, n, law in bench_pairs.CASES if law is None] == [1, 2, 3, 4, 6, 8, 12]
+    assert {law for _, _, law in bench_pairs.CASES} == {
+        None, "unclipped", "clipped", "clipped_release"}
+
+
+def test_timing_in_a_fresh_process(monkeypatch):
+    # TIMING itself, this checkout on both sides, shortened to 10 steps
+    cases = [bench_pairs.CASES[0], bench_pairs.CASES[-1]]
+    for name, value in (("CASES", cases), ("STEPS", 10), ("ROUNDS", 3)):
+        monkeypatch.setattr(bench_pairs, name, value)
+    out = bench_pairs.timing(bench_pairs.ROOT, bench_pairs.ROOT)
+    assert list(out) == ["uncontrolled_n1", "clipped_release_n2"]
+    for name, n, _ in cases:
+        assert (out[name]["n"], out[name]["dt"], out[name]["steps"]) == (n, 2e-5, 10)
+        assert len(out[name]["parent"]) == len(out[name]["change"]) == 3
+        assert all(us > 0.0 for us in out[name]["parent"] + out[name]["change"])
+    assert "saturated" not in out["uncontrolled_n1"]
+    # a 5 mm release saturates the 200 V clip within its first 10 steps
+    assert out["clipped_release_n2"]["saturated"] == {"parent": True, "change": True}
+
+
+def test_parent_tree_is_removed_on_exit(monkeypatch):
+    revs = []
+
+    def git(*args):
+        revs.append(args)
+        return b"1" * 40 + b"\n"
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "extract",
+                        lambda ref, into: (Path(into) / "REF").write_text(ref))
+    with pytest.raises(KeyError):
+        with bench_pairs.parent_tree("base") as (commit, tree):
+            assert commit == "1" * 40 and (tree / "REF").read_text() == commit
+            raise KeyError
+    assert revs == [("rev-parse", "--verify", "base^{commit}")]
+    assert not tree.exists()
+
+
 def test_default_call_in_a_fresh_process():
     # DEFAULT_CALL itself, on this checkout, shortened to 101 samples
     record = bench_pairs.default_call(bench_pairs.ROOT, "--tfinal", "0.002")
@@ -78,10 +143,14 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
              "end_to_end": [{"name": "run_s", "better": "lower"}],
              "per_layer": [{"name": "cli.csv_bytes"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    parent_trees, calls = [], []
+    parent_trees, calls, timed = [], [], []
 
     def extract(ref, into):
         parent_trees.append(Path(into))
+
+    def timing(parent, change):
+        timed.append((Path(parent), Path(change)))
+        return CALLS
 
     def run_once(root, workload, seed, seconds, trace=0):
         result = last_line(1.0, 2.0 if root == tmp_path else 3.0, 5)
@@ -97,12 +166,16 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
 
     for name, fake in (("git", lambda *args: b"1" * 40 + b"\n"), ("extract", extract),
                        ("run_once", run_once), ("default_call", default_call),
-                       ("ROOT", tmp_path)):
+                       ("timing", timing), ("ROOT", tmp_path)):
         monkeypatch.setattr(bench_pairs, name, fake)
     assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1", "2"]) == 0
     out = json.loads((tmp_path / "BENCH_7.json").read_text())
-    # three calls a side, alternating, the parent first on odd calls
+    # one parent tree, removed at the end, serves every section
+    assert len(parent_trees) == 1 and not parent_trees[0].exists()
     parent = parent_trees[0]
+    assert timed == [(parent, tmp_path)]
+    assert out["us_per_step"]["cases"] == bench_pairs.summarize_steps(CALLS)
+    # three calls a side, alternating, the parent first on odd calls
     assert calls == [parent, tmp_path, tmp_path, parent, parent, tmp_path]
     calls_out = out["default_call"]
     assert calls_out["parent"]["exit_codes"] == [0, 0, 0]
@@ -129,7 +202,8 @@ def test_one_differing_csv_clears_same_csv_bytes(tmp_path, monkeypatch):
 
     for name, fake in (("git", lambda *args: b"1" * 40 + b"\n"),
                        ("extract", lambda ref, into: None),
-                       ("default_call", default_call), ("ROOT", tmp_path)):
+                       ("default_call", default_call),
+                       ("timing", lambda parent, change: {}), ("ROOT", tmp_path)):
         monkeypatch.setattr(bench_pairs, name, fake)
     assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1"]) == 0
     out = json.loads((tmp_path / "BENCH_7.json").read_text())

@@ -397,6 +397,19 @@ class TestMainExitCodes:
         assert err.startswith("numerical failure: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--tfinal", "0.01"], ["--export-matrices", "m.txt"]],
+                             ids=["run", "export"])
+    def test_singular_mass_matrix_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                         flags):
+        # densities that pass every config rule but round the mass matrix to 0
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path, "beam: {rho_b: 1.0e-320}\npiezo: {rho_p: 1.0e-320}\n")
+        rc = main(["--config", cfg, "--out", "o"] + flags)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: M1 ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--tfinal", "1e300"], "sim.t_final: must be below"),
         (["--dt", "-1"], "sim.dt: must be finite and > 0"),
@@ -500,12 +513,16 @@ class TestMainExitCodes:
         ("piezo: {t_p: 0}\n", "piezo.t_p: must be finite and > 0"),
         ("piezo: {l1: 0.05, l2: 0.02}\n", "piezo.l1: need 0 <= l1 <= l2"),
         ("beam: {zeta_flex: [0.01, 1.0]}\n", "beam.zeta_flex: damping ratio out of [0,1)"),
+        ("sim: 3\n", "config section 'sim' must be a mapping"),
+        ("sim: [1\n", "config parse error"),
+        ("- 1\n", "top-level config must be a mapping"),
     ], ids=["negative_controller_vmax", "zero_controller_vmax", "negative_piezo_vmax",
             "fractional_modes", "bool_modes", "fractional_target", "zero_omega_cl",
             "negative_omega_cl", "nan_omega_cl", "infinite_tfinal", "nan_omega",
             "nan_tip_w0", "nan_d31", "nan_beam_length", "overflowing_omega_cl",
             "overflowing_zeta_cl", "negative_beam_length", "zero_patch_thickness",
-            "patch_ends_swapped", "beam_damping_ratio_of_one"])
+            "patch_ends_swapped", "beam_damping_ratio_of_one", "section_not_a_mapping",
+            "unclosed_list", "top_level_not_a_mapping"])
     def test_bad_value_writes_nothing(self, tmp_path, capsys, text, message):
         out = tmp_path / "o"
         out.mkdir()

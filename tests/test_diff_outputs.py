@@ -10,6 +10,7 @@ sys.path.insert(0, str(TOOLS))  # diff_outputs imports bench_pairs, as it does w
 spec = importlib.util.spec_from_file_location("diff_outputs", TOOLS / "diff_outputs.py")
 diff_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(diff_outputs)
+bench_pairs = sys.modules["bench_pairs"]  # the module whose parent_tree diff_outputs uses
 
 CSV = "t,p1,v_p\n0,1,0\n1,-4,0\n2,2,0\n"
 
@@ -122,9 +123,10 @@ def test_sides_to_compare(tmp_path, monkeypatch, change):
         tree(Path(into), {"free_on/stdout.txt": name + "\n", "export/matrices.txt": "M\n"})
         return {"free_on": 0, "export": 0}
 
-    for name, fake in (("git", git), ("extract", extract), ("run_matrix", run_matrix),
-                       ("ROOT", tmp_path)):
-        monkeypatch.setattr(diff_outputs, name, fake)
+    for module, name, fake in ((bench_pairs, "git", git), (bench_pairs, "extract", extract),
+                               (diff_outputs, "run_matrix", run_matrix),
+                               (diff_outputs, "ROOT", tmp_path)):
+        monkeypatch.setattr(module, name, fake)
     argv = ["--parent", "base", "--pr", "7"] + (["--change", change] if change else [])
     assert diff_outputs.main(argv) == 0
     out = json.loads((tmp_path / "ROUNDOFF_7.json").read_text())

@@ -188,6 +188,14 @@ class TestStep:
         out = step(x, 0.0, 1e-4, mats, 20.0)
         assert np.all(out == 0.0)
 
+    def test_nonfinite_result_raises_with_time(self, mats):
+        # a NaN raises no numpy warning: step's own finiteness check fails it
+        x = np.zeros(8)
+        x[3] = np.nan
+        with pytest.raises(IntegrationBlowupError) as info:
+            step(x, 0.5, 1e-5, mats, 20.0)
+        assert info.value.t == 0.50001
+
     def test_oscillator_energy_drift(self):
         # undamped unit oscillator, 1e4 steps
         x = np.array([1.0, 0.0])

@@ -18,14 +18,24 @@ default-length `piezobeam --scenario all --controller on` calls per side
 (DEFAULT_CALL), alternating as the pairs do, which the workloads' short
 rounds cannot show: each side's exit codes and the runs, median and
 quartiles of each timed value, and whether every call wrote the same CSV
-bytes; nproc and the Python and numpy versions.  Standard library only.
+bytes; under "us_per_step", the µs per RK4 step of each case of CASES
+(TIMING); nproc and the Python and numpy versions.  Standard library only.
+
+Each case of CASES is one `simulate` run of STEPS steps, timed as its
+wall time over its steps.  Both sides run in one fresh interpreter, each
+checkout's `src/piezobeam` loaded as its own package, so that a pair of
+calls sees one phase of a shared machine: after one untimed call per side,
+ROUNDS pairs alternate as the workloads' pairs do.  Per case the section
+holds n, dt and steps, each side's calls with their median and quartiles,
+the pairs the change won, the parent's median over the change's and, under
+a law, whether each side's run saturated.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -38,6 +48,14 @@ COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
 TRACE_SECONDS = 10.0
 DEFAULT_CALLS = 3  # DEFAULT_CALL runs per side
 DEFAULT_TIMED = ("wall_s", "write_csv_s", "write_csv_calls", "peak_rss_mb")
+STEPS, ROUNDS = 2000, 20  # TIMING's steps per call and pairs of calls per case
+# (name, n, law): uncontrolled disturbance runs at each n, then n = 2 runs
+# under the linearizing law, unclipped or clipped at 200 V
+CASES = [(f"uncontrolled_n{n}", n, None) for n in (1, 2, 3, 4, 6, 8, 12)] + [
+    ("unclipped_disturbance_n2", 2, "unclipped"),
+    ("clipped_disturbance_n2", 2, "clipped"),
+    ("clipped_release_n2", 2, "clipped_release"),
+]
 
 # One default-length call to cli.main in process, in a fresh interpreter with
 # a checkout's src first on sys.path (argv[1]) and argv[2:] appended to the
@@ -68,6 +86,67 @@ with tempfile.TemporaryDirectory() as out:
             sha[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
 print(json.dumps({"exit_code": code, "wall_s": wall, "write_csv_s": sum(spent),
                   "write_csv_calls": len(spent), "peak_rss_mb": peak, "csv_sha256": sha}))
+"""
+
+
+# argv: the parent's and the change's src, steps, rounds, then cases as
+# JSON; prints one JSON line {case name: {"n", "dt", "steps", "parent":
+# [us per step, ...], "change": [...][, "saturated": {side: bool}]}}
+TIMING = """
+import importlib.util, json, math, sys, time
+from pathlib import Path
+import numpy as np
+
+def load(name, src):
+    init = Path(src) / "piezobeam" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+def case(pb, steps, n, law):
+    beam = pb.BeamSpec(zeta_flex=((0.01, 0.0016) + (0.01,) * n)[:n],
+                       zeta_tors=((0.01, 0.0033) + (0.01,) * n)[:n])
+    basis = pb.ModalBasis.build(n, beam.L)
+    mats = pb.assemble(beam, pb.PiezoSpec(), basis)
+    om_f, om_t = mats.natural_frequencies
+    f_max = max(om_f[-1], om_t[-1]) / (2.0 * math.pi)  # as simulate's guard has it
+    dt = min(2e-5, 1.0 / (20.0 * f_max))
+    policy = None
+    if law is not None:
+        k0, k1 = pb.design_gains(om_f[0], 0.8)
+        ctrl = pb.ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
+                                   v_max=None if law == "unclipped" else 200.0)
+        policy = pb.make_policy(mats, ctrl, 20.0)
+    x0 = np.zeros(4 * n)
+    release = law == "clipped_release"
+    if release:
+        x0[0] = 5e-3 / basis.flexural_tip_values()[0]
+    cfg = pb.SimConfig(Omega=20.0, dt=dt, t_final=steps * dt, initial_state=x0,
+                       disturbance=None if release else pb.Disturbance(0.001, 24.0, 1),
+                       controller_on=policy is not None)
+    return dt, cfg.nsteps, lambda: pb.simulate(cfg, mats, basis, controller=policy)
+
+sides = {"parent": load("piezobeam_parent", sys.argv[1]),
+         "change": load("piezobeam_change", sys.argv[2])}
+steps, rounds = int(sys.argv[3]), int(sys.argv[4])
+out = {}
+for name, n, law in json.loads(sys.argv[5]):
+    runs = {side: case(pb, steps, n, law) for side, pb in sides.items()}
+    dt, nsteps, _ = runs["change"]
+    entry = out[name] = {"n": n, "dt": dt, "steps": nsteps, "parent": [], "change": []}
+    saturated = {side: bool(np.any(np.abs(run().voltage) == 200.0))
+                 for side, (_, _, run) in runs.items()}  # also the untimed call
+    if law is not None:
+        entry["saturated"] = saturated
+    for k in range(rounds):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            run = runs[side][2]
+            start = time.perf_counter()
+            run()
+            entry[side].append((time.perf_counter() - start) / nsteps * 1e6)
+print(json.dumps(out))
 """
 
 
@@ -106,6 +185,17 @@ def summarize(pairs, better):
     return {"pairs": len(pairs), "operations": operations, "metrics": metrics}
 
 
+def summarize_steps(calls):
+    """The us_per_step cases from TIMING's output."""
+    cases = {}
+    for name, record in calls.items():
+        entry = cases[name] = {**record, "parent": side(record["parent"]),
+                               "change": side(record["change"])}
+        entry["change_wins"] = sum(c < p for p, c in zip(record["parent"], record["change"]))
+        entry["speedup_of_medians"] = entry["parent"]["median"] / entry["change"]["median"]
+    return cases
+
+
 def tally(results):
     """The operations of a side's last-line JSON objects."""
     return {"attempted": sum(r["attempted"] for r in results),
@@ -142,6 +232,13 @@ def default_call(root, *extra):
                      root)
 
 
+def timing(parent, change):
+    """TIMING's output for the checkouts parent and change."""
+    return last_json([sys.executable, "-c", TIMING, str(Path(parent) / "src"),
+                      str(Path(change) / "src"), str(STEPS), str(ROUNDS), json.dumps(CASES)],
+                     ROOT)
+
+
 def git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True).stdout
@@ -151,6 +248,17 @@ def extract(ref, into):
     """Write the committed tree of ref into the directory into."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref))) as tar:
         tar.extractall(into, filter="data")
+
+
+@contextlib.contextmanager
+def parent_tree(ref):
+    """(commit, directory): ref's commit, and its committed tree extracted
+    into a temporary directory outside the repository, removed on exit."""
+    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with tempfile.TemporaryDirectory(prefix="bench-parent-",
+                                     ignore_cleanup_errors=True) as tmp:
+        extract(commit, tmp)
+        yield commit, Path(tmp)
 
 
 def machine():
@@ -173,24 +281,22 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     layers = [m["name"] for m in bench["per_layer"]]
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
-    out = {"what": ("perfbench/run.py end-to-end metrics, parent commit (a git archive) "
-                    "against the working tree, alternating pairs (parent first on odd "
-                    f"pairs), --seconds {args.seconds:g}, --trace 0, one seed per pair. "
-                    "Each value is the metric's 'value' from the last-line JSON that "
-                    "run.py prints. Quartiles are linearly interpolated, as numpy's "
-                    "default percentiles. Then, per side, one run of the first seed at "
-                    f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'. Last, "
-                    f"{DEFAULT_CALLS} default-length in-process `--scenario all "
-                    "--controller on` calls per side, alternating (parent first on odd "
-                    "calls), under 'default_call': wall time and summed write_csv time in "
-                    "s, peak RSS in MB, each side's runs with their median and quartiles."),
-           "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
-           "workloads": {}, "traced": {}}
-    tmp = tempfile.mkdtemp(prefix="bench-parent-")
-    try:
-        extract(parent_commit, tmp)
-        roots = {"parent": tmp, "change": ROOT}
+    with parent_tree(args.parent) as (parent_commit, tree):
+        roots = {"parent": tree, "change": ROOT}
+        out = {"what": ("perfbench/run.py end-to-end metrics, parent commit (a git archive) "
+                        "against the working tree, alternating pairs (parent first on odd "
+                        f"pairs), --seconds {args.seconds:g}, --trace 0, one seed per pair. "
+                        "Each value is the metric's 'value' from the last-line JSON that "
+                        "run.py prints. Quartiles are linearly interpolated, as numpy's "
+                        "default percentiles. Then, per side, one run of the first seed at "
+                        f"--seconds {TRACE_SECONDS:g}, --trace 1, under 'traced'. Then, "
+                        f"{DEFAULT_CALLS} default-length in-process `--scenario all "
+                        "--controller on` calls per side, alternating (parent first on odd "
+                        "calls), under 'default_call': wall time and summed write_csv time "
+                        "in s, peak RSS in MB, each side's runs with their median and "
+                        "quartiles. Last, us per RK4 step under 'us_per_step'."),
+               "command": COMMAND, "parent_commit": parent_commit, "machine": machine(),
+               "workloads": {}, "traced": {}}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for k, seed in enumerate(args.seeds):
@@ -221,8 +327,15 @@ def main(argv=None):
         out["default_call"] = {**{name: default_calls(records)
                                   for name, records in calls.items()},
                                "same_csv_bytes": all(sha == shas[0] for sha in shas)}
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        out["us_per_step"] = {
+            "what": (f"us per RK4 step of one simulate call of {STEPS} steps; per case "
+                     f"{ROUNDS} alternating pairs of calls (parent first in odd pairs) "
+                     "in one interpreter after one untimed call per side; dt = min(2e-5, "
+                     "the dt guard's limit at n), Omega = 20 rad/s, the CLI's default "
+                     "disturbance or a 5 mm tip release; the law's damping ratio 0.8, "
+                     "clipped at 200 V. speedup_of_medians is the parent's median over "
+                     "the change's."),
+            "cases": summarize_steps(timing(tree, ROOT))}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"written {path}")

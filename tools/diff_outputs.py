@@ -3,9 +3,9 @@
     python3 tools/diff_outputs.py --parent REF --pr N [--change REF]
 
 The parent ref is extracted with `git archive` into a temporary directory
-outside the repository (removed at the end, with both sides' outputs); the
-change side is the --change ref, extracted the same way, or without it this
-checkout's working tree.  Each side runs the same CLI
+outside the repository (bench_pairs.parent_tree; removed at the end, as
+are both sides' outputs); the change side is the --change ref, extracted
+the same way, or without it this checkout's working tree.  Each side runs the same CLI
 matrix, one call at a time, with its own `src` on PYTHONPATH:
 `--scenario {free, disturbance, all} x --controller {on, off}` at
 `--tfinal TFINAL` and the default config, each call into its own directory
@@ -23,11 +23,11 @@ each side's exported matrices.  Standard library and numpy only.
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_pairs import ROOT, extract, git
+from bench_pairs import ROOT, parent_tree
 
 TFINAL = 0.05  # s: 2 501 samples at the default dt, seconds per call
 MATRICES = "matrices.txt"
@@ -150,14 +150,13 @@ def main(argv=None):
     ap.add_argument("--change", help="git ref of the change commit (default: the working tree)")
     args = ap.parse_args(argv)
 
-    commits = {name: git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-               for name, ref in (("parent", args.parent), ("change", args.change)) if ref}
-    tmp = Path(tempfile.mkdtemp(prefix="diff-outputs-"))
-    try:
-        sides = {"parent": tmp / "parent_tree",
-                 "change": ROOT if args.change is None else tmp / "change_tree"}
-        for name, commit in commits.items():
-            extract(commit, sides[name])
+    with contextlib.ExitStack() as stack:
+        commits, sides = {}, {"parent": None, "change": ROOT}
+        for name, ref in (("parent", args.parent), ("change", args.change)):
+            if ref:
+                commits[name], sides[name] = stack.enter_context(parent_tree(ref))
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(
+            prefix="diff-outputs-", ignore_cleanup_errors=True)))
         codes = {name: run_matrix(root, tmp / name) for name, root in sides.items()}
         change = "the working tree" if args.change is None else "a change commit (a git archive)"
         out = {"what": ("piezobeam CLI outputs, parent commit (a git archive) against "
@@ -170,8 +169,6 @@ def main(argv=None):
                "cases": cases(), "exit_codes": codes,
                "matrices_sha256": {name: shas(tmp / name) for name in sides},
                **compare(tmp / "parent", tmp / "change")}
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
     path = ROOT / f"ROUNDOFF_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"written {path}: {len(out['identical'])} identical, "
