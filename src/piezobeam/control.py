@@ -80,8 +80,9 @@ class VoltageLaw:
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
     does not read t.  simulate's RK4 runs do not call it: they step its
-    closed loop (assembly.StateOperator.build) and, with v_max, add only the
-    clip's excess sat(v) - v through b (see dynamics._run_rk4).
+    closed loop (assembly.StateOperator.build) and, with v_max, the open loop
+    at +-v_max while it saturates, adding the clip's excess sat(v) - v
+    through b in steps that switch (see dynamics._run_rk4).
     """
 
     g: np.ndarray

@@ -89,7 +89,7 @@ def test_cases_cover_the_mode_counts_and_the_clipped_law():
     assert len(set(names)) == len(names)
     assert [n for name, n, law in bench_pairs.CASES if law is None] == [1, 2, 3, 4, 6, 8, 12]
     assert {law for _, _, law in bench_pairs.CASES} == {
-        None, "unclipped", "clipped", "clipped_release"}
+        None, "unclipped", "clipped", "clipped_switching", "clipped_release"}
 
 
 def test_timing_in_a_fresh_process(monkeypatch):

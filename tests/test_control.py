@@ -24,14 +24,14 @@ def build_controller(mats, basis, zeta_cl=0.8, v_max=None):
 
 
 def record_stage_map_rows(monkeypatch):
-    """The list to which each later _rk4_stage_maps call appends its first
-    stage map's row count."""
+    """The list to which each later _rk4_stage_maps call appends the row
+    count of each stage map it returns."""
     built = []
     stage_maps = dynamics._rk4_stage_maps
 
     def recording(*args):
         S, F = stage_maps(*args)
-        built.append(S[0].shape[0])
+        built.append([maps.shape[0] for maps in S])
         return S, F
     monkeypatch.setattr(dynamics, "_rk4_stage_maps", recording)
     return built
@@ -254,7 +254,7 @@ class TestPolicy:
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
         law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
-        assert built == [math.comb(2 + 2, 3)]  # lattice p
+        assert built == [[math.comb(2 + 2, 3)] * 4]  # lattice p
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -293,9 +293,11 @@ class TestPolicy:
         tr = simulate(SimConfig(**run), mats, basis2, controller=law)
         assert np.any(tr.voltage != 0.0)
         # every law steps its closed loop on the lattice's C(n + 2, 3) forms
-        # of p; only a clipped one also reads out h y, for the clip's excess
+        # of p.  A clipped one also steps the open loop, where this release
+        # starts saturated, and each map after the first reads out the last
+        # stage's demand, and a fifth map stage 4's
         R = math.comb(2 + 2, 3)
-        assert built == [R, R + (v_max is not None)]
+        assert built == [[R] * 4] + ([[R] * 4] if v_max is None else [[R + 1] * 4 + [1]] * 2)
         with pytest.raises(Called):
             simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
 

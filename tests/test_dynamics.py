@@ -684,8 +684,8 @@ class TestClosedLoopKernel:
         # switched off to step that path
         monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
         shapes, stage_maps = [], dynamics._rk4_stage_maps
-        monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, dt, h=None:
-                            shapes.append(E.shape) or stage_maps(A, lattice, E, dt, h))
+        monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, dt, *readout:
+                            shapes.append(E.shape) or stage_maps(A, lattice, E, dt, *readout))
         spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
                                    zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
         basis = ModalBasis.build(n, beam.L)
@@ -707,6 +707,55 @@ class TestClosedLoopKernel:
         assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
         assert np.any(voltage != 0.0) == (ctrl is not None)
         assert np.any(np.abs(voltage) == 50.0) == saturated
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_clip_that_never_saturates_is_the_unclipped_law(self, beam, piezo, n):
+        # a clipped law that stays within +-v_max steps the unclipped law's
+        # closed loop with every voltage entry at 0, bit for bit
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016)[:n],
+                                   zeta_tors=(0.01, 0.0033)[:n])
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=0.05, controller_on=True,
+                        disturbance=Disturbance(amplitude=0.001, frequency=24.0, target=1))
+        clipped, unclipped = (simulate(cfg, m, basis, controller=law_for(m, basis, v_max, 20.0))
+                              for v_max in (200.0, math.inf))
+        assert clipped.times.size == 10001
+        assert 0.0 < np.max(np.abs(clipped.voltage)) < 200.0
+        assert np.array_equal(clipped.states, unclipped.states)
+        assert np.array_equal(clipped.voltage, unclipped.voltage)
+
+    def test_switching_regimes_match_reference_loop(self, mats, basis2):
+        # a 1 mm release under a 200 V clip goes in and out of saturation at
+        # both limits, so steps run in each regime and in between
+        om_f, _ = linear_frequencies(mats, 0.0)
+        k0, k1 = design_gains(om_f[0], 0.8)
+        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
+                                v_max=200.0)
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.04, controller_on=True,
+                        initial_state=tip_release_state(basis2, 1e-3))
+        tr = simulate(cfg, mats, basis2, controller=make_policy(mats, ctrl, 20.0))
+        states, voltage = reference_run(cfg, mats, ctrl)
+        assert tr.times.size == 2001
+        assert_within_peaks(tr, states, voltage)
+        assert np.any(voltage == 200.0) and np.any(voltage == -200.0)
+        assert np.any(np.abs(voltage) < 200.0)
+
+    def test_overflow_while_saturated_ends_at_the_parents_sample(self, mats, basis2):
+        # a kick drives a 5 mm release, saturated at 50 V, until the cubes
+        # and the demand at a finite state overflow: the run ends at that
+        # sample, 77, where it ends when every stage clips on the closed loop
+        law = law_for(mats, basis2, 50.0, 20.0)
+        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
+                        initial_state=tip_release_state(basis2),
+                        disturbance=Disturbance(amplitude=3e6, frequency=24.0, target=1))
+        with pytest.raises(IntegrationBlowupError) as info:
+            simulate(cfg, mats, basis2, controller=law)
+        assert info.value.t == 77 * 2e-5
+        before = simulate(dataclasses.replace(cfg, t_final=76 * 2e-5), mats, basis2,
+                          controller=law)
+        assert before.times.size == 77
+        assert np.all(np.abs(before.voltage[-10:]) == 50.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])
