@@ -127,7 +127,7 @@ def _patch_values(beam, piezo):
     Ix = piezo.rho_p * piezo.w_p * piezo.t_p * (piezo.w_p ** 2 + piezo.t_p ** 2) / 12.0 \
         + piezo.rho_p * piezo.w_p * piezo.t_p * zc ** 2
     # bending: both layers taken about the shifted neutral axis; the substrate
-    # term in excess of its bare midplane value belongs to the patch correction
+    # term beyond its bare midplane value belongs to the patch correction
     EI_sub_shift = beam.E_b * beam.b * beam.t_b * zn ** 2
     EI_patch = piezo.E_p * (piezo.w_p * piezo.t_p ** 3 / 12.0
                             + piezo.w_p * piezo.t_p * (zc - zn) ** 2)
@@ -286,8 +286,7 @@ class StateOperator:
     column without a disturbance).  A law's unclipped voltage v = h x + rho
     (lattice p)^3, h = -(g + c A_flex) / beta and rho = (c / beta) W, is
     folded in: b h is added to A's flexural rows A_flex, E's cubic block is
-    -(I - b c / beta) W = b rho - W, and readout is (rho, h).  A clipped
-    law's excess sat(v) - v is then the entry v of u.
+    -(I - b c / beta) W = b rho - W, and readout is (rho, h).
     """
 
     A: np.ndarray        # (4n, 4n)

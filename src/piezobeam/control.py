@@ -79,10 +79,11 @@ class VoltageLaw:
     and c are read-only.
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
-    does not read t.  simulate's RK4 runs do not call it: they step its
-    closed loop (assembly.StateOperator.build) and, with v_max, the open loop
-    at +-v_max while it saturates, adding the clip's excess sat(v) - v
-    through b in steps that switch (see dynamics._run_rk4).
+    does not read t.  simulate's RK4 runs step its closed loop
+    (assembly.StateOperator.build) and, with v_max, the open loop at
+    +-v_max while it saturates, and call it only in a step that leaves its
+    regime; above dynamics._FOLDED_MAX_MODES modes a clipped law takes the
+    step loop, which calls it at every stage (see dynamics.simulate).
     """
 
     g: np.ndarray

@@ -10,16 +10,16 @@ into the cubic force, the piezo voltage and the disturbance value (see
 assembly.StateOperator).  closed_loop evaluates them once per call, calling
 the voltage policy; rhs, step and every simulate run that calls a policy
 step it.  A simulate run under RK4 with no policy or with a
-control.VoltageLaw calls none: _run_rk4 steps the stage maps of
-_rk4_stage_maps on A or on the law's closed loop, 10 numpy calls a step up
-to _FOLDED_MAX_MODES modes (one matvec and one power per stage) and 14
-above; assembly.StateOperator.build forms both, with E.  Up to
-_FOLDED_MAX_MODES modes, a law with v_max is stepped on one set of stage
-maps per saturation regime (its closed loop, or the open loop with the
-voltage at +v_max or -v_max), whose rows also read out each stage's
-demand; a step whose demands leave its regime is redone on the closed
-loop, where a saturated stage adds the clip's excess sat(v) - v through b.
-Above, every stage adds that excess.
+control.VoltageLaw calls none outside the steps named below: _run_rk4
+steps the stage maps of _rk4_stage_maps on A or on the law's closed loop,
+10 numpy calls a step up to _FOLDED_MAX_MODES modes (one matvec and one
+power per stage) and 14 above; assembly.StateOperator.build forms both,
+with E.  A law with v_max
+is stepped on one set of stage maps per saturation regime (its closed
+loop, or the open loop with the voltage at +v_max or -v_max), whose rows
+also read out each stage's demand; a step whose demands leave its regime
+is the law's own RK4 step on closed_loop, which calls it.  Above
+_FOLDED_MAX_MODES modes such a law takes the step loop.
 """
 
 import math
@@ -171,7 +171,7 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _FORCE_BLOCK = 256  # samples per vectorised disturbance evaluation
 
 
-def _rk4_stage_maps(A, lattice, E, dt, h=None, rho=None):
+def _rk4_stage_maps(A, lattice, E, dt, readout=None):
     """Classical RK4 on x' = A x + [0; 0; E [u; d]; 0] as linear maps of one
     step's operand z = [x; d1 .. d4; u1 .. u4], where d_s is stage s's
     disturbance value and u_s the rest of its input, m entries that end in
@@ -180,16 +180,16 @@ def _rk4_stage_maps(A, lattice, E, dt, h=None, rho=None):
 
     Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s m] =
     [x; d1 .. d4; u1 .. u_s] to lattice p, the (R, n) lattice's linear forms
-    of the flexural coordinates p of stage s + 1's input y (x for the first),
-    and given the row h of length 4n, to [lattice p; h y].  Given rho of
-    length R too, where each u_s starts with its (lattice p)^3, the last row
-    is instead stage s's demand h y_s + rho (lattice p_s)^3, which does not
-    read v_s (0 for S[0]), and a fifth map S[4], one row on all of z, reads
-    stage 4's.  F maps z to the step's new state; _run_rk4 steps the maps.
+    of the flexural coordinates p of stage s + 1's input y (x for the first).
+    Given the readout (rho, h), rows of length R and 4n, where each u_s
+    starts with its (lattice p)^3, each map has one more row, stage s's
+    demand h y_s + rho (lattice p_s)^3, which does not read v_s (0 for
+    S[0]), and a fifth map S[4], one row on all of z, reads stage 4's.  F
+    maps z to the step's new state; _run_rk4 steps the maps.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
-    R = lattice.shape[0]  # h, if read out, comes after these rows
+    R = lattice.shape[0]  # the demand, if read out, comes after these rows
     flex = slice(2 * n, 3 * n)
     eye = np.eye(d, d + 4 + 4 * m)
     K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
@@ -197,24 +197,23 @@ def _rk4_stage_maps(A, lattice, E, dt, h=None, rho=None):
     nodes = (_RK4_NODES * dt).tolist()
     S = []
     y = eye  # y1 = x
-    demand = np.zeros(eye.shape[1])  # under rho, the previous stage's
+    demand = np.zeros(eye.shape[1])  # under a readout, the previous stage's
     for s, k in enumerate(K):
         u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
-        maps = np.zeros((R + (h is not None), u))
+        maps = np.zeros((R + (readout is not None), u))
         lattice.dot(y[:n, :u], maps[:R])  # out by position, as in _run_rk4
-        if rho is not None:
+        if readout is not None:
+            rho, h = readout
             maps[R] = demand[:u]
             demand = h.dot(y)
             demand[u:u + R] += rho  # the cubes at the head of stage s + 1's u
-        elif h is not None:
-            h.dot(y[:, :u], maps[R])
         A.dot(y, k)
         k[flex, u:u + m] = E_u  # A y_s does not read u_s or d_s
         k[flex, d + s] = E_d
         if s < 3:
             y = eye + nodes[s + 1] * k
         S.append(maps)
-    if rho is not None:
+    if readout is not None:
         S.append(demand[None])
     F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
     return S, F
@@ -313,15 +312,16 @@ def compute_metrics(times, tip_w, voltage, period1):
     }
 
 
-def _fails(row, op):
+def _fails(row, op, clipped):
     """Whether a sample row [x; d1 .. d4] of _run_rk4 on the StateOperator op
-    fails: x, d1, the cubic force E's cubic block makes of (lattice p)^3 or,
-    under a law with readout (rho, h), its demand h x + rho (lattice p)^3
-    is not finite, as is then a clipped law's excess in u1."""
+    fails: x, d1 or the cubic force E's cubic block makes of (lattice p)^3
+    is not finite, or, under an unclipped law with readout (rho, h), its
+    voltage h x + rho (lattice p)^3; a clipped law's voltage stays finite."""
     x = row[:-4]
     cubes = op.cubes(x[:x.size // 4])
     force = op.E[:, :cubes.size].dot(cubes)
-    demand = 0.0 if op.readout is None else x.dot(op.readout[1]) + cubes.dot(op.readout[0])
+    demand = 0.0 if clipped or op.readout is None else \
+        x.dot(op.readout[1]) + cubes.dot(op.readout[0])
     return not (np.isfinite(row[:-3]).all() and np.isfinite(force).all() and math.isfinite(demand))
 
 
@@ -336,38 +336,27 @@ def _fails(row, op):
 _FOLDED_MAX_MODES = 5
 
 
-def _regime(v, v_max):
-    """+1 or -1 for a finite demand v beyond +v_max or -v_max, else 0: a
-    non-finite demand never counts as saturated."""
-    return (v > v_max) - (v < -v_max) if math.isfinite(v) else 0
-
-
 def _clipped_loops(mats, config, op, v_max, z, outs):
-    """(enter, mixed) for _run_rk4 under a law clipped at v_max up to
-    _FOLDED_MAX_MODES modes, on its operand z; outs (4, R + 1) takes each
-    stage's map output, lattice p and then the previous stage's demand, and
-    outs[0, R] stage 4's.
+    """enter(x) for _run_rk4 under a law clipped at v_max, on its operand z;
+    outs (4, R + 1) takes each stage's map output, lattice p and then the
+    previous stage's demand, and outs[0, R] stage 4's.
 
-    enter(r) enters regime r: 0 steps the closed loop of op, the law's
-    operator, with every voltage entry of z at 0; +1 and -1 step the open
-    loop, op's without the law, with every voltage entry at +v_max or
-    -v_max.  It returns the regime's stages (each map's dot, the prefix of z
-    it reads, its output, lattice p within it, and where its cubes go),
-    S[4].dot, F.dot, and the lowest and highest demand the regime keeps.
-    Each loop's maps are built the first time a regime of it is entered.
-
-    mixed(new_x) writes the step from z into new_x on the closed loop's
-    maps: a stage whose demand lies beyond +-v_max writes the clip's excess
-    sat(v) - v into its voltage entry, which E maps through b, then runs the
-    next map again.  It returns the regime of stage 4's demand.
+    enter(x) enters the regime of sample x's demand h x + rho (lattice
+    p)^3, (rho, h) the readout of op, the law's operator: +1 or -1 for a
+    finite demand beyond +v_max or -v_max, else 0, so a non-finite demand
+    never counts as saturated.  0 steps the closed loop of op with every
+    voltage entry of z at 0; +1 and -1 step the open loop, op's without the
+    law, with every voltage entry at +v_max or -v_max.  It returns the
+    regime's stages (each map's dot, the prefix of z it reads, its output,
+    lattice p within it, and where its cubes go), S[4].dot, F.dot, and the
+    lowest and highest demand the regime keeps.  Each loop's maps are built
+    the first time a regime of it is entered.
     """
     R = op.lattice.shape[0]
-    d = 4 * mats.n
+    n = mats.n
     rho, h = op.readout
-    starts = range(d + 4, z.size, R + 1)  # where each u_s starts in z
-    volts = z[d + 4 + R::R + 1]  # the voltage entries of u1 .. u4
-    last_out = outs[0, R:]
-    power, three = np.float_power, np.array(3.0)
+    starts = range(4 * n + 4, z.size, R + 1)  # where each u_s starts in z
+    volts = z[4 * n + 4 + R::R + 1]  # the voltage entries of u1 .. u4
     big = sys.float_info.max
     # regime: the lowest and highest demand it keeps, and its voltage entries
     bounds = {0: (-v_max, v_max, 0.0),
@@ -375,42 +364,26 @@ def _clipped_loops(mats, config, op, v_max, z, outs):
               -1: (-big, math.nextafter(-v_max, -math.inf), -v_max)}
     built = {}  # the closed (False) and open (True) loop's stages, S[4].dot and F.dot
 
-    def enter(r):
+    def enter(x):
+        v = float(x.dot(h) + op.cubes(x[:n]).dot(rho))
+        r = (v > v_max) - (v < -v_max) if math.isfinite(v) else 0
         if bool(r) not in built:
             loop = StateOperator.build(mats, config.Omega, config.disturbance) if r else op
-            S, F = _rk4_stage_maps(loop.A, op.lattice, loop.E, float(config.dt), h, rho)
+            S, F = _rk4_stage_maps(loop.A, op.lattice, loop.E, float(config.dt), op.readout)
             built[bool(r)] = ([(maps.dot, z[:a], out, out[:R], z[a:a + R])
                                for maps, a, out in zip(S, starts, outs)], S[4].dot, F.dot)
         lo, hi, volts[...] = bounds[r]
         return built[bool(r)] + (lo, hi)
 
-    def clip(v, s):
-        """Whether stage s + 1's demand v saturates, writing its excess if so."""
-        if -v_max <= v <= v_max:
-            return False
-        volts[s] = min(max(v, -v_max), v_max) - v
-        return True
-
-    def mixed(new_x):
-        stages, last, advance = enter(0)[:3]
-        for s, (forms_of, prefix, out, forms, cubes) in enumerate(stages):
-            forms_of(prefix, out)
-            if s and clip(out.item(-1), s - 1):
-                forms_of(prefix, out)
-            power(forms, three, cubes)
-        last(z, last_out)
-        v = last_out.item()
-        clip(v, 3)
-        advance(z, new_x)
-        return _regime(v, v_max)
-
-    return enter, mixed
+    return enter
 
 
 def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
-    None or a control.VoltageLaw, which is never called.
+    None or a control.VoltageLaw, clipped only up to _FOLDED_MAX_MODES
+    modes, which is called only in a step that leaves its saturation
+    regime.
 
     The cubic force is E's cubic block applied to (lattice p)^3 (see
     assembly.StateOperator).  Up to _FOLDED_MAX_MODES modes u_s = [(lattice
@@ -427,72 +400,56 @@ def _run_rk4(mats, config, law, x, states, voltage):
     once per block, after one check of its last sample before a non-finite
     state, or of its end: a failing sample (see _fails) makes the next state
     not finite, so IntegrationBlowupError is raised there if it fails, else
-    at the next.  That is where _run_called raises, and where a clipped
-    demand overflows.
+    at the next.  That is where _run_called raises.
 
     A law is stepped as its closed loop (A, E) of
-    assembly.StateOperator.build.  With v_max, a stage's demand is v_s = h
-    y_s + rho (lattice p_s)^3, (rho, h) the operator's readout, and the clip
-    adds its excess sat(v_s) - v_s in u_s's voltage entry, which E maps
-    through b.  Up to _FOLDED_MAX_MODES modes, between switches the loop is
-    one of three fixed linear systems, each a set of stage maps: the closed
-    loop with every voltage entry at 0, or the open loop (A, E of the
-    operator without the law) with every voltage entry at +v_max or at
-    -v_max.  Each map after the first also reads out the previous stage's
-    demand, and S[4] stage 4's, before F.  A step runs in the regime of the
-    previous step's stage 4 (the first step in that of the first sample's
-    demand) and is kept if its four demands are finite and in that regime.
-    Otherwise it is redone on the closed loop's maps: a stage whose demand
-    lies beyond +-v_max writes its excess, then runs the next map again.  A
-    non-finite demand never counts as saturated, so its excess makes the
-    state non-finite, as above.  Each set of maps is built the first time a
-    step needs it.  Above _FOLDED_MAX_MODES modes, each map reads out h y_s,
-    a matvec adds rho (lattice p_s)^3 in the voltage entry and the stage
-    writes the excess there.  The voltage is filled after the last step,
-    _FORCE_BLOCK samples at a time, as sat(h x + rho (lattice p)^3); without
-    a law it is 0.
+    assembly.StateOperator.build.  With v_max, between switches the loop is
+    one of three fixed linear systems, each a set of stage maps (see
+    _clipped_loops): the closed loop with every voltage entry at 0, or the
+    open loop (A, E of the operator without the law) with every voltage
+    entry at +v_max or at -v_max.  Each map after the first also reads out
+    the previous stage's demand v_s = h y_s + rho (lattice p_s)^3, (rho, h)
+    the operator's readout, and S[4] stage 4's, before F.  A step runs in
+    the regime of its first sample's demand, or of the previous step's
+    stage 4, and is kept if its four demands are finite and in that regime.
+    Otherwise it is the law's own rk4_step on one closed_loop, built the
+    first time a run needs it, and the next step enters the regime of the
+    new sample's demand.  Each set of maps is built the first time a step
+    needs it.  The voltage is filled after the last step, _FORCE_BLOCK
+    samples at a time, as sat(h x + rho (lattice p)^3); without a law it
+    is 0.
     """
     op = StateOperator.build(mats, config.Omega, config.disturbance, law)
     dt = float(config.dt)
     n = mats.n
     R = op.lattice.shape[0]
     d = 4 * n
-    rho, h = op.readout or (None, None)
     clipped = law is not None and law.v_max is not None
     folded = n <= _FOLDED_MAX_MODES
-    regimes = folded and clipped
-    # applied writes, unfolded, the cubic force and, for a clipped demand,
-    # rho (lattice p_s)^3 after it
-    if folded:
-        E, applied = op.E, None
-    else:
-        E = np.hstack((np.eye(n), op.E[:, R:]))
-        applied = np.vstack((op.E[:, :R],) + ((rho,) if clipped else ()))
+    # applied writes, unfolded, the cubic force; a contiguous copy, whose dot
+    # costs ~1 us less than the view's
+    E, applied = (op.E, None) if folded else \
+        (np.hstack((np.eye(n), op.E[:, R:])), op.E[:, :R].copy())
     m = E.shape[1] - 1  # entries of u_s, the last its voltage
-    v_max = clipped and law.v_max
     power, three = np.float_power, np.array(3.0)  # a Python 3 costs ~0.8 us more
     z = np.zeros(d + 4 + 4 * m)
     head = z[:d + 4]
     nsteps = states.shape[0] - 1
-    if regimes:
+    if clipped:
         outs = np.empty((4, R + 1))  # each stage's map output: lattice p, a demand
         demands, last_out = outs[:, R], outs[0, R:]  # S[4] writes stage 4's last
-        enter, mixed = _clipped_loops(mats, config, op, v_max, z, outs)
-        if nsteps:  # the first step runs in the regime of the first sample's demand
-            stages, last, advance, lo, hi = enter(
-                _regime(float(x.dot(h) + op.cubes(x[:n]).dot(rho)), v_max))
+        enter = _clipped_loops(mats, config, op, law.v_max, z, outs)
+        f = None  # the law's closed_loop, for a step that leaves its regime
+        if nsteps:
+            stages, last, advance, lo, hi = enter(x)
     else:
-        S, F = _rk4_stage_maps(op.A, op.lattice, E, dt, h if clipped else None)
-        w = np.empty(S[0].shape[0])  # the stages' outputs, in turn
-        forms = w[:R]
+        S, F = _rk4_stage_maps(op.A, op.lattice, E, dt)
+        forms = np.empty(R)
         cubed = np.empty(R)
         # per stage: its map's dot, the prefix of z it reads, where its cubes
-        # go, the entries of u_s that applied writes, and its voltage entry
-        stages = []
-        for maps, a in zip(S, range(d + 4, z.size, m)):
-            e_at = a + m - 1
-            stages.append((maps.dot, z[:a], z[a:e_at] if folded else cubed,
-                           z[a:e_at + clipped], e_at))
+        # go and the entries of u_s that applied writes
+        stages = [(maps.dot, z[:a], z[a:a + m - 1] if folded else cubed, z[a:a + m - 1])
+                  for maps, a in zip(S, range(d + 4, z.size, m))]
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
     for start in range(0, max(nsteps, 1), _FORCE_BLOCK):
@@ -503,8 +460,8 @@ def _run_rk4(mats, config, law, x, states, voltage):
         head[...] = rows[0]
         block = rows[1:stop - start + 1]
         # each call's out goes by position: as a keyword it costs ~0.2 us more
-        if regimes:
-            for new_x, new_row in zip(block[:, :d], block):
+        if clipped:
+            for i, (new_x, new_row) in enumerate(zip(block[:, :d], block), start):
                 for forms_of, prefix, out, forms, cubes in stages:
                     forms_of(prefix, out)
                     power(forms, three, cubes)
@@ -514,24 +471,23 @@ def _run_rk4(mats, config, law, x, states, voltage):
                 if lo <= a <= hi and lo <= b <= hi and lo <= c <= hi and lo <= e <= hi:
                     advance(z, new_x)
                 else:
-                    stages, last, advance, lo, hi = enter(mixed(new_x))
+                    if f is None:
+                        f = closed_loop(mats, config.Omega, law, config.disturbance)
+                    new_x[...] = rk4_step(lambda xs, ts: f(xs, ts)[0], z[:d], i * dt, dt)
+                    stages, last, advance, lo, hi = enter(new_x)
                 head[...] = new_row
         else:
             for new_x, new_row in zip(block[:, :d], block):
-                for forms_of, prefix, cubes, out, e_at in stages:
-                    forms_of(prefix, w)
+                for forms_of, prefix, cubes, out in stages:
+                    forms_of(prefix, forms)
                     power(forms, three, cubes)
                     if applied is not None:
                         applied.dot(cubes, out)
-                        if clipped:  # z[e_at] holds rho (lattice p)^3
-                            v = w.item(-1) + z.item(e_at)  # w ends in the read-out h y
-                            z[e_at] = 0.0 if -v_max <= v <= v_max else \
-                                min(max(v, -v_max), v_max) - v
                 F.dot(z, new_x)
                 head[...] = new_row
         # rows[k]: the last sample before a non-finite state, or the block's end
         k = int(np.logical_and.accumulate(np.isfinite(block[:, :d]).all(axis=1)).sum())
-        fails = _fails(rows[k], op)
+        fails = _fails(rows[k], op, clipped)
         if fails or k < stop - start:
             raise IntegrationBlowupError((start + k + (not fails)) * dt)
         states[start + 1:stop + 1] = block[:, :d]
@@ -539,11 +495,12 @@ def _run_rk4(mats, config, law, x, states, voltage):
     if law is None:
         voltage[...] = 0.0
     else:  # a block at a time, which bounds the cubes' temporaries
+        rho, h = op.readout
         for start in range(0, nsteps + 1, _FORCE_BLOCK):
             block = states[start:start + _FORCE_BLOCK]
             voltage[start:start + _FORCE_BLOCK] = block.dot(h) + op.cubes(block[:, :n]).dot(rho)
     if clipped:
-        np.clip(voltage, -v_max, v_max, out=voltage)
+        np.clip(voltage, -law.v_max, law.v_max, out=voltage)
 
 
 def _run_called(mats, config, policy, x, states, voltage):
@@ -575,14 +532,14 @@ def simulate(config, mats, basis, controller=None):
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set.  An RK4
     run steps a control.VoltageLaw as its closed loop in its stage maps, a
-    clipped one as its closed or open loop by saturation regime, with the
-    clip's excess sat(v) - v through b where a step switches (see
-    _run_rk4); any other callable, and every AVF run, takes the step loop,
-    which calls the policy at every right-hand side (4 nsteps + 1 times
-    under RK4).  The voltage logged at each sample is the policy's at that
-    sample.  Either loop raises IntegrationBlowupError at the first sample
-    whose right-hand side is not finite (_run_rk4 also where a clipped
-    demand overflows).
+    clipped one as its closed or open loop by saturation regime, and a step
+    that leaves its regime as the law's own RK4 step (see _run_rk4).  A
+    clipped law above _FOLDED_MAX_MODES modes, any other callable, and
+    every AVF run take the step loop, which calls the policy at every
+    right-hand side (4 nsteps + 1 times under RK4).  The voltage logged at
+    each sample is the policy's at that sample.  Either loop raises
+    IntegrationBlowupError at the first sample whose right-hand side is not
+    finite.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -605,7 +562,8 @@ def simulate(config, mats, basis, controller=None):
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
-    folded = controller is None or isinstance(controller, VoltageLaw)
+    folded = controller is None or isinstance(controller, VoltageLaw) and (
+        controller.v_max is None or n <= _FOLDED_MAX_MODES)
     run = _run_rk4 if folded and config.integrator == "rk4" else _run_called
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

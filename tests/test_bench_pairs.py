@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from piezobeam import dynamics
+
 PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -90,6 +92,11 @@ def test_cases_cover_the_mode_counts_and_the_clipped_law():
     assert [n for name, n, law in bench_pairs.CASES if law is None] == [1, 2, 3, 4, 6, 8, 12]
     assert {law for _, _, law in bench_pairs.CASES} == {
         None, "unclipped", "clipped", "clipped_switching", "clipped_release"}
+    # a saturating release on the regime maps and, above _FOLDED_MAX_MODES,
+    # on the step loop
+    released = [n for _, n, law in bench_pairs.CASES if law == "clipped_release"]
+    assert released == [6, 2]
+    assert released[1] <= dynamics._FOLDED_MAX_MODES < released[0]
 
 
 def test_timing_in_a_fresh_process(monkeypatch):

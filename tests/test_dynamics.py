@@ -680,7 +680,8 @@ class TestClosedLoopKernel:
                                       "saturated_release"])
     def test_unfolded_stages_match_reference_loop(self, beam, piezo, monkeypatch, n, case):
         # above _FOLDED_MAX_MODES a stage applies E's cubic block with one
-        # more matvec, and the maps' E has I there; at n = 2 the fold is
+        # more matvec, and the maps' E has I there, while a clipped law
+        # builds no maps and takes the step loop; at n = 2 the fold is
         # switched off to step that path
         monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
         shapes, stage_maps = [], dynamics._rk4_stage_maps
@@ -703,8 +704,13 @@ class TestClosedLoopKernel:
         tr = simulate(cfg, m, basis, controller=None if ctrl is None else
                       make_policy(m, ctrl, 20.0))
         states, voltage = reference_run(cfg, m, ctrl)
-        assert shapes == [(n, n + 2)]
-        assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
+        if saturated:  # the step loop is reference_run's, bit for bit
+            assert shapes == []
+            assert np.array_equal(tr.states, states)
+            assert np.array_equal(tr.voltage, voltage)
+        else:
+            assert shapes == [(n, n + 2)]
+            assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
         assert np.any(voltage != 0.0) == (ctrl is not None)
         assert np.any(np.abs(voltage) == 50.0) == saturated
 
@@ -756,6 +762,35 @@ class TestClosedLoopKernel:
                           controller=law)
         assert before.times.size == 77
         assert np.all(np.abs(before.voltage[-10:]) == 50.0)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_demand_far_beyond_the_clip_matches_the_called_law(self, beam, piezo, n):
+        # a gain of 1e12 V per unit of p1 keeps a 5 mm release saturated,
+        # flipping between the limits; each regime is an exact linear system
+        # and a step that leaves it is the law's own, so the run leaves the
+        # called law's by round-off at n = 2 and, on the step loop above
+        # _FOLDED_MAX_MODES, not at all at n = 6
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
+                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        om_f, om_t = m.natural_frequencies
+        dt = min(2e-5, 1.0 / (20.0 * max(om_f[-1], om_t[-1]) / (2.0 * math.pi)))
+        law = law_for(m, basis, 50.0, 20.0)
+        g = law.g.copy()
+        g[0] = -1e12 * law.beta
+        huge = dataclasses.replace(law, g=g)
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=600 * dt, controller_on=True,
+                        initial_state=tip_release_state(basis))
+        called = simulate(cfg, m, basis, controller=lambda x, t, a0: huge(x, t, a0))
+        tr = simulate(cfg, m, basis, controller=huge)
+        assert tr.times.size == 601
+        assert np.any(called.voltage == 50.0) and np.any(called.voltage == -50.0)
+        if n <= dynamics._FOLDED_MAX_MODES:
+            assert_within_peaks(tr, called.states, called.voltage)
+        else:
+            assert np.array_equal(tr.states, called.states)
+            assert np.array_equal(tr.voltage, called.voltage)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])

@@ -49,14 +49,16 @@ TRACE_SECONDS = 10.0
 DEFAULT_CALLS = 3  # DEFAULT_CALL runs per side
 DEFAULT_TIMED = ("wall_s", "write_csv_s", "write_csv_calls", "peak_rss_mb")
 STEPS, ROUNDS = 2000, 20  # TIMING's steps per call and pairs of calls per case
-# (name, n, law): uncontrolled disturbance runs at each n, then n = 2 runs
-# under the linearizing law, unclipped or clipped at 200 V.  The clipped
+# (name, n, law): uncontrolled disturbance runs at each n, then runs under
+# the linearizing law, unclipped or clipped at 200 V.  The clipped
 # disturbance run never saturates, a 1 mm release switches in and out of
-# saturation (46 % of its samples), and a 5 mm release stays saturated (98 %)
+# saturation (46 % of its samples), and a 5 mm release stays saturated (98 %);
+# at n = 6, above dynamics._FOLDED_MAX_MODES, a clipped law takes the step loop
 CASES = [(f"uncontrolled_n{n}", n, None) for n in (1, 2, 3, 4, 6, 8, 12)] + [
     ("unclipped_disturbance_n2", 2, "unclipped"),
     ("clipped_disturbance_n2", 2, "clipped"),
     ("clipped_switching_n2", 2, "clipped_switching"),
+    ("clipped_release_n6", 6, "clipped_release"),
     ("clipped_release_n2", 2, "clipped_release"),
 ]
 
