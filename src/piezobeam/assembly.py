@@ -325,6 +325,12 @@ class StateOperator:
         a (samples, n) array of them."""
         return np.float_power(p.dot(self.lattice.T), 3.0)
 
+    def demand(self, x):
+        """The law's unclipped voltage x h + (lattice p)^3 rho, (rho, h) the
+        readout, at the state x, or at each row of a (samples, 4n) array."""
+        rho, h = self.readout
+        return x.dot(h) + self.cubes(x[..., :self.lattice.shape[1]]).dot(rho)
+
 
 GAUSS_RULE = leggauss(32)  # (nodes, weights) on [-1, 1] of every panel
 

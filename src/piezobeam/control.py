@@ -81,9 +81,10 @@ class VoltageLaw:
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
     does not read t.  simulate's RK4 runs step its closed loop
     (assembly.StateOperator.build) and, with v_max, the open loop at
-    +-v_max while it saturates, and call it only in a step that leaves its
-    regime; above dynamics._FOLDED_MAX_MODES modes a clipped law takes the
-    step loop, which calls it at every stage (see dynamics.simulate).
+    +-v_max while it saturates, read its four stage demands through one
+    map, and call it only in a step that leaves its regime; above
+    dynamics._FOLDED_MAX_MODES modes a clipped law takes the step loop,
+    which calls it at every stage (see dynamics.simulate).
     """
 
     g: np.ndarray

@@ -14,12 +14,12 @@ control.VoltageLaw calls none outside the steps named below: _run_rk4
 steps the stage maps of _rk4_stage_maps on A or on the law's closed loop,
 10 numpy calls a step up to _FOLDED_MAX_MODES modes (one matvec and one
 power per stage) and 14 above; assembly.StateOperator.build forms both,
-with E.  A law with v_max
-is stepped on one set of stage maps per saturation regime (its closed
-loop, or the open loop with the voltage at +v_max or -v_max), whose rows
-also read out each stage's demand; a step whose demands leave its regime
-is the law's own RK4 step on closed_loop, which calls it.  Above
-_FOLDED_MAX_MODES modes such a law takes the step loop.
+with E.  A law with v_max is stepped in the same loop on one set of stage
+maps per saturation regime (its closed loop, or the open loop with the
+voltage at +v_max or -v_max), with one more matvec that reads out the four
+stage demands; a step whose demands leave its regime is the law's own RK4
+step on closed_loop, which calls it.  Above _FOLDED_MAX_MODES modes such a
+law takes the step loop.
 """
 
 import math
@@ -178,45 +178,38 @@ def _rk4_stage_maps(A, lattice, E, dt, readout=None):
     its voltage v_s, and E (n, m + 1) maps [u_s; d_s] into the
     flexural-acceleration rows.
 
-    Returns (S, F).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s m] =
+    Returns (S, F, D).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s m] =
     [x; d1 .. d4; u1 .. u_s] to lattice p, the (R, n) lattice's linear forms
     of the flexural coordinates p of stage s + 1's input y (x for the first).
-    Given the readout (rho, h), rows of length R and 4n, where each u_s
-    starts with its (lattice p)^3, each map has one more row, stage s's
-    demand h y_s + rho (lattice p_s)^3, which does not read v_s (0 for
-    S[0]), and a fifth map S[4], one row on all of z, reads stage 4's.  F
-    maps z to the step's new state; _run_rk4 steps the maps.
+    F maps z to the step's new state.  Given the readout (rho, h), rows of
+    length R and 4n, where each u_s starts with its (lattice p)^3, D (4, len
+    z) maps z to the four stage demands h y_s + rho (lattice p_s)^3, which do
+    not read v_s; without one D is None.  _run_rk4 steps the maps.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
-    R = lattice.shape[0]  # the demand, if read out, comes after these rows
     flex = slice(2 * n, 3 * n)
     eye = np.eye(d, d + 4 + 4 * m)
     K = np.empty((4, d, eye.shape[1]))  # k_s = A y_s + E [u_s; d_s] as maps of z
+    D = None if readout is None else np.empty((4, eye.shape[1]))
     E_u, E_d = E[:, :m], E[:, m]
     nodes = (_RK4_NODES * dt).tolist()
     S = []
     y = eye  # y1 = x
-    demand = np.zeros(eye.shape[1])  # under a readout, the previous stage's
     for s, k in enumerate(K):
         u = d + 4 + s * m  # z[:u] is what stage s + 1 reads
-        maps = np.zeros((R + (readout is not None), u))
-        lattice.dot(y[:n, :u], maps[:R])  # out by position, as in _run_rk4
-        if readout is not None:
+        S.append(lattice.dot(y[:n, :u]))
+        if D is not None:
             rho, h = readout
-            maps[R] = demand[:u]
-            demand = h.dot(y)
-            demand[u:u + R] += rho  # the cubes at the head of stage s + 1's u
+            D[s] = h.dot(y)
+            D[s, u:u + rho.size] += rho  # the cubes at the head of u_s
         A.dot(y, k)
         k[flex, u:u + m] = E_u  # A y_s does not read u_s or d_s
         k[flex, d + s] = E_d
         if s < 3:
             y = eye + nodes[s + 1] * k
-        S.append(maps)
-    if readout is not None:
-        S.append(demand[None])
     F = eye + dt * _RK4_WEIGHTS.dot(K.reshape(4, -1)).reshape(d, -1)
-    return S, F
+    return S, F, D
 
 
 AVF_RTOL = 1e-12
@@ -315,13 +308,11 @@ def compute_metrics(times, tip_w, voltage, period1):
 def _fails(row, op, clipped):
     """Whether a sample row [x; d1 .. d4] of _run_rk4 on the StateOperator op
     fails: x, d1 or the cubic force E's cubic block makes of (lattice p)^3
-    is not finite, or, under an unclipped law with readout (rho, h), its
-    voltage h x + rho (lattice p)^3; a clipped law's voltage stays finite."""
+    is not finite, or, under an unclipped law, its demand (see
+    StateOperator.demand); a clipped law's voltage stays finite."""
     x = row[:-4]
-    cubes = op.cubes(x[:x.size // 4])
-    force = op.E[:, :cubes.size].dot(cubes)
-    demand = 0.0 if clipped or op.readout is None else \
-        x.dot(op.readout[1]) + cubes.dot(op.readout[0])
+    force = op.E[:, :op.lattice.shape[0]].dot(op.cubes(x[:x.size // 4]))
+    demand = 0.0 if clipped or op.readout is None else op.demand(x)
     return not (np.isfinite(row[:-3]).all() and np.isfinite(force).all() and math.isfinite(demand))
 
 
@@ -334,48 +325,6 @@ def _fails(row, op, clipped):
 # against unfolded, two sweeps: n = 4: 6.4-6.9 against 7.9-8.2; 5: 8.9-9.5
 # against 9.4-9.7; 6: 12.8-13.2 against 11.4-12.0; 8: 31-33 against 20-21.
 _FOLDED_MAX_MODES = 5
-
-
-def _clipped_loops(mats, config, op, v_max, z, outs):
-    """enter(x) for _run_rk4 under a law clipped at v_max, on its operand z;
-    outs (4, R + 1) takes each stage's map output, lattice p and then the
-    previous stage's demand, and outs[0, R] stage 4's.
-
-    enter(x) enters the regime of sample x's demand h x + rho (lattice
-    p)^3, (rho, h) the readout of op, the law's operator: +1 or -1 for a
-    finite demand beyond +v_max or -v_max, else 0, so a non-finite demand
-    never counts as saturated.  0 steps the closed loop of op with every
-    voltage entry of z at 0; +1 and -1 step the open loop, op's without the
-    law, with every voltage entry at +v_max or -v_max.  It returns the
-    regime's stages (each map's dot, the prefix of z it reads, its output,
-    lattice p within it, and where its cubes go), S[4].dot, F.dot, and the
-    lowest and highest demand the regime keeps.  Each loop's maps are built
-    the first time a regime of it is entered.
-    """
-    R = op.lattice.shape[0]
-    n = mats.n
-    rho, h = op.readout
-    starts = range(4 * n + 4, z.size, R + 1)  # where each u_s starts in z
-    volts = z[4 * n + 4 + R::R + 1]  # the voltage entries of u1 .. u4
-    big = sys.float_info.max
-    # regime: the lowest and highest demand it keeps, and its voltage entries
-    bounds = {0: (-v_max, v_max, 0.0),
-              1: (math.nextafter(v_max, math.inf), big, v_max),
-              -1: (-big, math.nextafter(-v_max, -math.inf), -v_max)}
-    built = {}  # the closed (False) and open (True) loop's stages, S[4].dot and F.dot
-
-    def enter(x):
-        v = float(x.dot(h) + op.cubes(x[:n]).dot(rho))
-        r = (v > v_max) - (v < -v_max) if math.isfinite(v) else 0
-        if bool(r) not in built:
-            loop = StateOperator.build(mats, config.Omega, config.disturbance) if r else op
-            S, F = _rk4_stage_maps(loop.A, op.lattice, loop.E, float(config.dt), op.readout)
-            built[bool(r)] = ([(maps.dot, z[:a], out, out[:R], z[a:a + R])
-                               for maps, a, out in zip(S, starts, outs)], S[4].dot, F.dot)
-        lo, hi, volts[...] = bounds[r]
-        return built[bool(r)] + (lo, hi)
-
-    return enter
 
 
 def _run_rk4(mats, config, law, x, states, voltage):
@@ -394,9 +343,9 @@ def _run_rk4(mats, config, law, x, states, voltage):
     p_s)^3; v_s] with C the operator's: the cubes go to a scratch vector and
     one more matvec writes u_s, 14 calls a step.  Samples are kept as rows
     [x_i; d_i1 .. d_i4] of a buffer of _FORCE_BLOCK + 1 rows, whose
-    disturbance values come from one Disturbance.force call per block; F z
-    writes x_i+1 into the next row, and copying that row into z's head sets
-    both the state and the forcing of the next step.  The rows go to states
+    disturbance values come from one Disturbance.force call per block;
+    copying a row into z's head sets both the state and the forcing of a
+    step, and F z writes x_i+1 into the next row.  The rows go to states
     once per block, after one check of its last sample before a non-finite
     state, or of its end: a failing sample (see _fails) makes the next state
     not finite, so IntegrationBlowupError is raised there if it fails, else
@@ -404,27 +353,28 @@ def _run_rk4(mats, config, law, x, states, voltage):
 
     A law is stepped as its closed loop (A, E) of
     assembly.StateOperator.build.  With v_max, between switches the loop is
-    one of three fixed linear systems, each a set of stage maps (see
-    _clipped_loops): the closed loop with every voltage entry at 0, or the
-    open loop (A, E of the operator without the law) with every voltage
-    entry at +v_max or at -v_max.  Each map after the first also reads out
-    the previous stage's demand v_s = h y_s + rho (lattice p_s)^3, (rho, h)
-    the operator's readout, and S[4] stage 4's, before F.  A step runs in
-    the regime of its first sample's demand, or of the previous step's
-    stage 4, and is kept if its four demands are finite and in that regime.
-    Otherwise it is the law's own rk4_step on one closed_loop, built the
-    first time a run needs it, and the next step enters the regime of the
-    new sample's demand.  Each set of maps is built the first time a step
-    needs it.  The voltage is filled after the last step, _FORCE_BLOCK
-    samples at a time, as sat(h x + rho (lattice p)^3); without a law it
-    is 0.
+    one of three fixed linear systems, each a set of stage maps: the closed
+    loop with every voltage entry of z at 0, or the open loop (A, E of the
+    operator without the law) with every voltage entry at +v_max or at
+    -v_max.  Their D reads out the four stage demands (see
+    StateOperator.demand) after the stages, before F.  enter(x) enters the
+    regime of sample x's demand: +1 or -1 for a finite demand beyond +v_max
+    or -v_max, else 0, so a non-finite demand never counts as saturated; a
+    run without v_max has the one regime 0, op's own loop, and no D.  A step
+    runs in the regime of its first sample, or of the step before it, and
+    is kept if its four demands are finite and in that regime.  Otherwise
+    it is the law's own rk4_step on one closed_loop, built the first time a
+    run needs it, and the next step enters the regime of the new sample.
+    Each set of maps is built the first time a step needs it.  The voltage
+    is filled after the last step, _FORCE_BLOCK samples at a time, as the
+    clipped demand; without a law it is 0.
     """
     op = StateOperator.build(mats, config.Omega, config.disturbance, law)
     dt = float(config.dt)
     n = mats.n
     R = op.lattice.shape[0]
     d = 4 * n
-    clipped = law is not None and law.v_max is not None
+    v_max = None if law is None else law.v_max
     folded = n <= _FOLDED_MAX_MODES
     # applied writes, unfolded, the cubic force; a contiguous copy, whose dot
     # costs ~1 us less than the view's
@@ -434,22 +384,36 @@ def _run_rk4(mats, config, law, x, states, voltage):
     power, three = np.float_power, np.array(3.0)  # a Python 3 costs ~0.8 us more
     z = np.zeros(d + 4 + 4 * m)
     head = z[:d + 4]
+    volts = z[d + 3 + m::m]  # the voltage entries of u1 .. u4
+    forms, cubed, demands = np.empty(R), np.empty(R), np.empty(4)
+    big = sys.float_info.max
+    # regime: the lowest and highest demand it keeps, and its voltage entries
+    bounds = {0: (-big, big, 0.0)} if v_max is None else \
+        {0: (-v_max, v_max, 0.0), 1: (math.nextafter(v_max, math.inf), big, v_max),
+         -1: (-big, math.nextafter(-v_max, -math.inf), -v_max)}
+    built = {}  # the closed (False) and open (True) loop's stages, D and F.dot
+
+    def enter(x):
+        r = 0
+        if v_max is not None:
+            v = float(op.demand(x))
+            r = (v > v_max) - (v < -v_max) if math.isfinite(v) else 0
+        if bool(r) not in built:
+            loop = StateOperator.build(mats, config.Omega, config.disturbance) if r else op
+            S, F, D = _rk4_stage_maps(loop.A, op.lattice, loop.E if r else E, dt,
+                                      None if v_max is None else op.readout)
+            # per stage: its map's dot, the prefix of z it reads, where its
+            # cubes go and the entries of u_s that applied writes
+            built[bool(r)] = ([(maps.dot, z[:a], z[a:a + m - 1] if folded else cubed,
+                                z[a:a + m - 1]) for maps, a in zip(S, range(d + 4, z.size, m))],
+                              D, F.dot)
+        lo, hi, volts[...] = bounds[r]
+        return built[bool(r)] + (lo, hi)
+
+    f = None  # the law's closed_loop, for a step that leaves its regime
     nsteps = states.shape[0] - 1
-    if clipped:
-        outs = np.empty((4, R + 1))  # each stage's map output: lattice p, a demand
-        demands, last_out = outs[:, R], outs[0, R:]  # S[4] writes stage 4's last
-        enter = _clipped_loops(mats, config, op, law.v_max, z, outs)
-        f = None  # the law's closed_loop, for a step that leaves its regime
-        if nsteps:
-            stages, last, advance, lo, hi = enter(x)
-    else:
-        S, F = _rk4_stage_maps(op.A, op.lattice, E, dt)
-        forms = np.empty(R)
-        cubed = np.empty(R)
-        # per stage: its map's dot, the prefix of z it reads, where its cubes
-        # go and the entries of u_s that applied writes
-        stages = [(maps.dot, z[:a], z[a:a + m - 1] if folded else cubed, z[a:a + m - 1])
-                  for maps, a in zip(S, range(d + 4, z.size, m))]
+    if nsteps:
+        stages, D, advance, lo, hi = enter(x)
     rows = np.zeros((min(nsteps, _FORCE_BLOCK) + 1, d + 4))
     rows[0, :d] = states[0] = x
     for start in range(0, max(nsteps, 1), _FORCE_BLOCK):
@@ -457,37 +421,29 @@ def _run_rk4(mats, config, law, x, states, voltage):
         if config.disturbance is not None:
             times = np.add.outer(np.arange(start, stop + 1) * dt, _RK4_NODES * dt)
             rows[:stop - start + 1, d:] = config.disturbance.force(times)
-        head[...] = rows[0]
         block = rows[1:stop - start + 1]
         # each call's out goes by position: as a keyword it costs ~0.2 us more
-        if clipped:
-            for i, (new_x, new_row) in enumerate(zip(block[:, :d], block), start):
-                for forms_of, prefix, out, forms, cubes in stages:
-                    forms_of(prefix, out)
-                    power(forms, three, cubes)
-                last(z, last_out)
+        for i, row, new_x in zip(range(start, stop), rows, block[:, :d]):
+            head[...] = row
+            for forms_of, prefix, cubes, out in stages:
+                forms_of(prefix, forms)
+                power(forms, three, cubes)
+                if applied is not None:
+                    applied.dot(cubes, out)
+            if D is not None:
+                D.dot(z, demands)
                 # four chained compares: ~0.3 us, where numpy's min and max take ~2 us
                 a, b, c, e = demands.tolist()
-                if lo <= a <= hi and lo <= b <= hi and lo <= c <= hi and lo <= e <= hi:
-                    advance(z, new_x)
-                else:
+                if not (lo <= a <= hi and lo <= b <= hi and lo <= c <= hi and lo <= e <= hi):
                     if f is None:
                         f = closed_loop(mats, config.Omega, law, config.disturbance)
                     new_x[...] = rk4_step(lambda xs, ts: f(xs, ts)[0], z[:d], i * dt, dt)
-                    stages, last, advance, lo, hi = enter(new_x)
-                head[...] = new_row
-        else:
-            for new_x, new_row in zip(block[:, :d], block):
-                for forms_of, prefix, cubes, out in stages:
-                    forms_of(prefix, forms)
-                    power(forms, three, cubes)
-                    if applied is not None:
-                        applied.dot(cubes, out)
-                F.dot(z, new_x)
-                head[...] = new_row
+                    stages, D, advance, lo, hi = enter(new_x)
+                    continue
+            advance(z, new_x)
         # rows[k]: the last sample before a non-finite state, or the block's end
         k = int(np.logical_and.accumulate(np.isfinite(block[:, :d]).all(axis=1)).sum())
-        fails = _fails(rows[k], op, clipped)
+        fails = _fails(rows[k], op, v_max is not None)
         if fails or k < stop - start:
             raise IntegrationBlowupError((start + k + (not fails)) * dt)
         states[start + 1:stop + 1] = block[:, :d]
@@ -495,12 +451,10 @@ def _run_rk4(mats, config, law, x, states, voltage):
     if law is None:
         voltage[...] = 0.0
     else:  # a block at a time, which bounds the cubes' temporaries
-        rho, h = op.readout
         for start in range(0, nsteps + 1, _FORCE_BLOCK):
-            block = states[start:start + _FORCE_BLOCK]
-            voltage[start:start + _FORCE_BLOCK] = block.dot(h) + op.cubes(block[:, :n]).dot(rho)
-    if clipped:
-        np.clip(voltage, -law.v_max, law.v_max, out=voltage)
+            voltage[start:start + _FORCE_BLOCK] = op.demand(states[start:start + _FORCE_BLOCK])
+    if v_max is not None:
+        np.clip(voltage, -v_max, v_max, out=voltage)
 
 
 def _run_called(mats, config, policy, x, states, voltage):
@@ -531,11 +485,12 @@ def simulate(config, mats, basis, controller=None):
 
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set.  An RK4
-    run steps a control.VoltageLaw as its closed loop in its stage maps, a
-    clipped one as its closed or open loop by saturation regime, and a step
-    that leaves its regime as the law's own RK4 step (see _run_rk4).  A
-    clipped law above _FOLDED_MAX_MODES modes, any other callable, and
-    every AVF run take the step loop, which calls the policy at every
+    run steps no policy or a control.VoltageLaw in one loop on stage maps
+    (see _run_rk4): a law as its closed loop, a clipped one as its closed
+    or open loop by saturation regime, whose four stage demands one more
+    matvec reads, and a step that leaves its regime as the law's own RK4
+    step.  A clipped law above _FOLDED_MAX_MODES modes, any other callable,
+    and every AVF run take the step loop, which calls the policy at every
     right-hand side (4 nsteps + 1 times under RK4).  The voltage logged at
     each sample is the policy's at that sample.  Either loop raises
     IntegrationBlowupError at the first sample whose right-hand side is not

@@ -25,14 +25,14 @@ def build_controller(mats, basis, zeta_cl=0.8, v_max=None):
 
 def record_stage_map_rows(monkeypatch):
     """The list to which each later _rk4_stage_maps call appends the row
-    count of each stage map it returns."""
+    count of each stage map it returns and the shape of its D, or None."""
     built = []
     stage_maps = dynamics._rk4_stage_maps
 
     def recording(*args):
-        S, F = stage_maps(*args)
-        built.append([maps.shape[0] for maps in S])
-        return S, F
+        S, F, D = stage_maps(*args)
+        built.append(([maps.shape[0] for maps in S], None if D is None else D.shape))
+        return S, F, D
     monkeypatch.setattr(dynamics, "_rk4_stage_maps", recording)
     return built
 
@@ -44,7 +44,8 @@ class TestClosedLoopOperator:
         # A x + E [(lattice p)^3; sat(v) - v; d] of the operator closed by
         # the law, with the clip's excess 0 for an unclipped law, is
         # closed_loop's flexural acceleration, and h x + rho (lattice p)^3
-        # the unclipped voltage v
+        # the unclipped voltage v, which demand gives for one state and for
+        # rows of states
         spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
                                    zeta_tors=(0.01, 0.0033, 0.004)[:n])
         basis = ModalBasis.build(n, beam.L)
@@ -70,6 +71,51 @@ class TestClosedLoopOperator:
             got = op.A[flex] @ x + op.E @ np.concatenate((c3, [excess, dist.force(t)]))
             assert_allclose(got, out[flex], rtol=1e-12, atol=0.0)
             assert_allclose(v + excess, logged, rtol=1e-12, atol=0.0)
+            assert_allclose(op.demand(x), v, rtol=1e-12, atol=0.0)
+        assert op.demand(xs).shape == vs.shape
+        assert_allclose(op.demand(xs), vs, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("loop", ["closed", "open"])
+    def test_demand_map_is_the_law_at_each_rk4_stage(self, beam, piezo, n, loop):
+        # one step's operand z, stepped through the stage maps by hand with
+        # every voltage entry at 0 on the closed loop or at +v_max on the
+        # open loop, makes D z the law's unclipped voltage at the four stage
+        # inputs of rk4_step on closed_loop, whose policy applies that
+        # voltage (closed loop) or +v_max (open loop)
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
+                                   zeta_tors=(0.01, 0.0033, 0.004)[:n])
+        basis = ModalBasis.build(n, beam.L)
+        mats = assemble(spec, piezo, basis)
+        v_max = 50.0
+        law = make_policy(mats, build_controller(mats, basis, v_max=v_max), 20.0)
+        dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
+        op = StateOperator.build(mats, 20.0, dist, law=law)
+        stepped = op if loop == "closed" else StateOperator.build(mats, 20.0, dist)
+        dt, t = 2e-5, 0.0131
+        S, F, D = dynamics._rk4_stage_maps(stepped.A, op.lattice, stepped.E, dt, op.readout)
+        R = op.lattice.shape[0]
+        rng = np.random.default_rng(28 + n)
+        x = rng.normal(size=4 * n) * np.repeat([1e-3, 1e-4, 0.3, 0.03], n)
+        z = np.zeros(4 * n + 4 + 4 * (R + 1))
+        z[:4 * n] = x
+        z[4 * n:4 * n + 4] = dist.force(t + dt * np.array([0.0, 0.5, 0.5, 1.0]))
+        for s, maps in enumerate(S):
+            a = 4 * n + 4 + s * (R + 1)
+            z[a:a + R] = (maps @ z[:a]) ** 3
+            z[a + R] = 0.0 if loop == "closed" else v_max
+        assert D.shape == (4, z.size)
+        unclipped, demands = dataclasses.replace(law, v_max=None), []
+
+        def policy(xs, ts, a0):
+            demands.append(unclipped(xs, ts, a0))
+            return demands[-1] if loop == "closed" else v_max
+        f = closed_loop(mats, 20.0, policy, dist)
+        dynamics.rk4_step(lambda xs, ts: f(xs, ts)[0], x, t, dt)
+        assert len(demands) == 4
+        peak = max(abs(v) for v in demands)
+        assert np.isfinite(peak) and peak > 0.0
+        assert_allclose(D @ z, demands, rtol=0.0, atol=1e-12 * peak)
 
 
 class TestDesignGains:
@@ -244,7 +290,7 @@ class TestPolicy:
     def test_logged_unclipped_voltage_is_the_law_to_round_off(self, mats, basis2,
                                                               monkeypatch):
         # without v_max the law is linear feedback: RK4 steps its closed loop
-        # on maps with no readout rows and logs h x + rho (lattice p)^3
+        # on maps with no demand map D and logs h x + rho (lattice p)^3
         # after the run, another order of the law's terms than closed_loop's
         built = record_stage_map_rows(monkeypatch)
         ctrl = build_controller(mats, basis2)
@@ -254,7 +300,7 @@ class TestPolicy:
                       mats, basis2, controller=make_policy(mats, ctrl, 20.0))
         law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
-        assert built == [[math.comb(2 + 2, 3)] * 4]  # lattice p
+        assert built == [([math.comb(2 + 2, 3)] * 4, None)]  # lattice p, no D
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -297,12 +343,14 @@ class TestPolicy:
         simulate(SimConfig(**{**run, "controller_on": False}), mats, basis2)
         tr = simulate(SimConfig(**run), mats, basis2, controller=law)
         assert np.any(tr.voltage != 0.0)
-        # every law steps its closed loop on the lattice's C(n + 2, 3) forms
-        # of p.  A clipped one also steps the open loop, where this release
-        # starts saturated, and each map after the first reads out the last
-        # stage's demand, and a fifth map stage 4's
+        # every stage map of every loop has the lattice's C(n + 2, 3) forms
+        # of p for its rows.  A clipped law also steps the open loop, where
+        # this release starts saturated, and each of its two loops reads
+        # out the four stage demands through one (4, len z) D; no other
+        # build has a D
         R = math.comb(2 + 2, 3)
-        assert built == [[R] * 4] + ([[R] * 4] if v_max is None else [[R + 1] * 4 + [1]] * 2)
+        D = None if v_max is None else (4, 8 + 4 + 4 * (R + 1))
+        assert built == [([R] * 4, None)] + [([R] * 4, D)] * (1 if v_max is None else 2)
         assert (len(own_steps) > 0) == (v_max is not None)
         assert calls == [s for t in own_steps for s in (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)]
         calls.clear()
