@@ -325,11 +325,14 @@ class StateOperator:
         a (samples, n) array of them."""
         return np.float_power(p.dot(self.lattice.T), 3.0)
 
-    def demand(self, x):
+    def demand(self, x, cubes=None):
         """The law's unclipped voltage x h + (lattice p)^3 rho, (rho, h) the
-        readout, at the state x, or at each row of a (samples, 4n) array."""
+        readout, at the state x, or at each row of a (samples, 4n) array;
+        cubes is (lattice p)^3 of x (see cubes) when the caller has it."""
         rho, h = self.readout
-        return x.dot(h) + self.cubes(x[..., :self.lattice.shape[1]]).dot(rho)
+        if cubes is None:
+            cubes = self.cubes(x[..., :self.lattice.shape[1]])
+        return x.dot(h) + cubes.dot(rho)
 
 
 GAUSS_RULE = leggauss(32)  # (nodes, weights) on [-1, 1] of every panel

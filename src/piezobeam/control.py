@@ -82,9 +82,8 @@ class VoltageLaw:
     does not read t.  simulate's RK4 runs step its closed loop
     (assembly.StateOperator.build) and, with v_max, the open loop at
     +-v_max while it saturates, read its four stage demands through one
-    map, and call it only in a step that leaves its regime; above
-    dynamics._FOLDED_MAX_MODES modes a clipped law takes the step loop,
-    which calls it at every stage (see dynamics.simulate).
+    map, and call it only in a step that leaves its regime, at every mode
+    count (see dynamics.simulate).
     """
 
     g: np.ndarray

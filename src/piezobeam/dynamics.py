@@ -11,15 +11,15 @@ assembly.StateOperator).  closed_loop evaluates them once per call, calling
 the voltage policy; rhs, step and every simulate run that calls a policy
 step it.  A simulate run under RK4 with no policy or with a
 control.VoltageLaw calls none outside the steps named below: _run_rk4
-steps the stage maps of _rk4_stage_maps on A or on the law's closed loop,
-10 numpy calls a step up to _FOLDED_MAX_MODES modes (one matvec and one
-power per stage) and 14 above; assembly.StateOperator.build forms both,
-with E.  A law with v_max is stepped in the same loop on one set of stage
-maps per saturation regime (its closed loop, or the open loop with the
-voltage at +v_max or -v_max), with one more matvec that reads out the four
-stage demands; a step whose demands leave its regime is the law's own RK4
-step on closed_loop, which calls it.  Above _FOLDED_MAX_MODES modes such a
-law takes the step loop.
+steps the stage maps of _rk4_stage_maps on A or on the law's closed loop:
+10 numpy calls a step at few modes, where the maps apply the cubic force
+(one matvec and one power per stage), and 14 at more (see _run_rk4);
+assembly.StateOperator.build forms both, with E.  A law with v_max is
+stepped in the same loop, at every mode count, on one set of stage maps per
+saturation regime (its closed loop, or the open loop with the voltage at
++v_max or -v_max), with one more matvec that reads out the four stage
+demands; a step whose demands leave its regime is the law's own RK4 step on
+closed_loop, which calls it.
 """
 
 import math
@@ -181,10 +181,12 @@ def _rk4_stage_maps(A, lattice, E, dt, readout=None):
     Returns (S, F, D).  S[s] (s = 0 .. 3) maps the prefix z[:4n + 4 + s m] =
     [x; d1 .. d4; u1 .. u_s] to lattice p, the (R, n) lattice's linear forms
     of the flexural coordinates p of stage s + 1's input y (x for the first).
-    F maps z to the step's new state.  Given the readout (rho, h), rows of
-    length R and 4n, where each u_s starts with its (lattice p)^3, D (4, len
-    z) maps z to the four stage demands h y_s + rho (lattice p_s)^3, which do
-    not read v_s; without one D is None.  _run_rk4 steps the maps.
+    F maps z to the step's new state.  Given the readout (rho, h), a row on
+    the head of each u_s and one of length 4n, D (4, len z) maps z to the
+    four stage demands h y_s + rho u_s, which do not read v_s: the law's rho
+    on u_s = [(lattice p_s)^3; v_s], or a unit row on the entry of u_s that
+    holds rho (lattice p_s)^3.  Without one D is None.  _run_rk4 steps the
+    maps.
     """
     d = A.shape[0]
     n, m = E.shape[0], E.shape[1] - 1  # m entries of u_s
@@ -311,8 +313,9 @@ def _fails(row, op, clipped):
     is not finite, or, under an unclipped law, its demand (see
     StateOperator.demand); a clipped law's voltage stays finite."""
     x = row[:-4]
-    force = op.E[:, :op.lattice.shape[0]].dot(op.cubes(x[:x.size // 4]))
-    demand = 0.0 if clipped or op.readout is None else op.demand(x)
+    cubes = op.cubes(x[:x.size // 4])
+    force = op.E[:, :cubes.size].dot(cubes)
+    demand = 0.0 if clipped or op.readout is None else op.demand(x, cubes)
     return not (np.isfinite(row[:-3]).all() and np.isfinite(force).all() and math.isfinite(demand))
 
 
@@ -330,19 +333,21 @@ _FOLDED_MAX_MODES = 5
 def _run_rk4(mats, config, law, x, states, voltage):
     """Fill states and voltage with RK4 steps from x through the stage maps
     of _rk4_stage_maps, on the operand z = [x; d1 .. d4; u1 .. u4]; law is
-    None or a control.VoltageLaw, clipped only up to _FOLDED_MAX_MODES
-    modes, which is called only in a step that leaves its saturation
-    regime.
+    None or a control.VoltageLaw, which is called only in a step that
+    leaves its saturation regime.
 
     The cubic force is E's cubic block applied to (lattice p)^3 (see
     assembly.StateOperator).  Up to _FOLDED_MAX_MODES modes u_s = [(lattice
-    p_s)^3; v_s], and E is the operator's: a stage is one matvec with a
-    prefix of z, which gives lattice p_s, and one float_power, which writes
-    its cubes into u_s, so a step is 10 numpy calls with F z and one copy.
+    p_s)^3; v_s], and E is the loop's: a stage is one matvec with a prefix
+    of z, which gives lattice p_s, and one float_power, which writes its
+    cubes into u_s, so a step is 10 numpy calls with F z and one copy.
     Above, the maps' E has I for its cubic block, and u_s = [C (lattice
-    p_s)^3; v_s] with C the operator's: the cubes go to a scratch vector and
-    one more matvec writes u_s, 14 calls a step.  Samples are kept as rows
-    [x_i; d_i1 .. d_i4] of a buffer of _FORCE_BLOCK + 1 rows, whose
+    p_s)^3; v_s] with C the loop's cubic block: the cubes are raised in
+    place and one more matvec writes u_s, 14 calls a step.  Under a clipped
+    law C has rho for one more row and the maps' E a zero column for it, so
+    u_s = [C (lattice p_s)^3; rho (lattice p_s)^3; v_s] and D reads that
+    entry through the readout (e, h), e its unit row.  Samples are kept as
+    rows [x_i; d_i1 .. d_i4] of a buffer of _FORCE_BLOCK + 1 rows, whose
     disturbance values come from one Disturbance.force call per block;
     copying a row into z's head sets both the state and the forcing of a
     step, and F z writes x_i+1 into the next row.  The rows go to states
@@ -375,17 +380,21 @@ def _run_rk4(mats, config, law, x, states, voltage):
     R = op.lattice.shape[0]
     d = 4 * n
     v_max = None if law is None else law.v_max
+    readout = None if v_max is None else op.readout
     folded = n <= _FOLDED_MAX_MODES
-    # applied writes, unfolded, the cubic force; a contiguous copy, whose dot
-    # costs ~1 us less than the view's
-    E, applied = (op.E, None) if folded else \
-        (np.hstack((np.eye(n), op.E[:, R:])), op.E[:, :R].copy())
+    E = op.E
+    if not folded:  # u_s = [cubic force; v_s]
+        E = np.hstack((np.eye(n), op.E[:, R:]))
+        if readout is not None:  # u_s = [cubic force; rho (lattice p_s)^3; v_s]
+            E = np.insert(E, n, 0.0, axis=1)
+            readout = (np.eye(n + 1)[n], readout[1])
     m = E.shape[1] - 1  # entries of u_s, the last its voltage
     power, three = np.float_power, np.array(3.0)  # a Python 3 costs ~0.8 us more
     z = np.zeros(d + 4 + 4 * m)
     head = z[:d + 4]
     volts = z[d + 3 + m::m]  # the voltage entries of u1 .. u4
-    forms, cubed, demands = np.empty(R), np.empty(R), np.empty(4)
+    heads = [z[a:a + m - 1] for a in range(d + 4, z.size, m)]  # u1 .. u4 but v_s
+    forms, demands = np.empty(R), np.empty(4)
     big = sys.float_info.max
     # regime: the lowest and highest demand it keeps, and its voltage entries
     bounds = {0: (-big, big, 0.0)} if v_max is None else \
@@ -400,13 +409,16 @@ def _run_rk4(mats, config, law, x, states, voltage):
             r = (v > v_max) - (v < -v_max) if math.isfinite(v) else 0
         if bool(r) not in built:
             loop = StateOperator.build(mats, config.Omega, config.disturbance) if r else op
-            S, F, D = _rk4_stage_maps(loop.A, op.lattice, loop.E if r else E, dt,
-                                      None if v_max is None else op.readout)
+            # unfolded, apply writes the head of u_s from the cubes, from a
+            # contiguous matrix, whose dot costs ~1 us less than a view's
+            apply = None if folded else (loop.E[:, :R].copy() if readout is None else
+                                         np.vstack((loop.E[:, :R], op.readout[0]))).dot
+            S, F, D = _rk4_stage_maps(loop.A, op.lattice, loop.E if folded else E, dt, readout)
             # per stage: its map's dot, the prefix of z it reads, where its
-            # cubes go and the entries of u_s that applied writes
-            built[bool(r)] = ([(maps.dot, z[:a], z[a:a + m - 1] if folded else cubed,
-                                z[a:a + m - 1]) for maps, a in zip(S, range(d + 4, z.size, m))],
-                              D, F.dot)
+            # cubes go, apply and the head of u_s
+            stages = [(maps.dot, z[:a], out if apply is None else forms, apply, out)
+                      for maps, a, out in zip(S, range(d + 4, z.size, m), heads)]
+            built[bool(r)] = stages, D, F.dot
         lo, hi, volts[...] = bounds[r]
         return built[bool(r)] + (lo, hi)
 
@@ -425,11 +437,11 @@ def _run_rk4(mats, config, law, x, states, voltage):
         # each call's out goes by position: as a keyword it costs ~0.2 us more
         for i, row, new_x in zip(range(start, stop), rows, block[:, :d]):
             head[...] = row
-            for forms_of, prefix, cubes, out in stages:
+            for forms_of, prefix, cubes, apply, out in stages:
                 forms_of(prefix, forms)
                 power(forms, three, cubes)
-                if applied is not None:
-                    applied.dot(cubes, out)
+                if apply is not None:
+                    apply(forms, out)
             if D is not None:
                 D.dot(z, demands)
                 # four chained compares: ~0.3 us, where numpy's min and max take ~2 us
@@ -489,12 +501,11 @@ def simulate(config, mats, basis, controller=None):
     (see _run_rk4): a law as its closed loop, a clipped one as its closed
     or open loop by saturation regime, whose four stage demands one more
     matvec reads, and a step that leaves its regime as the law's own RK4
-    step.  A clipped law above _FOLDED_MAX_MODES modes, any other callable,
-    and every AVF run take the step loop, which calls the policy at every
-    right-hand side (4 nsteps + 1 times under RK4).  The voltage logged at
-    each sample is the policy's at that sample.  Either loop raises
-    IntegrationBlowupError at the first sample whose right-hand side is not
-    finite.
+    step.  Any other callable and every AVF run take the step loop, which
+    calls the policy at every right-hand side (4 nsteps + 1 times under
+    RK4).  The voltage logged at each sample is the policy's at that
+    sample.  Either loop raises IntegrationBlowupError at the first sample
+    whose right-hand side is not finite.
     """
     n = mats.n
     om_f, om_t = mats.natural_frequencies
@@ -517,9 +528,8 @@ def simulate(config, mats, basis, controller=None):
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, 4 * n))
     voltage = np.empty(nsteps + 1)
-    folded = controller is None or isinstance(controller, VoltageLaw) and (
-        controller.v_max is None or n <= _FOLDED_MAX_MODES)
-    run = _run_rk4 if folded and config.integrator == "rk4" else _run_called
+    on_maps = controller is None or isinstance(controller, VoltageLaw)
+    run = _run_rk4 if on_maps and config.integrator == "rk4" else _run_called
     # overflow surfaces as IntegrationBlowupError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         run(mats, config, controller, x, states, voltage)

@@ -92,10 +92,12 @@ def test_cases_cover_the_mode_counts_and_the_clipped_law():
     assert [n for name, n, law in bench_pairs.CASES if law is None] == [1, 2, 3, 4, 6, 8, 12]
     assert {law for _, _, law in bench_pairs.CASES} == {
         None, "unclipped", "clipped", "clipped_switching", "clipped_release"}
-    # a saturating release on the regime maps and, above _FOLDED_MAX_MODES,
-    # on the step loop
+    # a saturating release and a switching one on the regime maps at each
+    # side of the layout boundary: with the cubes in u_s up to
+    # _FOLDED_MAX_MODES, with the cubic force in u_s above
     released = [n for _, n, law in bench_pairs.CASES if law == "clipped_release"]
-    assert released == [6, 2]
+    switching = [n for _, n, law in bench_pairs.CASES if law == "clipped_switching"]
+    assert released == [6, 2] and switching == [2, 6]
     assert released[1] <= dynamics._FOLDED_MAX_MODES < released[0]
 
 

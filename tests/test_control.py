@@ -357,6 +357,24 @@ class TestPolicy:
         simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
         assert calls
 
+    def test_clipped_law_above_the_fold_steps_stage_maps(self, beam, piezo, monkeypatch):
+        # above _FOLDED_MAX_MODES a clipped law steps the regime maps too:
+        # u_s = [cubic force; rho (lattice p)^3; v_s], so each loop it
+        # enters reads the four stage demands through one (4, len z) D
+        n = 6
+        assert n > dynamics._FOLDED_MAX_MODES
+        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
+                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
+        basis = ModalBasis.build(n, beam.L)
+        m = assemble(spec, piezo, basis)
+        law = make_policy(m, build_controller(m, basis, v_max=200.0), 20.0)
+        built = record_stage_map_rows(monkeypatch)
+        simulate(SimConfig(Omega=20.0, dt=2e-6, t_final=4e-5, controller_on=True,
+                           initial_state=tip_release_state(basis, 1e-3)),
+                 m, basis, controller=law)
+        R, z = math.comb(n + 2, 3), 4 * n + 4 + 4 * (n + 2)
+        assert built and all(entry == ([R] * 4, (4, z)) for entry in built)
+
     def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
         # four stages per step, the first one shared with the voltage sample,
         # plus the sample at the last time

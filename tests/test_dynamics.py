@@ -680,9 +680,9 @@ class TestClosedLoopKernel:
                                       "saturated_release"])
     def test_unfolded_stages_match_reference_loop(self, beam, piezo, monkeypatch, n, case):
         # above _FOLDED_MAX_MODES a stage applies E's cubic block with one
-        # more matvec, and the maps' E has I there, while a clipped law
-        # builds no maps and takes the step loop; at n = 2 the fold is
-        # switched off to step that path
+        # more matvec, and the maps' E has I there; a clipped law's loops
+        # also write rho (lattice p)^3 into u_s for D, which E's zero column
+        # skips; at n = 2 the fold is switched off to step that path
         monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
         shapes, stage_maps = [], dynamics._rk4_stage_maps
         monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, dt, *readout:
@@ -704,13 +704,11 @@ class TestClosedLoopKernel:
         tr = simulate(cfg, m, basis, controller=None if ctrl is None else
                       make_policy(m, ctrl, 20.0))
         states, voltage = reference_run(cfg, m, ctrl)
-        if saturated:  # the step loop is reference_run's, bit for bit
-            assert shapes == []
-            assert np.array_equal(tr.states, states)
-            assert np.array_equal(tr.voltage, voltage)
+        if saturated:  # each loop the clipped law enters, closed or open
+            assert shapes and set(shapes) == {(n, n + 3)}
         else:
             assert shapes == [(n, n + 2)]
-            assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
+        assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
         assert np.any(voltage != 0.0) == (ctrl is not None)
         assert np.any(np.abs(voltage) == 50.0) == saturated
 
@@ -768,8 +766,7 @@ class TestClosedLoopKernel:
         # a gain of 1e12 V per unit of p1 keeps a 5 mm release saturated,
         # flipping between the limits; each regime is an exact linear system
         # and a step that leaves it is the law's own, so the run leaves the
-        # called law's by round-off at n = 2 and, on the step loop above
-        # _FOLDED_MAX_MODES, not at all at n = 6
+        # called law's by round-off, folded at n = 2 and unfolded at n = 6
         spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
                                    zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
         basis = ModalBasis.build(n, beam.L)
@@ -786,11 +783,7 @@ class TestClosedLoopKernel:
         tr = simulate(cfg, m, basis, controller=huge)
         assert tr.times.size == 601
         assert np.any(called.voltage == 50.0) and np.any(called.voltage == -50.0)
-        if n <= dynamics._FOLDED_MAX_MODES:
-            assert_within_peaks(tr, called.states, called.voltage)
-        else:
-            assert np.array_equal(tr.states, called.states)
-            assert np.array_equal(tr.voltage, called.voltage)
+        assert_within_peaks(tr, called.states, called.voltage)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])

@@ -52,12 +52,15 @@ STEPS, ROUNDS = 2000, 20  # TIMING's steps per call and pairs of calls per case
 # (name, n, law): uncontrolled disturbance runs at each n, then runs under
 # the linearizing law, unclipped or clipped at 200 V.  The clipped
 # disturbance run never saturates, a 1 mm release switches in and out of
-# saturation (46 % of its samples), and a 5 mm release stays saturated (98 %);
-# at n = 6, above dynamics._FOLDED_MAX_MODES, a clipped law takes the step loop
+# saturation (saturated at 46 % of its samples at n = 2, and at 95 % with 103
+# switches at n = 6), and a 5 mm release stays saturated (98 %, 99 %); at
+# n = 6, above dynamics._FOLDED_MAX_MODES, a clipped law steps the same
+# regime maps, whose u_s holds the cubic force
 CASES = [(f"uncontrolled_n{n}", n, None) for n in (1, 2, 3, 4, 6, 8, 12)] + [
     ("unclipped_disturbance_n2", 2, "unclipped"),
     ("clipped_disturbance_n2", 2, "clipped"),
     ("clipped_switching_n2", 2, "clipped_switching"),
+    ("clipped_switching_n6", 6, "clipped_switching"),
     ("clipped_release_n6", 6, "clipped_release"),
     ("clipped_release_n2", 2, "clipped_release"),
 ]
