@@ -22,10 +22,13 @@ class AssemblyError(RuntimeError):
 
 
 class SpinDestabilizedError(RuntimeError):
-    """Effective stiffness indefinite at the requested base rotation."""
+    """Effective stiffness indefinite at the requested base rotation: an
+    eigenvalue below 0, or one that is not real."""
 
     def __init__(self, eigenvalue):
-        super().__init__(f"spin-destabilized: effective stiffness eigenvalue {eigenvalue:.6g} < 0")
+        rule = "is not real" if isinstance(eigenvalue, complex) else "< 0"
+        super().__init__(f"spin-destabilized: effective stiffness eigenvalue {eigenvalue:.6g} "
+                         + rule)
         self.eigenvalue = eigenvalue
 
 

@@ -79,11 +79,9 @@ class VoltageLaw:
     and c are read-only.
 
     Called as law(x, t, a0) it is a voltage policy (see closed_loop) that
-    does not read t.  simulate's RK4 runs step its closed loop
-    (assembly.StateOperator.build) and, with v_max, the open loop at
-    +-v_max while it saturates, read its four stage demands through one
-    map, and call it only in a step that leaves its regime, at every mode
-    count (see dynamics.simulate).
+    does not read t.  An RK4 simulate run steps it on stage maps and calls
+    it only in a step that leaves its saturation regime (see
+    dynamics.simulate).
     """
 
     g: np.ndarray

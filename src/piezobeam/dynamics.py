@@ -8,18 +8,10 @@ The modal equations read x' = A(Omega) x + E u, with u = [(lattice p)^3; v;
 d]: the cubes of fixed linear forms of p, which E's first block combines
 into the cubic force, the piezo voltage and the disturbance value (see
 assembly.StateOperator).  closed_loop evaluates them once per call, calling
-the voltage policy; rhs, step and every simulate run that calls a policy
-step it.  A simulate run under RK4 with no policy or with a
-control.VoltageLaw calls none outside the steps named below: _run_rk4
-steps the stage maps of _rk4_stage_maps on A or on the law's closed loop:
-10 numpy calls a step at few modes, where the maps apply the cubic force
-(one matvec and one power per stage), and 14 at more (see _run_rk4);
-assembly.StateOperator.build forms both, with E.  A law with v_max is
-stepped in the same loop, at every mode count, on one set of stage maps per
-saturation regime (its closed loop, or the open loop with the voltage at
-+v_max or -v_max), with one more matvec that reads out the four stage
-demands; a step whose demands leave its regime is the law's own RK4 step on
-closed_loop, which calls it.
+the voltage policy; rhs, step and simulate's step loop step it.  A simulate
+run under RK4 with no policy or with a control.VoltageLaw steps linear
+stage maps instead, which call the law only in a step that leaves its
+saturation regime; _run_rk4 says how.
 """
 
 import math
@@ -497,13 +489,12 @@ def simulate(config, mats, basis, controller=None):
 
     The controller is a voltage policy (x, t, a0) -> volts (see
     closed_loop), supplied exactly when config.controller_on is set.  An RK4
-    run steps no policy or a control.VoltageLaw in one loop on stage maps
-    (see _run_rk4): a law as its closed loop, a clipped one as its closed
-    or open loop by saturation regime, whose four stage demands one more
-    matvec reads, and a step that leaves its regime as the law's own RK4
-    step.  Any other callable and every AVF run take the step loop, which
-    calls the policy at every right-hand side (4 nsteps + 1 times under
-    RK4).  The voltage logged at each sample is the policy's at that
+    run with no policy or a control.VoltageLaw steps stage maps (see
+    _run_rk4), which call an unclipped law never and a clipped one only in
+    a step that leaves its saturation regime, and agree with the step loop
+    to round-off.  Any other callable and every AVF run take the step loop,
+    which calls the policy at every right-hand side (4 nsteps + 1 times
+    under RK4).  The voltage logged at each sample is the policy's at that
     sample.  Either loop raises IntegrationBlowupError at the first sample
     whose right-hand side is not finite.
     """

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from piezobeam import BeamSpec, ModalBasis, PiezoSpec, assemble
@@ -38,24 +37,3 @@ def mats_bare(beam, basis2):
 def mats_undamped(beam_undamped, piezo, basis2):
     return assemble(beam_undamped, piezo, basis2)
 
-
-def trapezoid_panels(breakpoints, total_points):
-    """Composite trapezoid grids split at the given breakpoints.
-
-    Yields one (x, w) pair per panel so callers can evaluate one-sided limits
-    of piecewise section properties; points are spread proportionally to
-    panel length.  Independent brute-force oracle for the Gauss assembly path.
-    """
-    panels = []
-    spans = list(zip(breakpoints[:-1], breakpoints[1:]))
-    total_len = sum(b - a for a, b in spans)
-    for a, b in spans:
-        if b - a <= 0:
-            continue
-        m = max(2, int(round(total_points * (b - a) / total_len)))
-        x = np.linspace(a, b, m)
-        w = np.full(m, (b - a) / (m - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        panels.append((x, w))
-    return panels

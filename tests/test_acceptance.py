@@ -18,28 +18,16 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from piezobeam import (ControllerConfig, SimConfig, assemble,
-                       design_gains, energy, linear_frequencies, make_policy,
-                       section_properties, simulate, step)
+from piezobeam import energy, linear_frequencies, make_policy, section_properties, step
 from piezobeam.cli import build_model, load_config, run_scenario
 from piezobeam.dynamics import compute_metrics
 
-from test_assembly import oracle_matrices
-from test_dynamics import tip_release_state
+from cases import oracle_matrices, release, sim, tip_controller, tip_law
 
 
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def unsaturated_controller(mats, basis):
-    om_f, _ = linear_frequencies(mats, 0.0)
-    k0, k1 = design_gains(om_f[0], 0.8)
-    return ControllerConfig(k0=k0, k1=k1,
-                            output_weights=basis.flexural_tip_values(),
-                            v_max=None)
 
 
 def test_criterion_1_frequency_anchor(beam, basis2, mats_bare):
@@ -76,12 +64,10 @@ def test_criterion_2_quadrature_oracle(beam, piezo, basis2, mats):
     assert ok
 
 
-def test_criterion_3_energy_conservation(beam_undamped, piezo, basis2, mats_undamped):
+def test_criterion_3_energy_conservation(basis2, mats_undamped):
     t0 = time.time()
-    ic = tip_release_state(basis2, tip_w0=5e-3)
-    cfg = SimConfig(Omega=0.0, dt=1e-5, t_final=1.0, initial_state=ic,
-                    integrator="avf")
-    tr = simulate(cfg, mats_undamped, basis2)
+    tr = sim(mats_undamped, basis2, Omega=0.0, dt=1e-5, t_final=1.0,
+             initial_state=release(basis2, tip_w0=5e-3), integrator="avf")
     E = np.array([energy(s, mats_undamped) for s in tr.states[::20]])
     drift = float(np.max(np.abs(E - E[0])) / E[0])
     elapsed = time.time() - t0
@@ -95,11 +81,9 @@ def test_criterion_3_energy_conservation(beam_undamped, piezo, basis2, mats_unda
 
 
 def test_criterion_4_gyroscopic_coupling(mats, basis2):
-    ic = tip_release_state(basis2)
-    tr20 = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.3,
-                              initial_state=ic), mats, basis2)
-    tr0 = simulate(SimConfig(Omega=0.0, dt=2e-5, t_final=0.3,
-                             initial_state=ic), mats, basis2)
+    ic = release(basis2)
+    tr20 = sim(mats, basis2, t_final=0.3, initial_state=ic)
+    tr0 = sim(mats, basis2, Omega=0.0, t_final=0.3, initial_state=ic)
     peak20 = float(np.max(np.abs(tr20.tip_theta)))
     peak0 = float(np.max(np.abs(tr0.tip_theta)))
     ok = peak20 > 1e-6 and peak0 < 1e-14
@@ -109,14 +93,12 @@ def test_criterion_4_gyroscopic_coupling(mats, basis2):
 
 
 def test_criterion_5_feedback_linearization(mats, basis2):
-    ctrl = unsaturated_controller(mats, basis2)
-    pol = make_policy(mats, ctrl, 20.0)
+    ctrl = tip_controller(mats, basis2)
     dt = 2e-5
     # horizon chosen so the lightly damped internal flexural combination
     # (decay rate ~1.7/s) drops below 1% of its peak
-    cfg = SimConfig(Omega=20.0, dt=dt, t_final=3.5,
-                    initial_state=tip_release_state(basis2), controller_on=True)
-    tr = simulate(cfg, mats, basis2, controller=pol)
+    tr = sim(mats, basis2, make_policy(mats, ctrl, 20.0), dt=dt, t_final=3.5,
+             initial_state=release(basis2))
     y = tr.tip_w
     ydd = (y[2:] - 2 * y[1:-1] + y[:-2]) / dt ** 2
     yd = (y[2:] - y[:-2]) / (2 * dt)
@@ -151,9 +133,8 @@ def test_criterion_6_disturbance_rejection(tmp_path):
 
 
 def test_criterion_7_convergence_order(mats, basis2):
-    ctrl = unsaturated_controller(mats, basis2)
-    pol = make_policy(mats, ctrl, 20.0)
-    x0 = tip_release_state(basis2)
+    pol = tip_law(mats, basis2)
+    x0 = release(basis2)
 
     def run(dt, t_end=4e-3):
         x = x0.copy()

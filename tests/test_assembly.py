@@ -13,52 +13,11 @@ from numpy.testing import assert_allclose
 
 from piezobeam import (AssemblyError, BeamSpec, ModalBasis, PiezoSpec, SpinDestabilizedError,
                        assemble, linear_frequencies, section_properties)
+import piezobeam
 from piezobeam import assembly
-from piezobeam.assembly import SpecError, piezo_moment_coefficient
+from piezobeam.assembly import SpecError
 
-from conftest import trapezoid_panels
-
-
-def oracle_matrices(beam, piezo, basis, total_points=20000):
-    """Brute-force piecewise-trapezoid evaluation of every coefficient
-    integral; independent of the Gauss-Legendre assembly path."""
-    breaks = [0.0, beam.L]
-    if piezo is not None and piezo.l2 > piezo.l1:
-        breaks = sorted({0.0, piezo.l1, piezo.l2, beam.L})
-    panels = trapezoid_panels(breaks, total_points)
-    # Section properties are piecewise constant, so evaluate once per panel
-    # at the midpoint; panel endpoints then carry the correct one-sided value
-    # at the patch edges.
-    xs, ws, props = [], [], []
-    for px, pw in panels:
-        s = section_properties(0.5 * (px[0] + px[-1]), beam, piezo)
-        xs.append(px)
-        ws.append(pw)
-        props.extend([s] * len(px))
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    rhoA = np.array([s.rhoA for s in props])
-    Ix = np.array([s.Ix for s in props])
-    EIy = np.array([s.EIy for s in props])
-    GJ = np.array([s.GJ for s in props])
-    EA = np.array([s.EA for s in props])
-    n = basis.n
-    phi = np.array([basis.flexural_mode(j, x)[0] for j in range(1, n + 1)])
-    dphi = np.array([basis.flexural_mode(j, x)[1] for j in range(1, n + 1)])
-    ddphi = np.array([basis.flexural_mode(j, x)[2] for j in range(1, n + 1)])
-    psi = np.array([basis.torsional_mode(j, x)[0] for j in range(1, n + 1)])
-    dpsi = np.array([basis.torsional_mode(j, x)[1] for j in range(1, n + 1)])
-    out = {
-        "M1": np.einsum("m,im,jm->ij", w * rhoA, phi, phi),
-        "M2": np.einsum("m,im,jm->ij", w * Ix, psi, psi),
-        "C1": np.einsum("m,im,jm->ij", w * Ix, phi, dpsi),
-        "C2": np.einsum("m,im,jm->ij", w * Ix, psi, dphi),
-        "K1": np.einsum("m,im,jm->ij", w * EIy, ddphi, ddphi),
-        "K2": np.einsum("m,im,jm->ij", w * GJ, dpsi, dpsi),
-        "D1": np.einsum("m,im,jm->ij", w * Ix, phi, ddphi),
-        "G1": np.einsum("m,im,jm,km,lm->ijkl", w * EA, dphi, dphi, dphi, dphi),
-    }
-    return out
+from cases import model, oracle_matrices
 
 
 class TestSectionProperties:
@@ -108,9 +67,8 @@ class TestSectionProperties:
 
 
 class TestAssemble:
-    def test_mass_entry_no_patch_n1(self, beam):
-        basis = ModalBasis.build(1, beam.L)
-        m = assemble(beam, None, basis)
+    def test_mass_entry_no_patch_n1(self):
+        _, m = model(1, piezo=None)
         # int phi^2 = L, so M1_11 = rhoA * L
         assert_allclose(m.M1[0, 0], 4.752e-2 * 0.15, rtol=1e-9)
 
@@ -242,10 +200,9 @@ class TestCubicLattice:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
-    def test_cubic_force_is_the_nested_contraction(self, beam, piezo, n):
+    def test_cubic_force_is_the_nested_contraction(self, n):
         # M1^-1 G1(p, p, p) at modal amplitudes that fall 10x per mode
-        spec = dataclasses.replace(beam, zeta_flex=(0.01,) * n, zeta_tors=(0.01,) * n)
-        mats = assemble(spec, piezo, ModalBasis.build(n, beam.L))
+        _, mats = model(n, zeta_flex=(0.01,) * n, zeta_tors=(0.01,) * n)
         T = np.einsum("ia,ajkl->ijkl", mats.M1inv, mats.G1)
         rng = np.random.default_rng(24 + n)
         for p in rng.normal(size=(50, n)) * 1e-3 * 10.0 ** -np.arange(n):
@@ -287,11 +244,10 @@ class TestLinearFrequencies:
         assert_allclose(a[0], b[0], rtol=1e-12)
 
     @pytest.mark.parametrize("omega", [0.0, 20.0])
-    def test_five_modes_match_inverse_mass_times_stiffness(self, beam, piezo, omega):
+    def test_five_modes_match_inverse_mass_times_stiffness(self, omega):
         # eigenvalues of M^-1 K from the general solver, not the Cholesky reduction
         zeta = (0.01,) * 5
-        m = assemble(BeamSpec(zeta_flex=zeta, zeta_tors=zeta), piezo,
-                     ModalBasis.build(5, beam.L))
+        _, m = model(5, zeta_flex=zeta, zeta_tors=zeta)
         om_f, om_t = linear_frequencies(m, omega)
         for got, K, M in ((om_f, m.K1 + omega ** 2 * m.D1, m.M1), (om_t, m.K2, m.M2)):
             vals = np.linalg.eig(np.linalg.inv(M) @ K)[0]
@@ -301,16 +257,22 @@ class TestLinearFrequencies:
     def test_spin_destabilized_error(self, mats):
         # doctored effective stiffness: strongly negative D1 at high spin
         bad = dataclasses.replace(mats, D1=-np.eye(2) * 1.0)
-        with pytest.raises(SpinDestabilizedError) as info:
+        with pytest.raises(SpinDestabilizedError, match=r"eigenvalue -\S+ < 0$") as info:
             linear_frequencies(bad, 1000.0)
         assert info.value.eigenvalue is not None
 
+    def test_coalesced_flexural_pair_is_not_real(self, mats):
+        # at 7000 rad/s the two flexural eigenvalues of the default model
+        # have met and left the real axis: no eigenvalue is below 0
+        with pytest.raises(SpinDestabilizedError, match=r"eigenvalue \S+j is not real$") as info:
+            linear_frequencies(mats, 7000.0)
+        value = info.value.eigenvalue
+        assert isinstance(value, complex) and value.real > 0.0 and value.imag != 0.0
+
 
 class TestDamping:
-    def test_zero_ratios_zero_matrices(self, piezo, basis2):
-        b0 = BeamSpec(zeta_flex=(0.0, 0.0), zeta_tors=(0.0, 0.0))
-        m = assemble(b0, piezo, basis2)
-        assert np.all(m.CB == 0.0) and np.all(m.CT == 0.0)
+    def test_zero_ratios_zero_matrices(self, mats_undamped):
+        assert np.all(mats_undamped.CB == 0.0) and np.all(mats_undamped.CT == 0.0)
 
     def test_diagonal_structure(self, mats):
         assert np.all(mats.CB == np.diag(np.diag(mats.CB)))
@@ -339,8 +301,9 @@ class TestDamping:
 
 
 def test_runtime_imports_no_scipy():
-    # a fresh process, since the test suite itself imports scipy
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    # a fresh process, since the test suite itself imports scipy, on the
+    # tree whose package the suite tests
+    src = str(Path(piezobeam.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, piezobeam, piezobeam.cli; "
@@ -352,7 +315,6 @@ def test_runtime_imports_no_scipy():
 
 def test_public_names():
     # a name added to or dropped from the package is a deliberate diff here
-    import piezobeam
     assert set(piezobeam.__all__) == {
         "AssemblyError", "BeamSpec", "ControlAuthorityError", "ControllerConfig",
         "Disturbance", "IntegrationBlowupError", "ModalBasis", "PiezoSpec",

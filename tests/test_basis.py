@@ -22,6 +22,16 @@ def test_eigenvalues_empty():
     assert flexural_eigenvalues(0) == []
 
 
+def test_negative_mode_count_rejected():
+    with pytest.raises(ValueError, match="mode count must be >= 0"):
+        flexural_eigenvalues(-1)
+
+
+def test_basis_needs_a_mode():
+    with pytest.raises(ValueError, match="mode count must be >= 1"):
+        ModalBasis.build(0, 0.15)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_eigenvalues_against_brentq_oracle(n):
     lam = flexural_eigenvalues(n)

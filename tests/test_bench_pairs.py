@@ -148,11 +148,11 @@ def test_default_call_in_a_fresh_process():
 
 def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
     # no benchmark runs: run_once and default_call give canned records
-    bench = {"workloads": [{"name": "w"}],
+    bench = {"run_seconds": 50, "workloads": [{"name": "w"}],
              "end_to_end": [{"name": "run_s", "better": "lower"}],
              "per_layer": [{"name": "cli.csv_bytes"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    parent_trees, calls, timed = [], [], []
+    parent_trees, calls, timed, seconds_run = [], [], [], []
 
     def extract(ref, into):
         parent_trees.append(Path(into))
@@ -162,6 +162,7 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
         return CALLS
 
     def run_once(root, workload, seed, seconds, trace=0):
+        seconds_run.append((seconds, trace))
         result = last_line(1.0, 2.0 if root == tmp_path else 3.0, 5)
         result["metrics"]["cli.csv_bytes"] = {"value": 9.0, "unit": "B"}
         return result
@@ -179,6 +180,8 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
         monkeypatch.setattr(bench_pairs, name, fake)
     assert bench_pairs.main(["--parent", "base", "--pr", "7", "--seeds", "1", "2"]) == 0
     out = json.loads((tmp_path / "BENCH_7.json").read_text())
+    # each pair runs BENCHMARK.json's run_seconds, each traced run TRACE_SECONDS
+    assert seconds_run == [(50, 0)] * 4 + [(bench_pairs.TRACE_SECONDS, 1)] * 2
     # one parent tree, removed at the end, serves every section
     assert len(parent_trees) == 1 and not parent_trees[0].exists()
     parent = parent_trees[0]
@@ -199,7 +202,7 @@ def test_main_records_each_sides_default_call(tmp_path, monkeypatch):
 
 
 def test_one_differing_csv_clears_same_csv_bytes(tmp_path, monkeypatch):
-    bench = {"workloads": [], "end_to_end": [], "per_layer": []}
+    bench = {"run_seconds": 50, "workloads": [], "end_to_end": [], "per_layer": []}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
     calls = []
 

@@ -5,52 +5,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance,
-                       ModalBasis, SimConfig, assemble, closed_loop,
-                       design_gains, linear_frequencies, make_policy, simulate)
+from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance, SimConfig,
+                       closed_loop, design_gains, linear_frequencies, make_policy, simulate)
 from piezobeam import dynamics
 from piezobeam.assembly import SpecError, StateOperator
 from piezobeam.control import ClosedLoopSpec, VoltageLaw
 
-from test_dynamics import tip_release_state
-
-
-def build_controller(mats, basis, zeta_cl=0.8, v_max=None):
-    om_f, _ = linear_frequencies(mats, 0.0)
-    k0, k1 = design_gains(om_f[0], zeta_cl)
-    return ControllerConfig(k0=k0, k1=k1,
-                            output_weights=basis.flexural_tip_values(),
-                            v_max=v_max)
-
-
-def record_stage_map_rows(monkeypatch):
-    """The list to which each later _rk4_stage_maps call appends the row
-    count of each stage map it returns and the shape of its D, or None."""
-    built = []
-    stage_maps = dynamics._rk4_stage_maps
-
-    def recording(*args):
-        S, F, D = stage_maps(*args)
-        built.append(([maps.shape[0] for maps in S], None if D is None else D.shape))
-        return S, F, D
-    monkeypatch.setattr(dynamics, "_rk4_stage_maps", recording)
-    return built
+from cases import ZETA_6, model, record_stage_maps, release, sim, tip_controller, tip_law
 
 
 class TestClosedLoopOperator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
-    def test_flexural_rows_are_the_law(self, beam, piezo, n, clip):
+    def test_flexural_rows_are_the_law(self, n, clip):
         # A x + E [(lattice p)^3; sat(v) - v; d] of the operator closed by
         # the law, with the clip's excess 0 for an unclipped law, is
         # closed_loop's flexural acceleration, and h x + rho (lattice p)^3
         # the unclipped voltage v, which demand gives for one state and for
         # rows of states
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
-                                   zeta_tors=(0.01, 0.0033, 0.004)[:n])
-        basis = ModalBasis.build(n, beam.L)
-        mats = assemble(spec, piezo, basis)
-        law = make_policy(mats, build_controller(mats, basis), 20.0)
+        basis, mats = model(n, zeta_flex=(0.01, 0.0016, 0.002)[:n],
+                            zeta_tors=(0.01, 0.0033, 0.004)[:n])
+        law = tip_law(mats, basis)
         dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
         op = StateOperator.build(mats, 20.0, dist, law=law)
         rho, h = op.readout
@@ -77,18 +52,16 @@ class TestClosedLoopOperator:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("loop", ["closed", "open"])
-    def test_demand_map_is_the_law_at_each_rk4_stage(self, beam, piezo, n, loop):
+    def test_demand_map_is_the_law_at_each_rk4_stage(self, n, loop):
         # one step's operand z, stepped through the stage maps by hand with
         # every voltage entry at 0 on the closed loop or at +v_max on the
         # open loop, makes D z the law's unclipped voltage at the four stage
         # inputs of rk4_step on closed_loop, whose policy applies that
         # voltage (closed loop) or +v_max (open loop)
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002)[:n],
-                                   zeta_tors=(0.01, 0.0033, 0.004)[:n])
-        basis = ModalBasis.build(n, beam.L)
-        mats = assemble(spec, piezo, basis)
+        basis, mats = model(n, zeta_flex=(0.01, 0.0016, 0.002)[:n],
+                            zeta_tors=(0.01, 0.0033, 0.004)[:n])
         v_max = 50.0
-        law = make_policy(mats, build_controller(mats, basis, v_max=v_max), 20.0)
+        law = tip_law(mats, basis, v_max)
         dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
         op = StateOperator.build(mats, 20.0, dist, law=law)
         stepped = op if loop == "closed" else StateOperator.build(mats, 20.0, dist)
@@ -154,9 +127,7 @@ class TestDesignGains:
 
 class TestOutput:
     def test_ydot_consistency_with_trajectory(self, mats, basis2):
-        ic = tip_release_state(basis2, 1e-4)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.02,
-                                initial_state=ic), mats, basis2)
+        tr = sim(mats, basis2, t_final=0.02, initial_state=release(basis2, 1e-4))
         c = basis2.flexural_tip_values()
         y = tr.states[:, :2] @ c
         yd = tr.states[:, 4:6] @ c
@@ -166,13 +137,11 @@ class TestOutput:
 
 class TestControlVoltage:
     def test_zero_state_zero_voltage(self, mats, basis2):
-        ctrl = build_controller(mats, basis2)
-        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        law = closed_loop(mats, 20.0, tip_law(mats, basis2))
         assert law(np.zeros(8), 0.0)[1] == 0.0
 
-    def test_n1_hand_formula(self, beam, piezo):
-        basis = ModalBasis.build(1, beam.L)
-        m = assemble(beam, piezo, basis)
+    def test_n1_hand_formula(self):
+        basis, m = model(1)
         phiL = basis.flexural_tip_values()[0]
         k0, k1 = design_gains(151.7, 0.8)
         ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=[phiL])
@@ -192,13 +161,10 @@ class TestControlVoltage:
 
     def test_closed_loop_residual(self, mats, basis2):
         # disturbance-free, unsaturated: ydd + k1 yd + k0 y -> 0 to O(dt^2)
-        ctrl = build_controller(mats, basis2)
-        pol = make_policy(mats, ctrl, 20.0)
-        ic = tip_release_state(basis2, 1e-3)
+        ctrl = tip_controller(mats, basis2)
         dt = 2e-5
-        tr = simulate(SimConfig(Omega=20.0, dt=dt, t_final=0.2,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=pol)
+        tr = sim(mats, basis2, make_policy(mats, ctrl, 20.0), dt=dt, t_final=0.2,
+                 initial_state=release(basis2, 1e-3))
         y = tr.tip_w
         ydd = (y[2:] - 2 * y[1:-1] + y[:-2]) / dt ** 2
         yd = (y[2:] - y[:-2]) / (2 * dt)
@@ -206,12 +172,8 @@ class TestControlVoltage:
         assert np.max(np.abs(res)) < 1e-3 * ctrl.k0 * abs(y[0])
 
     def test_exponential_output_decay(self, mats, basis2):
-        ctrl = build_controller(mats, basis2)
-        pol = make_policy(mats, ctrl, 20.0)
-        ic = tip_release_state(basis2, 1e-4)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.15,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=pol)
+        pol = tip_law(mats, basis2)
+        tr = sim(mats, basis2, pol, t_final=0.15, initial_state=release(basis2, 1e-4))
         om_f, _ = linear_frequencies(mats, 0.0)
         rate = 0.9 * 0.8 * om_f[0]
         # underdamped 2nd-order response with yd(0)=0 peaks at |y0|/sqrt(1-zeta^2)
@@ -220,12 +182,8 @@ class TestControlVoltage:
         assert np.all(np.abs(tr.tip_w) <= envelope + 1e-15)
 
     def test_internal_dynamics_bounded_and_decaying(self, mats, basis2):
-        ctrl = build_controller(mats, basis2)
-        pol = make_policy(mats, ctrl, 20.0)
-        ic = tip_release_state(basis2, 1e-3)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=1.5,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=pol)
+        pol = tip_law(mats, basis2)
+        tr = sim(mats, basis2, pol, t_final=1.5, initial_state=release(basis2, 1e-3))
         q = tr.states[:, 2:4]
         assert np.all(np.isfinite(q))
         peak = np.max(np.abs(q), axis=0)
@@ -233,19 +191,15 @@ class TestControlVoltage:
         assert np.all(tail <= 0.2 * peak + 1e-18)
 
     def test_saturation_clips_every_evaluation(self, mats, basis2):
-        ctrl = build_controller(mats, basis2, v_max=50.0)
         seen = []
-        pol = make_policy(mats, ctrl, 20.0)
+        pol = tip_law(mats, basis2, 50.0)
 
         def recording(x, t, a0):
             v = pol(x, t, a0)
             seen.append(v)
             return v
 
-        ic = tip_release_state(basis2, 5e-3)
-        simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.01,
-                           initial_state=ic, controller_on=True),
-                 mats, basis2, controller=recording)
+        sim(mats, basis2, recording, t_final=0.01, initial_state=release(basis2, 5e-3))
         seen = np.asarray(seen)
         assert np.max(np.abs(seen)) <= 50.0
         assert np.any(np.abs(seen) == 50.0)  # the release actually saturates
@@ -263,12 +217,9 @@ class TestControlVoltage:
 
 class TestPolicy:
     def test_logged_voltage_is_the_law_at_each_sample(self, mats, basis2):
-        ctrl = build_controller(mats, basis2, v_max=50.0)
-        ic = tip_release_state(basis2, 5e-3)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
-        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        pol = tip_law(mats, basis2, 50.0)
+        tr = sim(mats, basis2, pol, t_final=0.004, initial_state=release(basis2, 5e-3))
+        law = closed_loop(mats, 20.0, pol)
         for i in range(tr.times.size):
             assert tr.voltage[i] == law(tr.states[i], tr.times[i])[1]
 
@@ -276,12 +227,9 @@ class TestPolicy:
         # a 1 mm release leaves the limit within 4 ms; the stage maps sum the
         # law's terms in another order than closed_loop, so an unclipped
         # sample agrees to round-off: within 1e-12 of v_max
-        ctrl = build_controller(mats, basis2, v_max=50.0)
-        ic = tip_release_state(basis2, 1e-3)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
-        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        pol = tip_law(mats, basis2, 50.0)
+        tr = sim(mats, basis2, pol, t_final=0.004, initial_state=release(basis2, 1e-3))
+        law = closed_loop(mats, 20.0, pol)
         below = np.abs(tr.voltage) < 50.0
         assert 0 < below.sum() < below.size
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states[below], tr.times[below])])
@@ -292,15 +240,13 @@ class TestPolicy:
         # without v_max the law is linear feedback: RK4 steps its closed loop
         # on maps with no demand map D and logs h x + rho (lattice p)^3
         # after the run, another order of the law's terms than closed_loop's
-        built = record_stage_map_rows(monkeypatch)
-        ctrl = build_controller(mats, basis2)
-        ic = tip_release_state(basis2, 1e-3)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.004,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=make_policy(mats, ctrl, 20.0))
-        law = closed_loop(mats, 20.0, make_policy(mats, ctrl, 20.0))
+        built = record_stage_maps(monkeypatch)
+        pol = tip_law(mats, basis2)
+        tr = sim(mats, basis2, pol, t_final=0.004, initial_state=release(basis2, 1e-3))
+        law = closed_loop(mats, 20.0, pol)
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
-        assert built == [([math.comb(2 + 2, 3)] * 4, None)]  # lattice p, no D
+        # lattice p for the rows of each map, and no D
+        assert [entry[1:] for entry in built] == [([math.comb(2 + 2, 3)] * 4, None)]
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -309,7 +255,7 @@ class TestPolicy:
         # a demand that overflows at a finite state is clipped to v_max by
         # the called law; on the stage maps a non-finite demand never counts
         # as saturated, so the step is the law's own and the run goes on
-        law = make_policy(mats, build_controller(mats, basis2, v_max=50.0), 20.0)
+        law = tip_law(mats, basis2, 50.0)
         g = np.zeros(8)
         g[0] = -1e307 * law.beta
         huge = VoltageLaw(g, law.c, law.beta, 50.0)
@@ -329,19 +275,18 @@ class TestPolicy:
         # RK4 calls the law only in a step that leaves its saturation
         # regime, once per stage of that step's rk4_step; AVF calls it at
         # every stage
-        law = make_policy(mats, build_controller(mats, basis2, v_max=v_max), 20.0)
+        law = tip_law(mats, basis2, v_max)
         calls, own_steps = [], []
         call, rk4 = VoltageLaw.__call__, dynamics.rk4_step
         monkeypatch.setattr(VoltageLaw, "__call__",
                             lambda law, x, t, a0: calls.append(t) or call(law, x, t, a0))
         monkeypatch.setattr(dynamics, "rk4_step",
                             lambda f, x, t, dt: own_steps.append(t) or rk4(f, x, t, dt))
-        built = record_stage_map_rows(monkeypatch)
+        built = record_stage_maps(monkeypatch)
         dt = 2e-5
-        run = dict(Omega=20.0, dt=dt, t_final=0.002, controller_on=True,
-                   initial_state=tip_release_state(basis2, 1e-3))
-        simulate(SimConfig(**{**run, "controller_on": False}), mats, basis2)
-        tr = simulate(SimConfig(**run), mats, basis2, controller=law)
+        fields = dict(dt=dt, t_final=0.002, initial_state=release(basis2, 1e-3))
+        sim(mats, basis2, **fields)
+        tr = sim(mats, basis2, law, **fields)
         assert np.any(tr.voltage != 0.0)
         # every stage map of every loop has the lattice's C(n + 2, 3) forms
         # of p for its rows.  A clipped law also steps the open loop, where
@@ -350,45 +295,38 @@ class TestPolicy:
         # build has a D
         R = math.comb(2 + 2, 3)
         D = None if v_max is None else (4, 8 + 4 + 4 * (R + 1))
-        assert built == [([R] * 4, None)] + [([R] * 4, D)] * (1 if v_max is None else 2)
+        assert [entry[1:] for entry in built] == \
+            [([R] * 4, None)] + [([R] * 4, D)] * (1 if v_max is None else 2)
         assert (len(own_steps) > 0) == (v_max is not None)
         assert calls == [s for t in own_steps for s in (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)]
         calls.clear()
-        simulate(SimConfig(integrator="avf", **run), mats, basis2, controller=law)
+        sim(mats, basis2, law, integrator="avf", **fields)
         assert calls
 
-    def test_clipped_law_above_the_fold_steps_stage_maps(self, beam, piezo, monkeypatch):
+    def test_clipped_law_above_the_fold_steps_stage_maps(self, monkeypatch):
         # above _FOLDED_MAX_MODES a clipped law steps the regime maps too:
         # u_s = [cubic force; rho (lattice p)^3; v_s], so each loop it
         # enters reads the four stage demands through one (4, len z) D
         n = 6
         assert n > dynamics._FOLDED_MAX_MODES
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
-                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        law = make_policy(m, build_controller(m, basis, v_max=200.0), 20.0)
-        built = record_stage_map_rows(monkeypatch)
-        simulate(SimConfig(Omega=20.0, dt=2e-6, t_final=4e-5, controller_on=True,
-                           initial_state=tip_release_state(basis, 1e-3)),
-                 m, basis, controller=law)
+        basis, m = model(n, **ZETA_6)
+        law = tip_law(m, basis, 200.0)
+        built = record_stage_maps(monkeypatch)
+        sim(m, basis, law, dt=2e-6, t_final=4e-5, initial_state=release(basis, 1e-3))
         R, z = math.comb(n + 2, 3), 4 * n + 4 + 4 * (n + 2)
-        assert built and all(entry == ([R] * 4, (4, z)) for entry in built)
+        assert built and all(entry[1:] == ([R] * 4, (4, z)) for entry in built)
 
     def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
         # four stages per step, the first one shared with the voltage sample,
         # plus the sample at the last time
-        pol = make_policy(mats, build_controller(mats, basis2), 20.0)
+        pol = tip_law(mats, basis2)
         calls = []
 
         def counting(x, t, a0):
             calls.append(t)
             return pol(x, t, a0)
 
-        ic = tip_release_state(basis2, 1e-4)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.002,
-                                initial_state=ic, controller_on=True),
-                      mats, basis2, controller=counting)
+        tr = sim(mats, basis2, counting, t_final=0.002, initial_state=release(basis2, 1e-4))
         nsteps = tr.times.size - 1
         assert nsteps == 100
         assert len(calls) == 4 * nsteps + 1
@@ -397,7 +335,7 @@ class TestPolicy:
     def test_law_is_the_textbook_law(self, mats, basis2, case):
         # v = (-k0*y - k1*yd - c.a0)/beta with y = c.p and yd = c.pdot, at
         # random states and drifts of the sizes a release produces
-        ctrl = build_controller(mats, basis2)
+        ctrl = tip_controller(mats, basis2)
         c, beta = ctrl.output_weights, float(ctrl.output_weights @ mats.b)
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(200, 8)) * np.repeat([1e-3, 1e-4, 0.3, 0.03], 2)

@@ -101,21 +101,21 @@ def test_the_cli_matrix():
                         "--tfinal", "0.05", "--out", "."]
 
 
-@pytest.mark.parametrize("change", [None, "feature"], ids=["working_tree", "change_ref"])
-def test_sides_to_compare(tmp_path, monkeypatch, change):
-    # --change REF extracts the change side as the parent side is; without
-    # it the change side is the checkout.  No CLI runs: each fake matrix
-    # writes the name of the tree it ran in.
-    commits = {"base": "1" * 40, "feature": "2" * 40}
-    extracted, ran = {}, []
+def test_sides_to_compare(tmp_path, monkeypatch):
+    # the parent side is extracted from its ref, the change side is the
+    # checkout.  No CLI runs: each fake matrix writes the name of the tree
+    # it ran in.
+    commit = "1" * 40
+    extracted, ran = [], []
 
     def git(*args):
-        assert args[:2] == ("rev-parse", "--verify")
-        return (commits[args[2].removesuffix("^{commit}")] + "\n").encode()
+        assert args == ("rev-parse", "--verify", "base^{commit}")
+        return (commit + "\n").encode()
 
     def extract(ref, into):
-        extracted[ref] = Path(into)
-        tree(Path(into), {"NAME": ref[:1]})
+        assert ref == commit
+        extracted.append(Path(into))
+        tree(Path(into), {"NAME": "parent"})
 
     def run_matrix(root, into):
         ran.append(Path(root))
@@ -127,17 +127,12 @@ def test_sides_to_compare(tmp_path, monkeypatch, change):
                                (diff_outputs, "run_matrix", run_matrix),
                                (diff_outputs, "ROOT", tmp_path)):
         monkeypatch.setattr(module, name, fake)
-    argv = ["--parent", "base", "--pr", "7"] + (["--change", change] if change else [])
-    assert diff_outputs.main(argv) == 0
+    assert diff_outputs.main(["--parent", "base", "--pr", "7"]) == 0
     out = json.loads((tmp_path / "ROUNDOFF_7.json").read_text())
-    assert out["parent_commit"] == commits["base"]
-    assert out["change_commit"] == (commits[change] if change else None)
-    assert list(extracted) == [commits["base"]] + ([commits[change]] if change else [])
-    assert ran == [extracted[commits["base"]],
-                   extracted[commits[change]] if change else tmp_path]
-    changed = "2" if change else "checkout"
+    assert out["parent_commit"] == commit
+    assert ran == extracted + [tmp_path]
     assert out["identical"] == ["export/matrices.txt"]
-    assert out["different"] == {"free_on/stdout.txt": [[1, "1", changed]]}
+    assert out["different"] == {"free_on/stdout.txt": [[1, "parent", "checkout"]]}
     assert out["exit_codes"] == {side: {"free_on": 0, "export": 0}
                                  for side in ("parent", "change")}
-    assert not any(p.exists() for p in extracted.values())  # the temporary trees are gone
+    assert not extracted[0].exists()  # the temporary tree is gone

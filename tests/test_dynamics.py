@@ -6,47 +6,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (BeamSpec, ControllerConfig, Disturbance,
-                       IntegrationBlowupError, ModalBasis, PiezoSpec, SimConfig,
-                       assemble, avf_step, closed_loop, design_gains, energy,
-                       linear_frequencies, make_policy,
-                       rhs, rk4_step, simulate, step)
+from piezobeam import (Disturbance, IntegrationBlowupError, SimConfig, avf_step, closed_loop,
+                       energy, linear_frequencies, rhs, rk4_step, simulate, step)
 from piezobeam import dynamics
 from piezobeam.dynamics import compute_metrics
 from piezobeam.assembly import StateOperator
 
-
-def tip_release_state(basis, tip_w0=5e-3):
-    """[p; q; pdot; qdot] at rest with the tip deflected by tip_w0 in mode 1."""
-    x = np.zeros(4 * basis.n)
-    x[0] = tip_w0 / basis.flexural_tip_values()[0]
-    return x
+from cases import (ZETA_3, ZETA_6, assert_within_peaks, blowup_times, guard_dt, model,
+                   record_stage_maps, reference_run, release, sim, tip_law)
 
 
-def law_for(mats, basis, v_max, omega):
-    """None for v_max None, else make_policy's law at omega, clipped at
-    v_max unless it is inf."""
-    if v_max is None:
-        return None
-    om_f, _ = linear_frequencies(mats, 0.0)
-    k0, k1 = design_gains(om_f[0], 0.8)
-    return make_policy(mats, ControllerConfig(
-        k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
-        v_max=None if v_max == math.inf else v_max), omega)
-
-
-def blowup_times(cfg, mats, basis, law):
-    """The times at which simulate fails cfg's run under law (None for none)
-    on the stage maps and on the step loop, which calls the law, or a zero
-    voltage, behind a plain function."""
-    called = (lambda x, t, a0: 0.0) if law is None else (lambda x, t, a0: law(x, t, a0))
-    times = []
-    for controller in (law, called):
-        with pytest.raises(IntegrationBlowupError) as info:
-            simulate(dataclasses.replace(cfg, controller_on=controller is not None),
-                     mats, basis, controller=controller)
-        times.append(info.value.t)
-    return times
+def first_nonfinite_sample(mats, omega, law, dist, x, dt):
+    """The first sample from x of an rk4_step loop on closed_loop whose
+    right-hand side is not finite."""
+    f = closed_loop(mats, omega, law, dist)
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(f(x, i * dt)[0]).all():
+            x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * dt, dt)
+            i += 1
+    return i
 
 
 def kernel_cubic_force(mats, p):
@@ -70,9 +49,8 @@ class TestCubicForce:
             assert_allclose(kernel_cubic_force(mats, -p), -kernel_cubic_force(mats, p),
                             rtol=1e-12)
 
-    def test_n1_direct_expansion(self, beam, piezo):
-        basis = ModalBasis.build(1, beam.L)
-        m = assemble(beam, piezo, basis)
+    def test_n1_direct_expansion(self):
+        _, m = model(1)
         p = np.array([1.7e-3])
         assert_allclose(kernel_cubic_force(m, p)[0], m.G1[0, 0, 0, 0] * p[0] ** 3,
                         rtol=1e-14)
@@ -101,9 +79,8 @@ class TestRhs:
                     rhs(x, 0.3, 0.0, mats, 0.0)
                 assert info.value.t == 0.3
 
-    def test_n1_hand_expansion(self, beam, piezo):
-        basis = ModalBasis.build(1, beam.L)
-        m = assemble(beam, piezo, basis)
+    def test_n1_hand_expansion(self):
+        _, m = model(1)
         rng = np.random.default_rng(3)
         omega, v = 20.0, 37.5
         dist = Disturbance(amplitude=0.002, frequency=24.0, target=1)
@@ -207,7 +184,7 @@ class TestStep:
         assert abs(E - 0.5) / 0.5 < 1e-8
 
     def test_global_order_on_full_system(self, mats, basis2):
-        ic = tip_release_state(basis2)
+        ic = release(basis2)
 
         def run(dt, t_end=4e-3):
             x = ic.copy()
@@ -225,7 +202,7 @@ class TestStep:
 class TestAvfStep:
     def test_global_order_on_full_system(self, mats, basis2):
         # damped, spinning n = 2 system against a fine RK4 reference
-        ic = tip_release_state(basis2)
+        ic = release(basis2)
 
         def run(dt, integrator, t_end=4e-3):
             x = ic.copy()
@@ -250,10 +227,8 @@ class TestAvfStep:
         assert np.max(np.abs(E - 0.5)) / 0.5 < 1e-13
 
     def test_energy_nonincreasing_with_damping(self, mats, basis2):
-        ic = tip_release_state(basis2)
-        tr = simulate(SimConfig(Omega=0.0, dt=2e-5, t_final=0.2,
-                                initial_state=ic, integrator="avf"),
-                      mats, basis2)
+        tr = sim(mats, basis2, Omega=0.0, t_final=0.2, initial_state=release(basis2),
+                 integrator="avf")
         E = np.array([energy(s, mats) for s in tr.states])
         # every step, up to the round-off of evaluating E
         assert np.all(np.diff(E) <= 1e-14 * E[0])
@@ -266,7 +241,7 @@ class TestAvfStep:
         G1[0, 1, 0, 0] *= 1.01
         broken = dataclasses.replace(mats_undamped, G1=G1)
         cfg = SimConfig(Omega=0.0, dt=1e-5, t_final=0.02,
-                        initial_state=tip_release_state(basis2),
+                        initial_state=release(basis2),
                         integrator="avf")
 
         def drift(m):
@@ -314,27 +289,25 @@ class TestEnergy:
                 fd = (quart(pp) - quart(pm)) / (2 * h)
                 assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
 
-    def test_conserved_at_zero_spin(self, beam_undamped, piezo, basis2, mats_undamped):
+    def test_conserved_at_zero_spin(self, basis2, mats_undamped):
         # moderate release so the pinned dt resolves the hardened dynamics
-        ic = tip_release_state(basis2, tip_w0=5e-4)
-        cfg = SimConfig(Omega=0.0, dt=1e-5, t_final=1.0, initial_state=ic)
-        tr = simulate(cfg, mats_undamped, basis2)
+        tr = sim(mats_undamped, basis2, Omega=0.0, dt=1e-5, t_final=1.0,
+                 initial_state=release(basis2, tip_w0=5e-4))
         E = np.array([energy(s, mats_undamped) for s in tr.states[::50]])
         assert np.max(np.abs(E - E[0])) / E[0] < 1e-6
 
 
 class TestSimulate:
     def test_zero_duration_single_sample(self, mats, basis2):
-        ic = tip_release_state(basis2)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.0, initial_state=ic)
-        tr = simulate(cfg, mats, basis2)
+        ic = release(basis2)
+        tr = sim(mats, basis2, t_final=0.0, initial_state=ic)
         assert tr.times.shape == (1,)
         assert_allclose(tr.states[0], ic)
         assert abs(tr.tip_w[0] - 5e-3) < 1e-12
 
     def test_small_release_oscillates_at_omega1(self, mats_undamped, basis2):
         # FFT peak (parabolic interpolation) vs eigenanalysis, linear regime
-        ic = tip_release_state(basis2, tip_w0=2e-5)
+        ic = release(basis2, tip_w0=2e-5)
         cfg = SimConfig(Omega=0.0, dt=3e-5, t_final=1.5, initial_state=ic)
         tr = simulate(cfg, mats_undamped, basis2)
         w = tr.tip_w * np.hanning(tr.tip_w.size)
@@ -348,24 +321,18 @@ class TestSimulate:
         assert abs(2 * np.pi * f_peak - om_f[0]) / om_f[0] < 0.005
 
     def test_spin_induces_torsion(self, mats, basis2):
-        ic = tip_release_state(basis2)
-        tr = simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.3,
-                                initial_state=ic), mats, basis2)
+        tr = sim(mats, basis2, t_final=0.3, initial_state=release(basis2))
         assert np.max(np.abs(tr.tip_theta)) > 1e-6
 
     def test_no_spin_no_torsion(self, mats, basis2):
-        ic = tip_release_state(basis2)
-        tr = simulate(SimConfig(Omega=0.0, dt=2e-5, t_final=0.3,
-                                initial_state=ic), mats, basis2)
+        tr = sim(mats, basis2, Omega=0.0, t_final=0.3, initial_state=release(basis2))
         assert np.max(np.abs(tr.tip_theta)) < 1e-14
         assert np.max(np.abs(tr.states[:, 2:4])) < 1e-14
 
     def test_linear_regime_superposition(self, mats, basis2):
         # halving the small IC halves the response to O(eps^3)
         def run(eps):
-            ic = tip_release_state(basis2, tip_w0=eps)
-            return simulate(SimConfig(Omega=20.0, dt=2e-5, t_final=0.05,
-                                      initial_state=ic), mats, basis2)
+            return sim(mats, basis2, t_final=0.05, initial_state=release(basis2, tip_w0=eps))
 
         eps = 2e-5
         d1 = run(2 * eps).tip_w / 2 - run(eps).tip_w
@@ -375,9 +342,7 @@ class TestSimulate:
         assert r1 / r2 > 3.0  # cubic-only nonlinearity: factor ~4 per halving
 
     def test_energy_monotone_with_damping(self, mats, basis2):
-        ic = tip_release_state(basis2, tip_w0=1e-3)
-        tr = simulate(SimConfig(Omega=0.0, dt=2e-5, t_final=0.2,
-                                initial_state=ic), mats, basis2)
+        tr = sim(mats, basis2, Omega=0.0, t_final=0.2, initial_state=release(basis2, tip_w0=1e-3))
         E = np.array([energy(s, mats) for s in tr.states[::25]])
         assert np.all(np.diff(E) <= 1e-9 * E[0])
         assert E[-1] < E[0]
@@ -395,8 +360,7 @@ class TestSimulate:
             P = P + term
         x0 = np.random.default_rng(2).normal(size=8) * np.repeat([1e-3, 1e-4, 0.3, 0.03], 2)
         for nsteps in (1, 200):
-            tr = simulate(SimConfig(Omega=omega, dt=dt, t_final=nsteps * dt,
-                                    initial_state=x0), linear, basis2)
+            tr = sim(linear, basis2, Omega=omega, dt=dt, t_final=nsteps * dt, initial_state=x0)
             assert tr.times.size == nsteps + 1
             assert_allclose(tr.states[-1], np.linalg.matrix_power(P, nsteps) @ x0,
                             rtol=1e-12)
@@ -420,25 +384,17 @@ class TestSimulate:
         pytest.param(v_max, n, id=f"{name}-n{n}") for n in (1, 2, 3)
         for name, v_max in (("no_law", None), ("clipped_law", 50.0), ("unclipped_law", math.inf))
         if (n, v_max) != (1, math.inf)])
-    def test_blowup_reported_with_time(self, beam, piezo, v_max, n, forced, last):
+    def test_blowup_reported_with_time(self, v_max, n, forced, last):
         # the first sample at which the rk4_step loop's right-hand side is
         # not finite: a non-finite state or cubic force; with last, that
         # sample ends the run.  At n = 1 a law's closed-loop cubic block is
         # zero, so a non-finite cubic force reaches the next state as 0 inf.
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
-                                   zeta_tors=(0.01, 0.0033, 0.004))
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        law = law_for(m, basis, v_max, 0.0)
+        basis, m = model(n, **ZETA_3)
+        law = None if v_max is None else tip_law(m, basis, v_max, 0.0)
         dist = Disturbance(amplitude=1e3, frequency=40.0, target=1) if forced else None
-        ic = tip_release_state(basis, tip_w0=0.5)  # absurd release
+        ic = release(basis, tip_w0=0.5)  # absurd release
         dt = 3e-5 if n < 3 else 1e-5  # the dt guard's bound falls below 3e-5 at n = 3
-        f = closed_loop(m, 0.0, law, dist)
-        x, i = ic, 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while np.isfinite(f(x, i * dt)[0]).all():
-                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * dt, dt)
-                i += 1
+        i = first_nonfinite_sample(m, 0.0, law, dist, ic, dt)
         assert i > 0
         cfg = SimConfig(Omega=0.0, dt=dt, t_final=i * dt if last else 0.5, initial_state=ic,
                         disturbance=dist)
@@ -450,11 +406,12 @@ class TestSimulate:
     @pytest.mark.parametrize("v_max", [None, 50.0, math.inf],
                              ids=["no_law", "clipped_law", "unclipped_law"])
     def test_nonfinite_initial_state_fails_at_t0(self, mats, basis2, v_max, bad, nsteps):
-        x0 = tip_release_state(basis2, 1e-3)
+        x0 = release(basis2, 1e-3)
         x0[-1] = bad  # the last torsional velocity
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=nsteps * 2e-5, initial_state=x0)
         assert cfg.nsteps == nsteps
-        assert blowup_times(cfg, mats, basis2, law_for(mats, basis2, v_max, 20.0)) == [0.0, 0.0]
+        law = None if v_max is None else tip_law(mats, basis2, v_max)
+        assert blowup_times(cfg, mats, basis2, law) == [0.0, 0.0]
 
     # dt = 2e-5: 24*dt + dt rounds above 25*dt, so the last stage of step 24
     # and the first of sample 25 read the forcing at different times
@@ -479,9 +436,9 @@ class TestSimulate:
                 return np.where(t == at, math.inf, 0.0)
 
         cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt,
-                        initial_state=tip_release_state(basis2, 1e-3),
+                        initial_state=release(basis2, 1e-3),
                         disturbance=Spike(amplitude=1.0, frequency=1.0, target=1))
-        law = law_for(mats, basis2, v_max, 20.0)
+        law = None if v_max is None else tip_law(mats, basis2, v_max)
         assert blowup_times(cfg, mats, basis2, law) == [25 * dt, 25 * dt]
 
     @pytest.mark.parametrize("nsteps", [256, 512])
@@ -499,22 +456,10 @@ class TestSimulate:
             def force(self, t):
                 return np.where(t == kick_at, self.amplitude, 0.0)
 
-        law = None
-        if v_max is not None:
-            om_f, _ = linear_frequencies(mats, 0.0)
-            k0, k1 = design_gains(om_f[0], 0.8)
-            law = make_policy(mats, ControllerConfig(
-                k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
-                v_max=None if v_max == math.inf else v_max), 20.0)
+        law = None if v_max is None else tip_law(mats, basis2, v_max)
         kick = Kick(amplitude=1e200, frequency=1.0, target=1)
-        ic = tip_release_state(basis2, 1e-3)
-        f = closed_loop(mats, 20.0, law, kick)
-        x, i = ic, 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while np.isfinite(f(x, i * dt)[0]).all():
-                x = rk4_step(lambda xs, ts: f(xs, ts)[0], x, i * dt, dt)
-                i += 1
-        assert i == nsteps
+        ic = release(basis2, 1e-3)
+        assert first_nonfinite_sample(mats, 20.0, law, kick, ic, dt) == nsteps
         cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, initial_state=ic,
                         disturbance=kick, controller_on=law is not None)
         with pytest.raises(IntegrationBlowupError) as info:
@@ -523,17 +468,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n, tip_w0, dt", [(2, 0.1, 2e-5), (3, 1e-3, 1e-5)],
                              ids=["n2", "n3"])
-    def test_blowup_under_an_unclipped_law(self, beam, piezo, monkeypatch, n, tip_w0, dt):
+    def test_blowup_under_an_unclipped_law(self, monkeypatch, n, tip_w0, dt):
         # the closed loop stepped with no law in the maps is still checked at
         # every sample, and a failed run never computes the logged voltage;
         # at n = 3 a 1 mm release grows through the law's unstable zero dynamics
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
-                                   zeta_tors=(0.01, 0.0033, 0.004))
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        law = law_for(m, basis, math.inf, 20.0)
+        basis, m = model(n, **ZETA_3)
+        law = tip_law(m, basis)
         cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.5, controller_on=True,
-                        initial_state=tip_release_state(basis, tip_w0))
+                        initial_state=release(basis, tip_w0))
         with pytest.raises(IntegrationBlowupError) as called:
             simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
         voltages = []  # the after-loop fill is the only caller with rows of p
@@ -552,10 +494,7 @@ class TestSimulate:
     @pytest.mark.parametrize("k", [24, 25], ids=["last_stage_before_tk",
                                                  "last_stage_after_tk"])
     def test_blowup_time_is_the_first_nonfinite_voltage(self, mats, basis2, k):
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values())
-        law = make_policy(mats, ctrl, 20.0)
+        law = tip_law(mats, basis2)
         dt = 2e-5
         t_k = k * dt
 
@@ -563,42 +502,10 @@ class TestSimulate:
             return math.nan if t >= t_k else law(x, t, a0)
 
         cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.002, controller_on=True,
-                        initial_state=tip_release_state(basis2, 1e-4))
+                        initial_state=release(basis2, 1e-4))
         with pytest.raises(IntegrationBlowupError) as info:
             simulate(cfg, mats, basis2, controller=failing)
         assert info.value.t == t_k
-
-
-def reference_run(cfg, mats, ctrl):
-    """The RK4 loop composed from the public pieces: the law (none when ctrl
-    is None) is evaluated afresh at every stage, and once more for each
-    voltage sample."""
-    omega, dist = cfg.Omega, cfg.disturbance
-    law = closed_loop(mats, omega, None if ctrl is None else make_policy(mats, ctrl, omega))
-
-    def f(x, t):
-        return rhs(x, t, law(x, t)[1], mats, omega, dist)
-
-    nsteps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
-    x = cfg.initial_state
-    states, voltage = [], []
-    for i in range(nsteps + 1):
-        t = i * cfg.dt
-        states.append(x)
-        voltage.append(law(x, t)[1])
-        if i < nsteps:
-            x = rk4_step(f, x, t, cfg.dt)
-    return np.array(states), np.array(voltage)
-
-
-def assert_within_peaks(tr, states, voltage):
-    """The simulated run against a reference run: each state column within
-    1e-12 of that column's peak, the voltage within 1e-10 of its peak (the
-    stage maps sum RK4's terms in another order)."""
-    for j in range(states.shape[1]):
-        peak = np.max(np.abs(states[:, j]))
-        assert np.max(np.abs(tr.states[:, j] - states[:, j])) <= 1e-12 * peak, j
-    assert np.max(np.abs(tr.voltage - voltage)) <= 1e-10 * np.max(np.abs(voltage))
 
 
 class TestClosedLoopKernel:
@@ -607,14 +514,11 @@ class TestClosedLoopKernel:
         (None, 0.0, Disturbance(amplitude=0.002, frequency=40.0, target=2)),
     ], ids=["saturated_release", "unsaturated_disturbance"])
     def test_matches_reference_loop(self, mats, basis2, v_max, tip_w0, dist):
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
-                                v_max=v_max)
+        law = tip_law(mats, basis2, v_max)
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=tip_release_state(basis2, tip_w0), disturbance=dist)
-        tr = simulate(cfg, mats, basis2, controller=make_policy(mats, ctrl, 20.0))
-        states, voltage = reference_run(cfg, mats, ctrl)
+                        initial_state=release(basis2, tip_w0), disturbance=dist)
+        tr = simulate(cfg, mats, basis2, controller=law)
+        states, voltage = reference_run(cfg, mats, law)
         assert_within_peaks(tr, states, voltage)
         assert np.any(voltage != 0.0)
         if v_max is not None:
@@ -629,18 +533,13 @@ class TestClosedLoopKernel:
         # that end inside, at and past a block's end see the same forcing,
         # and the last sample's logged voltage is the law's at that sample
         assert dynamics._FORCE_BLOCK == 256
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = None if v_max is None else ControllerConfig(
-            k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
-            v_max=None if v_max == math.inf else v_max)
+        law = None if v_max is None else tip_law(mats, basis2, v_max)
         dt = 2e-5
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, controller_on=ctrl is not None,
-                        initial_state=tip_release_state(basis2, 1e-3),
+        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, controller_on=law is not None,
+                        initial_state=release(basis2, 1e-3),
                         disturbance=Disturbance(amplitude=0.5, frequency=150.0, target=1))
-        tr = simulate(cfg, mats, basis2,
-                      controller=None if ctrl is None else make_policy(mats, ctrl, 20.0))
-        states, voltage = reference_run(cfg, mats, ctrl)
+        tr = simulate(cfg, mats, basis2, controller=law)
+        states, voltage = reference_run(cfg, mats, law)
         assert tr.times.size == nsteps + 1
         assert_within_peaks(tr, states, voltage)  # exact zeros without a law
         if v_max == 50.0:
@@ -649,81 +548,59 @@ class TestClosedLoopKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["controller_off", "unsaturated_disturbance",
                                       "saturated_release"])
-    def test_matches_reference_loop_per_mode_count(self, beam, piezo, n, case):
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
-                                   zeta_tors=(0.01, 0.0033, 0.004))
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        om_f, _ = linear_frequencies(m, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
-                                v_max=50.0 if case == "saturated_release" else None)
-        dist = Disturbance(amplitude=0.002, frequency=40.0, target=n)
-        x0, policy = tip_release_state(basis), make_policy(m, ctrl, 20.0)
-        if case == "controller_off":
-            ctrl = policy = None
-        elif case == "unsaturated_disturbance":
-            x0 = np.zeros(4 * n)
-        else:
-            dist = None
-        cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, initial_state=x0,
-                        disturbance=dist, controller_on=policy is not None)
-        tr = simulate(cfg, m, basis, controller=policy)
-        states, voltage = reference_run(cfg, m, ctrl)
+    def test_matches_reference_loop_per_mode_count(self, n, case):
+        basis, m = model(n, **ZETA_3)
+        saturated = case == "saturated_release"
+        law = None if case == "controller_off" else tip_law(m, basis, 50.0 if saturated else None)
+        cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, controller_on=law is not None,
+                        initial_state=np.zeros(4 * n) if case == "unsaturated_disturbance"
+                        else release(basis),
+                        disturbance=None if saturated else
+                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        tr = simulate(cfg, m, basis, controller=law)
+        states, voltage = reference_run(cfg, m, law)
         assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
-        assert np.any(voltage != 0.0) == (policy is not None)
-        if case == "saturated_release":
+        assert np.any(voltage != 0.0) == (law is not None)
+        if saturated:
             assert np.any(np.abs(voltage) == 50.0)
 
     @pytest.mark.parametrize("n", [2, 6])
     @pytest.mark.parametrize("case", ["controller_off", "unsaturated_disturbance",
                                       "saturated_release"])
-    def test_unfolded_stages_match_reference_loop(self, beam, piezo, monkeypatch, n, case):
+    def test_unfolded_stages_match_reference_loop(self, monkeypatch, n, case):
         # above _FOLDED_MAX_MODES a stage applies E's cubic block with one
         # more matvec, and the maps' E has I there; a clipped law's loops
         # also write rho (lattice p)^3 into u_s for D, which E's zero column
         # skips; at n = 2 the fold is switched off to step that path
         monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
-        shapes, stage_maps = [], dynamics._rk4_stage_maps
-        monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, dt, *readout:
-                            shapes.append(E.shape) or stage_maps(A, lattice, E, dt, *readout))
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
-                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        om_f, _ = linear_frequencies(m, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = None if case == "controller_off" else ControllerConfig(
-            k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
-            v_max=50.0 if case == "saturated_release" else None)
+        built = record_stage_maps(monkeypatch)
+        basis, m = model(n, **ZETA_6)
         saturated = case == "saturated_release"
-        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=1e-3, controller_on=ctrl is not None,
-                        initial_state=tip_release_state(basis) if saturated else np.zeros(4 * n),
+        law = None if case == "controller_off" else tip_law(m, basis, 50.0 if saturated else None)
+        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=1e-3, controller_on=law is not None,
+                        initial_state=release(basis) if saturated else np.zeros(4 * n),
                         disturbance=None if saturated else
                         Disturbance(amplitude=0.002, frequency=40.0, target=n))
-        tr = simulate(cfg, m, basis, controller=None if ctrl is None else
-                      make_policy(m, ctrl, 20.0))
-        states, voltage = reference_run(cfg, m, ctrl)
+        tr = simulate(cfg, m, basis, controller=law)
+        states, voltage = reference_run(cfg, m, law)
+        shapes = [shape for shape, _, _ in built]
         if saturated:  # each loop the clipped law enters, closed or open
             assert shapes and set(shapes) == {(n, n + 3)}
         else:
             assert shapes == [(n, n + 2)]
         assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
-        assert np.any(voltage != 0.0) == (ctrl is not None)
+        assert np.any(voltage != 0.0) == (law is not None)
         assert np.any(np.abs(voltage) == 50.0) == saturated
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_clip_that_never_saturates_is_the_unclipped_law(self, beam, piezo, n):
+    def test_clip_that_never_saturates_is_the_unclipped_law(self, n):
         # a clipped law that stays within +-v_max steps the unclipped law's
         # closed loop with every voltage entry at 0, bit for bit
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016)[:n],
-                                   zeta_tors=(0.01, 0.0033)[:n])
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
+        basis, m = model(n, zeta_flex=(0.01, 0.0016)[:n], zeta_tors=(0.01, 0.0033)[:n])
         cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=0.05, controller_on=True,
                         disturbance=Disturbance(amplitude=0.001, frequency=24.0, target=1))
-        clipped, unclipped = (simulate(cfg, m, basis, controller=law_for(m, basis, v_max, 20.0))
-                              for v_max in (200.0, math.inf))
+        clipped, unclipped = (simulate(cfg, m, basis, controller=tip_law(m, basis, v_max))
+                              for v_max in (200.0, None))
         assert clipped.times.size == 10001
         assert 0.0 < np.max(np.abs(clipped.voltage)) < 200.0
         assert np.array_equal(clipped.states, unclipped.states)
@@ -732,14 +609,11 @@ class TestClosedLoopKernel:
     def test_switching_regimes_match_reference_loop(self, mats, basis2):
         # a 1 mm release under a 200 V clip goes in and out of saturation at
         # both limits, so steps run in each regime and in between
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        ctrl = ControllerConfig(k0=k0, k1=k1, output_weights=basis2.flexural_tip_values(),
-                                v_max=200.0)
+        law = tip_law(mats, basis2, 200.0)
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.04, controller_on=True,
-                        initial_state=tip_release_state(basis2, 1e-3))
-        tr = simulate(cfg, mats, basis2, controller=make_policy(mats, ctrl, 20.0))
-        states, voltage = reference_run(cfg, mats, ctrl)
+                        initial_state=release(basis2, 1e-3))
+        tr = simulate(cfg, mats, basis2, controller=law)
+        states, voltage = reference_run(cfg, mats, law)
         assert tr.times.size == 2001
         assert_within_peaks(tr, states, voltage)
         assert np.any(voltage == 200.0) and np.any(voltage == -200.0)
@@ -749,9 +623,9 @@ class TestClosedLoopKernel:
         # a kick drives a 5 mm release, saturated at 50 V, until the cubes
         # and the demand at a finite state overflow: the run ends at that
         # sample, 77, where it ends when every stage clips on the closed loop
-        law = law_for(mats, basis2, 50.0, 20.0)
+        law = tip_law(mats, basis2, 50.0)
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=tip_release_state(basis2),
+                        initial_state=release(basis2),
                         disturbance=Disturbance(amplitude=3e6, frequency=24.0, target=1))
         with pytest.raises(IntegrationBlowupError) as info:
             simulate(cfg, mats, basis2, controller=law)
@@ -762,23 +636,19 @@ class TestClosedLoopKernel:
         assert np.all(np.abs(before.voltage[-10:]) == 50.0)
 
     @pytest.mark.parametrize("n", [2, 6])
-    def test_demand_far_beyond_the_clip_matches_the_called_law(self, beam, piezo, n):
+    def test_demand_far_beyond_the_clip_matches_the_called_law(self, n):
         # a gain of 1e12 V per unit of p1 keeps a 5 mm release saturated,
         # flipping between the limits; each regime is an exact linear system
         # and a step that leaves it is the law's own, so the run leaves the
         # called law's by round-off, folded at n = 2 and unfolded at n = 6
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016) + (0.01,) * 4,
-                                   zeta_tors=(0.01, 0.0033) + (0.01,) * 4)
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        om_f, om_t = m.natural_frequencies
-        dt = min(2e-5, 1.0 / (20.0 * max(om_f[-1], om_t[-1]) / (2.0 * math.pi)))
-        law = law_for(m, basis, 50.0, 20.0)
+        basis, m = model(n, **ZETA_6)
+        dt = guard_dt(m)
+        law = tip_law(m, basis, 50.0)
         g = law.g.copy()
         g[0] = -1e12 * law.beta
         huge = dataclasses.replace(law, g=g)
         cfg = SimConfig(Omega=20.0, dt=dt, t_final=600 * dt, controller_on=True,
-                        initial_state=tip_release_state(basis))
+                        initial_state=release(basis))
         called = simulate(cfg, m, basis, controller=lambda x, t, a0: huge(x, t, a0))
         tr = simulate(cfg, m, basis, controller=huge)
         assert tr.times.size == 601
@@ -787,21 +657,14 @@ class TestClosedLoopKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unsaturated_disturbance", "saturated_release"])
-    def test_folded_law_matches_the_called_law(self, beam, piezo, n, case):
+    def test_folded_law_matches_the_called_law(self, n, case):
         # simulate folds make_policy's law into the stage maps, but calls
         # the same law behind a plain function at every stage
-        spec = dataclasses.replace(beam, zeta_flex=(0.01, 0.0016, 0.002),
-                                   zeta_tors=(0.01, 0.0033, 0.004))
-        basis = ModalBasis.build(n, beam.L)
-        m = assemble(spec, piezo, basis)
-        om_f, _ = linear_frequencies(m, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
+        basis, m = model(n, **ZETA_3)
         saturated = case == "saturated_release"
-        law = make_policy(m, ControllerConfig(k0=k0, k1=k1, v_max=50.0 if saturated else None,
-                                              output_weights=basis.flexural_tip_values()),
-                          20.0)
+        law = tip_law(m, basis, 50.0 if saturated else None)
         cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, controller_on=True,
-                        initial_state=tip_release_state(basis) if saturated else None,
+                        initial_state=release(basis) if saturated else None,
                         disturbance=None if saturated else
                         Disturbance(amplitude=0.002, frequency=40.0, target=n))
         called = simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
@@ -813,15 +676,11 @@ class TestClosedLoopKernel:
     @pytest.mark.parametrize("integrator", ["rk4", "avf"])
     def test_called_policy_runs_the_step_loop(self, mats, basis2, integrator):
         # any policy but a VoltageLaw is stepped exactly as step steps it
-        om_f, _ = linear_frequencies(mats, 0.0)
-        k0, k1 = design_gains(om_f[0], 0.8)
-        law = make_policy(mats, ControllerConfig(k0=k0, k1=k1, v_max=50.0,
-                                                 output_weights=basis2.flexural_tip_values()),
-                          20.0)
+        law = tip_law(mats, basis2, 50.0)
         policy = lambda x, t, a0: law(x, t, a0)
         dist = Disturbance(amplitude=0.002, frequency=40.0, target=2)
         cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=tip_release_state(basis2), disturbance=dist,
+                        initial_state=release(basis2), disturbance=dist,
                         integrator=integrator)
         tr = simulate(cfg, mats, basis2, controller=policy)
         f = closed_loop(mats, 20.0, policy, dist)
@@ -835,8 +694,7 @@ class TestClosedLoopKernel:
 
     def test_no_per_omega_state(self, mats, basis2):
         def run(omega):
-            simulate(SimConfig(Omega=omega, dt=2e-5, t_final=4e-5,
-                               initial_state=tip_release_state(basis2)), mats, basis2)
+            sim(mats, basis2, Omega=omega, t_final=4e-5, initial_state=release(basis2))
 
         run(20.0)
         held, size = dict(vars(mats)), len(pickle.dumps(mats))

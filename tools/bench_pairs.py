@@ -1,12 +1,13 @@
 """Benchmark a parent commit against the working tree and write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --parent REF --pr N --seeds S1 S2 ... [--seconds 50]
+    python3 tools/bench_pairs.py --parent REF --pr N --seeds S1 S2 ...
 
 The parent ref is extracted with `git archive` into a temporary directory
 outside the repository (removed at the end); the change side is this
 checkout's working tree.  For each workload of BENCHMARK.json, and each seed
-in turn, it runs `perfbench/run.py --trace 0` once on each side, one run at
-a time, the parent first on the first, third, ... pair; then one
+in turn, it runs `perfbench/run.py --trace 0` for BENCHMARK.json's
+run_seconds once on each side, one run at a time, the parent first on the
+first, third, ... pair; then one
 `--trace 1` run of TRACE_SECONDS per side with the first seed.  Each run's
 value of a metric is the `value` that run.py's last-line JSON gives it.  The
 file written holds, per workload and end-to-end metric of BENCHMARK.json,
@@ -54,8 +55,9 @@ STEPS, ROUNDS = 2000, 20  # TIMING's steps per call and pairs of calls per case
 # disturbance run never saturates, a 1 mm release switches in and out of
 # saturation (saturated at 46 % of its samples at n = 2, and at 95 % with 103
 # switches at n = 6), and a 5 mm release stays saturated (98 %, 99 %); at
-# n = 6, above dynamics._FOLDED_MAX_MODES, a clipped law steps the same
-# regime maps, whose u_s holds the cubic force
+# n = 6, where the stage maps no longer apply the cubic force themselves
+# (see dynamics._run_rk4), a clipped law steps the same regime maps, whose
+# u_s holds the cubic force
 CASES = [(f"uncontrolled_n{n}", n, None) for n in (1, 2, 3, 4, 6, 8, 12)] + [
     ("unclipped_disturbance_n2", 2, "unclipped"),
     ("clipped_disturbance_n2", 2, "clipped"),
@@ -283,17 +285,17 @@ def main(argv=None):
     ap.add_argument("--pr", required=True, type=int, help="N of the BENCH_N.json written")
     ap.add_argument("--seeds", required=True, type=int, nargs="+",
                     help="one seed per pair, the same on both sides")
-    ap.add_argument("--seconds", type=float, default=50.0)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     layers = [m["name"] for m in bench["per_layer"]]
     with parent_tree(args.parent) as (parent_commit, tree):
         roots = {"parent": tree, "change": ROOT}
         out = {"what": ("perfbench/run.py end-to-end metrics, parent commit (a git archive) "
                         "against the working tree, alternating pairs (parent first on odd "
-                        f"pairs), --seconds {args.seconds:g}, --trace 0, one seed per pair. "
+                        f"pairs), --seconds {seconds:g}, --trace 0, one seed per pair. "
                         "Each value is the metric's 'value' from the last-line JSON that "
                         "run.py prints. Quartiles are linearly interpolated, as numpy's "
                         "default percentiles. Then, per side, one run of the first seed at "
@@ -311,7 +313,7 @@ def main(argv=None):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 result = {}
                 for name in order:
-                    result[name] = run_once(roots[name], workload, seed, args.seconds)
+                    result[name] = run_once(roots[name], workload, seed, seconds)
                     print(f"{workload} pair {k + 1} seed {seed} {name}: "
                           f"{json.dumps(result[name]['metrics'])}", file=sys.stderr)
                 pairs.append((result["parent"], result["change"]))

@@ -1,12 +1,12 @@
-"""Diff the CLI outputs of a parent commit against a change and write ROUNDOFF_<pr>.json.
+"""Diff the CLI outputs of a parent commit against the working tree and write ROUNDOFF_<pr>.json.
 
-    python3 tools/diff_outputs.py --parent REF --pr N [--change REF]
+    python3 tools/diff_outputs.py --parent REF --pr N
 
 The parent ref is extracted with `git archive` into a temporary directory
 outside the repository (bench_pairs.parent_tree; removed at the end, as
-are both sides' outputs); the change side is the --change ref, extracted
-the same way, or without it this checkout's working tree.  Each side runs the same CLI
-matrix, one call at a time, with its own `src` on PYTHONPATH:
+are both sides' outputs); the change side is this checkout's working tree.
+Each side runs the same CLI matrix, one call at a time, with its own `src`
+on PYTHONPATH:
 `--scenario {free, disturbance, all} x --controller {on, off}` at
 `--tfinal TFINAL` and the default config, each call into its own directory
 with its stdout kept there as `stdout.txt`, and one `--export-matrices`
@@ -23,7 +23,6 @@ each side's exported matrices.  Standard library and numpy only.
 """
 
 import argparse
-import contextlib
 import hashlib
 import io
 import json
@@ -147,26 +146,19 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--pr", required=True, type=int, help="N of the ROUNDOFF_N.json written")
-    ap.add_argument("--change", help="git ref of the change commit (default: the working tree)")
     args = ap.parse_args(argv)
 
-    with contextlib.ExitStack() as stack:
-        commits, sides = {}, {"parent": None, "change": ROOT}
-        for name, ref in (("parent", args.parent), ("change", args.change)):
-            if ref:
-                commits[name], sides[name] = stack.enter_context(parent_tree(ref))
-        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(
-            prefix="diff-outputs-", ignore_cleanup_errors=True)))
+    with parent_tree(args.parent) as (parent_commit, tree), tempfile.TemporaryDirectory(
+            prefix="diff-outputs-", ignore_cleanup_errors=True) as tmp:
+        tmp, sides = Path(tmp), {"parent": tree, "change": ROOT}
         codes = {name: run_matrix(root, tmp / name) for name, root in sides.items()}
-        change = "the working tree" if args.change is None else "a change commit (a git archive)"
         out = {"what": ("piezobeam CLI outputs, parent commit (a git archive) against "
-                        f"{change}: every --scenario x --controller case at "
+                        "the working tree: every --scenario x --controller case at "
                         f"--tfinal {TFINAL:g} and the default config, and "
                         "--export-matrices. CSV shifts are per column, largest "
                         "|change - parent| over the column's peak |parent|, "
                         "and the first data row (from 0) where it differs."),
-               "parent_commit": commits["parent"], "change_commit": commits.get("change"),
-               "cases": cases(), "exit_codes": codes,
+               "parent_commit": parent_commit, "cases": cases(), "exit_codes": codes,
                "matrices_sha256": {name: shas(tmp / name) for name in sides},
                **compare(tmp / "parent", tmp / "change")}
     path = ROOT / f"ROUNDOFF_{args.pr}.json"
