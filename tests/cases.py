@@ -32,18 +32,18 @@ def model(n, piezo=PiezoSpec(), **damping):
     return basis, assemble(beam, piezo, basis)
 
 
-def tip_controller(mats, basis, v_max=None, zeta_cl=0.8):
+def tip_controller(mats, basis, v_max=None):
     """The CLI's default ControllerConfig: omega_cl the first flexural
-    frequency at Omega = 0, the tip values for the output weights, and
-    clipped at v_max unless it is None or inf."""
-    k0, k1 = design_gains(mats.natural_frequencies[0][0], zeta_cl)
+    frequency at Omega = 0, zeta_cl 0.8, the tip values for the output
+    weights, and clipped at v_max unless it is None or inf."""
+    k0, k1 = design_gains(mats.natural_frequencies[0][0], 0.8)
     return ControllerConfig(k0=k0, k1=k1, output_weights=basis.flexural_tip_values(),
                             v_max=None if v_max == math.inf else v_max)
 
 
-def tip_law(mats, basis, v_max=None, omega=20.0, zeta_cl=0.8):
+def tip_law(mats, basis, v_max=None, omega=20.0):
     """make_policy's law for tip_controller, the law the CLI builds."""
-    return make_policy(mats, tip_controller(mats, basis, v_max, zeta_cl), omega)
+    return make_policy(mats, tip_controller(mats, basis, v_max), omega)
 
 
 def release(basis, tip_w0=5e-3):
@@ -53,11 +53,15 @@ def release(basis, tip_w0=5e-3):
     return x
 
 
+def config(law=None, **fields):
+    """SimConfig(**fields) for a run under law (None for none): Omega = 20
+    rad/s and dt = 2e-5 s unless fields give others, controller_on if law."""
+    return SimConfig(**{"Omega": 20.0, "dt": 2e-5, **fields}, controller_on=law is not None)
+
+
 def sim(mats, basis, law=None, **fields):
-    """simulate's run of SimConfig(**fields) under law (None for none), at
-    Omega = 20 rad/s and dt = 2e-5 s unless fields give others."""
-    cfg = SimConfig(**{"Omega": 20.0, "dt": 2e-5, **fields}, controller_on=law is not None)
-    return simulate(cfg, mats, basis, controller=law)
+    """simulate's run of config(law, **fields) under law."""
+    return simulate(config(law, **fields), mats, basis, controller=law)
 
 
 def guard_dt(mats):
@@ -113,13 +117,13 @@ def blowup_times(cfg, mats, basis, law):
 
 def record_stage_maps(monkeypatch):
     """The list to which each later dynamics._rk4_stage_maps call appends
-    (E's shape, the row count of each stage map, D's shape or None)."""
+    (the row count of each stage map, D's shape or None)."""
     built = []
     stage_maps = dynamics._rk4_stage_maps
 
     def recording(A, lattice, E, dt, *readout):
         S, F, D = stage_maps(A, lattice, E, dt, *readout)
-        built.append((E.shape, [maps.shape[0] for maps in S], None if D is None else D.shape))
+        built.append(([maps.shape[0] for maps in S], None if D is None else D.shape))
         return S, F, D
     monkeypatch.setattr(dynamics, "_rk4_stage_maps", recording)
     return built

@@ -1,6 +1,8 @@
 import pytest
 
-from piezobeam import BeamSpec, ModalBasis, PiezoSpec, assemble
+from piezobeam import BeamSpec, PiezoSpec
+
+from cases import model
 
 
 @pytest.fixture(scope="session")
@@ -9,31 +11,30 @@ def beam():
 
 
 @pytest.fixture(scope="session")
-def beam_undamped():
-    return BeamSpec(zeta_flex=(0.0, 0.0), zeta_tors=(0.0, 0.0))
-
-
-@pytest.fixture(scope="session")
 def piezo():
     return PiezoSpec()
 
 
 @pytest.fixture(scope="session")
-def basis2(beam):
-    return ModalBasis.build(2, beam.L)
+def model2():
+    return model(2)
 
 
 @pytest.fixture(scope="session")
-def mats(beam, piezo, basis2):
-    return assemble(beam, piezo, basis2)
+def basis2(model2):
+    return model2[0]
 
 
 @pytest.fixture(scope="session")
-def mats_bare(beam, basis2):
-    return assemble(beam, None, basis2)
+def mats(model2):
+    return model2[1]
 
 
 @pytest.fixture(scope="session")
-def mats_undamped(beam_undamped, piezo, basis2):
-    return assemble(beam_undamped, piezo, basis2)
+def mats_bare():
+    return model(2, piezo=None)[1]
 
+
+@pytest.fixture(scope="session")
+def mats_undamped():
+    return model(2, zeta_flex=(0.0, 0.0), zeta_tors=(0.0, 0.0))[1]

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance, SimConfig,
-                       closed_loop, design_gains, linear_frequencies, make_policy, simulate)
+from piezobeam import (ControlAuthorityError, ControllerConfig, Disturbance, closed_loop,
+                       design_gains, linear_frequencies, make_policy, simulate)
 from piezobeam import dynamics
 from piezobeam.assembly import SpecError, StateOperator
 from piezobeam.control import ClosedLoopSpec, VoltageLaw
 
-from cases import ZETA_6, model, record_stage_maps, release, sim, tip_controller, tip_law
+from cases import (ZETA_6, config, model, record_stage_maps, release, sim, tip_controller,
+                   tip_law)
 
 
 class TestClosedLoopOperator:
@@ -246,7 +247,7 @@ class TestPolicy:
         law = closed_loop(mats, 20.0, pol)
         expected = np.array([law(x, t)[1] for x, t in zip(tr.states, tr.times)])
         # lattice p for the rows of each map, and no D
-        assert [entry[1:] for entry in built] == [([math.comb(2 + 2, 3)] * 4, None)]
+        assert built == [([math.comb(2 + 2, 3)] * 4, None)]
         assert np.all(expected != 0.0)
         assert np.max(np.abs(tr.voltage - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -261,8 +262,7 @@ class TestPolicy:
         huge = VoltageLaw(g, law.c, law.beta, 50.0)
         x = np.zeros(8)
         x[0] = 100.0  # h x = 1e309
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=t_final, initial_state=x,
-                        controller_on=True)
+        cfg = config(huge, t_final=t_final, initial_state=x)
         called = simulate(cfg, mats, basis2, controller=lambda x, t, a0: huge(x, t, a0))
         folded = simulate(cfg, mats, basis2, controller=huge)
         assert np.all(called.voltage == 50.0)
@@ -295,7 +295,7 @@ class TestPolicy:
         # build has a D
         R = math.comb(2 + 2, 3)
         D = None if v_max is None else (4, 8 + 4 + 4 * (R + 1))
-        assert [entry[1:] for entry in built] == \
+        assert built == \
             [([R] * 4, None)] + [([R] * 4, D)] * (1 if v_max is None else 2)
         assert (len(own_steps) > 0) == (v_max is not None)
         assert calls == [s for t in own_steps for s in (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)]
@@ -314,7 +314,7 @@ class TestPolicy:
         built = record_stage_maps(monkeypatch)
         sim(m, basis, law, dt=2e-6, t_final=4e-5, initial_state=release(basis, 1e-3))
         R, z = math.comb(n + 2, 3), 4 * n + 4 + 4 * (n + 2)
-        assert built and all(entry[1:] == ([R] * 4, (4, z)) for entry in built)
+        assert built and all(entry == ([R] * 4, (4, z)) for entry in built)
 
     def test_one_law_evaluation_per_rk4_stage(self, mats, basis2):
         # four stages per step, the first one shared with the voltage sample,

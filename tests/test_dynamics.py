@@ -12,8 +12,8 @@ from piezobeam import dynamics
 from piezobeam.dynamics import compute_metrics
 from piezobeam.assembly import StateOperator
 
-from cases import (ZETA_3, ZETA_6, assert_within_peaks, blowup_times, guard_dt, model,
-                   record_stage_maps, reference_run, release, sim, tip_law)
+from cases import (ZETA_3, ZETA_6, assert_within_peaks, blowup_times, config, guard_dt, model,
+                   reference_run, release, sim, tip_law)
 
 
 def first_nonfinite_sample(mats, omega, law, dist, x, dt):
@@ -408,7 +408,7 @@ class TestSimulate:
     def test_nonfinite_initial_state_fails_at_t0(self, mats, basis2, v_max, bad, nsteps):
         x0 = release(basis2, 1e-3)
         x0[-1] = bad  # the last torsional velocity
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=nsteps * 2e-5, initial_state=x0)
+        cfg = config(t_final=nsteps * 2e-5, initial_state=x0)
         assert cfg.nsteps == nsteps
         law = None if v_max is None else tip_law(mats, basis2, v_max)
         assert blowup_times(cfg, mats, basis2, law) == [0.0, 0.0]
@@ -435,9 +435,8 @@ class TestSimulate:
             def force(self, t):
                 return np.where(t == at, math.inf, 0.0)
 
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt,
-                        initial_state=release(basis2, 1e-3),
-                        disturbance=Spike(amplitude=1.0, frequency=1.0, target=1))
+        cfg = config(dt=dt, t_final=nsteps * dt, initial_state=release(basis2, 1e-3),
+                     disturbance=Spike(amplitude=1.0, frequency=1.0, target=1))
         law = None if v_max is None else tip_law(mats, basis2, v_max)
         assert blowup_times(cfg, mats, basis2, law) == [25 * dt, 25 * dt]
 
@@ -460,8 +459,7 @@ class TestSimulate:
         kick = Kick(amplitude=1e200, frequency=1.0, target=1)
         ic = release(basis2, 1e-3)
         assert first_nonfinite_sample(mats, 20.0, law, kick, ic, dt) == nsteps
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, initial_state=ic,
-                        disturbance=kick, controller_on=law is not None)
+        cfg = config(law, dt=dt, t_final=nsteps * dt, initial_state=ic, disturbance=kick)
         with pytest.raises(IntegrationBlowupError) as info:
             simulate(cfg, mats, basis2, controller=law)
         assert info.value.t == nsteps * dt
@@ -474,8 +472,7 @@ class TestSimulate:
         # at n = 3 a 1 mm release grows through the law's unstable zero dynamics
         basis, m = model(n, **ZETA_3)
         law = tip_law(m, basis)
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.5, controller_on=True,
-                        initial_state=release(basis, tip_w0))
+        cfg = config(law, dt=dt, t_final=0.5, initial_state=release(basis, tip_w0))
         with pytest.raises(IntegrationBlowupError) as called:
             simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
         voltages = []  # the after-loop fill is the only caller with rows of p
@@ -501,8 +498,7 @@ class TestSimulate:
         def failing(x, t, a0):
             return math.nan if t >= t_k else law(x, t, a0)
 
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=0.002, controller_on=True,
-                        initial_state=release(basis2, 1e-4))
+        cfg = config(law, dt=dt, t_final=0.002, initial_state=release(basis2, 1e-4))
         with pytest.raises(IntegrationBlowupError) as info:
             simulate(cfg, mats, basis2, controller=failing)
         assert info.value.t == t_k
@@ -515,8 +511,7 @@ class TestClosedLoopKernel:
     ], ids=["saturated_release", "unsaturated_disturbance"])
     def test_matches_reference_loop(self, mats, basis2, v_max, tip_w0, dist):
         law = tip_law(mats, basis2, v_max)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=release(basis2, tip_w0), disturbance=dist)
+        cfg = config(law, t_final=0.004, initial_state=release(basis2, tip_w0), disturbance=dist)
         tr = simulate(cfg, mats, basis2, controller=law)
         states, voltage = reference_run(cfg, mats, law)
         assert_within_peaks(tr, states, voltage)
@@ -535,9 +530,8 @@ class TestClosedLoopKernel:
         assert dynamics._FORCE_BLOCK == 256
         law = None if v_max is None else tip_law(mats, basis2, v_max)
         dt = 2e-5
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=nsteps * dt, controller_on=law is not None,
-                        initial_state=release(basis2, 1e-3),
-                        disturbance=Disturbance(amplitude=0.5, frequency=150.0, target=1))
+        cfg = config(law, dt=dt, t_final=nsteps * dt, initial_state=release(basis2, 1e-3),
+                     disturbance=Disturbance(amplitude=0.5, frequency=150.0, target=1))
         tr = simulate(cfg, mats, basis2, controller=law)
         states, voltage = reference_run(cfg, mats, law)
         assert tr.times.size == nsteps + 1
@@ -552,11 +546,11 @@ class TestClosedLoopKernel:
         basis, m = model(n, **ZETA_3)
         saturated = case == "saturated_release"
         law = None if case == "controller_off" else tip_law(m, basis, 50.0 if saturated else None)
-        cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, controller_on=law is not None,
-                        initial_state=np.zeros(4 * n) if case == "unsaturated_disturbance"
-                        else release(basis),
-                        disturbance=None if saturated else
-                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        cfg = config(law, dt=1e-5, t_final=2e-3,
+                     initial_state=np.zeros(4 * n) if case == "unsaturated_disturbance"
+                     else release(basis),
+                     disturbance=None if saturated else
+                     Disturbance(amplitude=0.002, frequency=40.0, target=n))
         tr = simulate(cfg, m, basis, controller=law)
         states, voltage = reference_run(cfg, m, law)
         assert_within_peaks(tr, states, voltage)  # exact zeros without a controller
@@ -573,17 +567,19 @@ class TestClosedLoopKernel:
         # also write rho (lattice p)^3 into u_s for D, which E's zero column
         # skips; at n = 2 the fold is switched off to step that path
         monkeypatch.setattr(dynamics, "_FOLDED_MAX_MODES", 1)
-        built = record_stage_maps(monkeypatch)
+        shapes = []  # E's shape in each stage-map build
+        stage_maps = dynamics._rk4_stage_maps
+        monkeypatch.setattr(dynamics, "_rk4_stage_maps", lambda A, lattice, E, *rest:
+                            shapes.append(E.shape) or stage_maps(A, lattice, E, *rest))
         basis, m = model(n, **ZETA_6)
         saturated = case == "saturated_release"
         law = None if case == "controller_off" else tip_law(m, basis, 50.0 if saturated else None)
-        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=1e-3, controller_on=law is not None,
-                        initial_state=release(basis) if saturated else np.zeros(4 * n),
-                        disturbance=None if saturated else
-                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        cfg = config(law, dt=5e-6, t_final=1e-3,
+                     initial_state=release(basis) if saturated else np.zeros(4 * n),
+                     disturbance=None if saturated else
+                     Disturbance(amplitude=0.002, frequency=40.0, target=n))
         tr = simulate(cfg, m, basis, controller=law)
         states, voltage = reference_run(cfg, m, law)
-        shapes = [shape for shape, _, _ in built]
         if saturated:  # each loop the clipped law enters, closed or open
             assert shapes and set(shapes) == {(n, n + 3)}
         else:
@@ -597,10 +593,9 @@ class TestClosedLoopKernel:
         # a clipped law that stays within +-v_max steps the unclipped law's
         # closed loop with every voltage entry at 0, bit for bit
         basis, m = model(n, zeta_flex=(0.01, 0.0016)[:n], zeta_tors=(0.01, 0.0033)[:n])
-        cfg = SimConfig(Omega=20.0, dt=5e-6, t_final=0.05, controller_on=True,
-                        disturbance=Disturbance(amplitude=0.001, frequency=24.0, target=1))
-        clipped, unclipped = (simulate(cfg, m, basis, controller=tip_law(m, basis, v_max))
-                              for v_max in (200.0, None))
+        dist = Disturbance(amplitude=0.001, frequency=24.0, target=1)
+        clipped, unclipped = (sim(m, basis, tip_law(m, basis, v_max), dt=5e-6, t_final=0.05,
+                                  disturbance=dist) for v_max in (200.0, None))
         assert clipped.times.size == 10001
         assert 0.0 < np.max(np.abs(clipped.voltage)) < 200.0
         assert np.array_equal(clipped.states, unclipped.states)
@@ -610,8 +605,7 @@ class TestClosedLoopKernel:
         # a 1 mm release under a 200 V clip goes in and out of saturation at
         # both limits, so steps run in each regime and in between
         law = tip_law(mats, basis2, 200.0)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.04, controller_on=True,
-                        initial_state=release(basis2, 1e-3))
+        cfg = config(law, t_final=0.04, initial_state=release(basis2, 1e-3))
         tr = simulate(cfg, mats, basis2, controller=law)
         states, voltage = reference_run(cfg, mats, law)
         assert tr.times.size == 2001
@@ -624,9 +618,8 @@ class TestClosedLoopKernel:
         # and the demand at a finite state overflow: the run ends at that
         # sample, 77, where it ends when every stage clips on the closed loop
         law = tip_law(mats, basis2, 50.0)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=release(basis2),
-                        disturbance=Disturbance(amplitude=3e6, frequency=24.0, target=1))
+        cfg = config(law, t_final=0.004, initial_state=release(basis2),
+                     disturbance=Disturbance(amplitude=3e6, frequency=24.0, target=1))
         with pytest.raises(IntegrationBlowupError) as info:
             simulate(cfg, mats, basis2, controller=law)
         assert info.value.t == 77 * 2e-5
@@ -647,8 +640,7 @@ class TestClosedLoopKernel:
         g = law.g.copy()
         g[0] = -1e12 * law.beta
         huge = dataclasses.replace(law, g=g)
-        cfg = SimConfig(Omega=20.0, dt=dt, t_final=600 * dt, controller_on=True,
-                        initial_state=release(basis))
+        cfg = config(huge, dt=dt, t_final=600 * dt, initial_state=release(basis))
         called = simulate(cfg, m, basis, controller=lambda x, t, a0: huge(x, t, a0))
         tr = simulate(cfg, m, basis, controller=huge)
         assert tr.times.size == 601
@@ -663,10 +655,10 @@ class TestClosedLoopKernel:
         basis, m = model(n, **ZETA_3)
         saturated = case == "saturated_release"
         law = tip_law(m, basis, 50.0 if saturated else None)
-        cfg = SimConfig(Omega=20.0, dt=1e-5, t_final=2e-3, controller_on=True,
-                        initial_state=release(basis) if saturated else None,
-                        disturbance=None if saturated else
-                        Disturbance(amplitude=0.002, frequency=40.0, target=n))
+        cfg = config(law, dt=1e-5, t_final=2e-3,
+                     initial_state=release(basis) if saturated else None,
+                     disturbance=None if saturated else
+                     Disturbance(amplitude=0.002, frequency=40.0, target=n))
         called = simulate(cfg, m, basis, controller=lambda x, t, a0: law(x, t, a0))
         assert_within_peaks(simulate(cfg, m, basis, controller=law),
                             called.states, called.voltage)
@@ -679,9 +671,8 @@ class TestClosedLoopKernel:
         law = tip_law(mats, basis2, 50.0)
         policy = lambda x, t, a0: law(x, t, a0)
         dist = Disturbance(amplitude=0.002, frequency=40.0, target=2)
-        cfg = SimConfig(Omega=20.0, dt=2e-5, t_final=0.004, controller_on=True,
-                        initial_state=release(basis2), disturbance=dist,
-                        integrator=integrator)
+        cfg = config(policy, t_final=0.004, initial_state=release(basis2), disturbance=dist,
+                     integrator=integrator)
         tr = simulate(cfg, mats, basis2, controller=policy)
         f = closed_loop(mats, 20.0, policy, dist)
         x = cfg.initial_state
